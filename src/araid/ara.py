@@ -12,9 +12,10 @@ her own problem can be solved by plain policy enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -24,17 +25,16 @@ from .diagram import (
     Diagram,
     Node,
     NodeKind,
-    ValueSpec,
     build_diagram,
 )
 from .inference import (
     CompiledModel,
-    Factor,
     constant_policy,
     parent_tuples_of,
 )
 
 TIE_TOL = 1e-12
+DRAW_BLOCK = 128  # draws sampled and contracted together; memory is O(block)
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
 
@@ -176,8 +176,8 @@ class PerturbRule:
     half_width: float
 
     def sample_vector(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        jittered = np.clip(base + rng.uniform(-self.half_width, self.half_width,
-                                              size=len(base)), 0.0, None)
+        jittered = np.maximum(base + rng.uniform(-self.half_width, self.half_width,
+                                                 size=len(base)), 0.0)
         total = jittered.sum()
         if total <= 0:
             raise ValueError("perturbed vector collapsed to zero mass")
@@ -268,40 +268,6 @@ def _draw_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _sampled_overrides(view: Diagram, compiled: CompiledModel,
-                       uncertainty: ParameterUncertainty,
-                       rng: np.random.Generator
-                       ) -> tuple[dict[str, Factor], dict[str, float] | None]:
-    overrides: dict[str, Factor] = {}
-    weights: dict[str, float] | None = None
-    for target in sorted(uncertainty.rules, key=_target_sort_key):
-        rule = uncertainty.rules[target]
-        kind, nid = target[0], target[1]
-        node = view.nodes[nid]
-        if kind in ("belief", "cpt_row"):
-            row_key = () if kind == "belief" else target[2]
-            base_factor = overrides.get(nid, compiled.prob_factors[nid])
-            table = base_factor.table.copy()
-            base_row = np.asarray(node.payload.rows[row_key], dtype=float)
-            idx = tuple(view.nodes[p].domain.index(lbl)
-                        for p, lbl in zip(node.parents, row_key))
-            table[idx] = rule.sample_vector(base_row, rng)
-            overrides[nid] = Factor(base_factor.vars, table)
-        elif kind == "weights":
-            base = np.array([node.payload.weights[p] for p in node.parents])
-            sampled = rule.sample_vector(base, rng)
-            weights = dict(zip(node.parents, (float(w) for w in sampled)))
-        elif kind == "value_scale":
-            spec: ValueSpec = node.payload
-            new_spec = replace(spec, scale=rule.sample_scalar(spec.scale, rng))
-            overrides[nid] = compiled.value_factor_with(nid, new_spec)
-        elif kind == "value_root":
-            spec = node.payload
-            new_spec = replace(spec, root=rule.sample_scalar(spec.root, rng))
-            overrides[nid] = compiled.value_factor_with(nid, new_spec)
-    return overrides, weights
-
-
 # ---------------------------------------------------------------------------
 # forecast
 # ---------------------------------------------------------------------------
@@ -355,18 +321,86 @@ class AttackForecast:
                               draws=0, seed=0)
 
 
+class _DrawBlock:
+    """Arrays with a leading draw axis that a block of draws is sampled into.
+
+    A sampled probability node gets a [block, *family] copy of its table, a
+    value node with a scalar target a [block, (scale, root)] array, and the
+    attacker's utility weights a [block, parent] array, all starting at the
+    stated values. Each target draws, in a fixed order, into its own view
+    (`slots`) of these arrays.
+    """
+
+    def __init__(self, view: Diagram, compiled: CompiledModel,
+                 uncertainty: ParameterUncertainty, utility: Node):
+        self.view, self.utility = view, utility
+        self.tables: dict[str, np.ndarray] = {}
+        self.scalars: dict[str, np.ndarray] = {}
+        self.weights: np.ndarray | None = None
+        self.targets = sorted(uncertainty.rules, key=_target_sort_key)
+        self.rules = [uncertainty.rules[t] for t in self.targets]
+        self.slots: list[np.ndarray] = []
+        for target in self.targets:
+            kind, node = target[0], view.nodes[target[1]]
+            if kind in ("belief", "cpt_row"):
+                table = self.tables.setdefault(node.id, np.repeat(
+                    compiled.prob_factors[node.id].table[None], DRAW_BLOCK, axis=0))
+                key = () if kind == "belief" else target[2]
+                self.slots.append(table[(slice(None),) + tuple(
+                    view.nodes[p].domain.index(lbl) for p, lbl in zip(node.parents, key))])
+            elif kind == "weights":
+                if node.id != utility.id:
+                    raise ValueError(f"{target!r}: only the attacker's utility weights "
+                                     f"can be sampled")
+                self.weights = np.tile([node.payload.weights[p] for p in node.parents],
+                                       (DRAW_BLOCK, 1))
+                self.slots.append(self.weights)
+            else:
+                pair = self.scalars.setdefault(node.id, np.tile(np.array(
+                    [node.payload.scale, node.payload.root], dtype=float), (DRAW_BLOCK, 1)))
+                self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
+        # the stated values, copied before any draw overwrites them
+        self.bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0])
+                      for slot in self.slots]
+
+    def sample(self, seed: int, start: int, n: int) -> None:
+        """Draws start .. start+n-1 into rows 0 .. n-1."""
+        for b in range(n):
+            rng = _draw_rng(seed, start + b)
+            for rule, base, slot in zip(self.rules, self.bases, self.slots):
+                slot[b] = (rule.sample_vector(base, rng) if isinstance(base, np.ndarray)
+                           else rule.sample_scalar(base, rng))
+
+    def inputs(self, n: int) -> tuple[dict, dict | None]:
+        """Tables and weights of the first n draws, for UtilityQuery.evaluate."""
+        tables = {nid: table[:n] for nid, table in self.tables.items()}
+        for vid, pair in self.scalars.items():
+            node = self.view.nodes[vid]
+            domain = self.view.nodes[node.parents[0]].domain
+            ratio = np.array([domain.tag(lbl) for lbl in domain.labels]) / pair[:n, :1]
+            if node.payload.form == "linear":
+                tables[vid] = node.payload.offset - ratio
+            else:
+                tables[vid] = ratio ** (1.0 / pair[:n, 1:])
+        if self.weights is None:
+            return tables, None
+        parents = self.utility.parents
+        return tables, {vid: self.weights[:n, parents.index(vid)] for vid in parents}
+
+
 def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
                     uncertainty: ParameterUncertainty,
                     draws: int, seed: int,
                     observed: set[str] | None = None,
-                    attacker: str | None = None,
-                    workers: int = 1) -> AttackForecast:
+                    attacker: str | None = None) -> AttackForecast:
     """Monte Carlo forecast of the attacker's optimal action per context.
 
-    Each draw samples one realization of the uncertain parameters, solves
-    the attacker's best response in every observable context, and scores
-    the winners. Bit-reproducible for fixed (seed, draws); draws use
-    independent substreams so `workers` only affects wall time.
+    Draw i samples the uncertain parameters from its own substream
+    `_draw_rng(seed, i)`, so results are bit-reproducible for fixed (seed,
+    draws) and independent of grouping. Draws are sampled in blocks of
+    DRAW_BLOCK along a leading draw axis; one planned contraction per block
+    gives the attacker's expected utility in every observable context for
+    all its draws. Alternatives within TIE_TOL of a draw's best split it.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -387,42 +421,33 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     decision = own[0]
     context_nodes = decision.parents
     alternatives = decision.domain.labels
-    contexts = list(itertools.product(
-        *(view.nodes[p].domain.labels for p in context_nodes)))
-    context_idx = {ctx: tuple(view.nodes[p].domain.index(lbl)
-                              for p, lbl in zip(context_nodes, ctx))
-                   for ctx in contexts}
+    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker))
+    # the query reduces nothing (no evidence, every decision free), so a
+    # sampled node's batched table is its whole family table
     keep = list(context_nodes) + [decision.id]
-    free = {n.id for n in view.nodes.values() if n.kind == NodeKind.DECISION}
-    plan = compiled.prepare_utility_query(attacker, {}, {}, keep, free_decisions=free)
+    query = compiled.utility_query(
+        attacker, {}, {}, keep,
+        free_decisions={n.id for n in view.nodes.values() if n.kind == NodeKind.DECISION},
+        batched=set(block.tables) | set(block.scalars))
 
-    def run_chunk(indices: Sequence[int]) -> dict[tuple[str, ...], list[Fraction]]:
-        tally = {ctx: [Fraction(0)] * len(alternatives) for ctx in contexts}
-        for i in indices:
-            rng = _draw_rng(seed, i)
-            overrides, weights = _sampled_overrides(view, compiled, uncertainty, rng)
-            eu = plan.evaluate(overrides=overrides, weights=weights)
-            for ctx in contexts:
-                row = eu[context_idx[ctx]]
-                top = row.max()
-                winners = [j for j in range(len(alternatives)) if row[j] >= top - TIE_TOL]
-                share = Fraction(1, len(winners))
-                for j in winners:
-                    tally[ctx][j] += share
-        return tally
+    # a draw with k tied winners gives each lcm(1..m)/k, m alternatives: the
+    # tally stays exact in integers
+    lcm = math.lcm(*range(1, len(alternatives) + 1))
+    if draws * lcm > np.iinfo(np.int64).max:
+        raise ValueError(f"draws must be <= {np.iinfo(np.int64).max // lcm} to tally "
+                         f"{len(alternatives)} alternatives exactly")
+    counts = np.zeros(query.shape[-len(keep):], dtype=np.int64)
+    for start in range(0, draws, DRAW_BLOCK):
+        n = min(DRAW_BLOCK, draws - start)
+        block.sample(seed, start, n)
+        eu = np.broadcast_to(query.evaluate(*block.inputs(n)), (n,) + counts.shape)
+        winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
+        counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
 
-    if workers > 1 and draws > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = [list(range(draws))[k::workers] for k in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(run_chunk, chunks))
-        tally = {ctx: [sum(p[ctx][j] for p in partials) for j in range(len(alternatives))]
-                 for ctx in contexts}
-    else:
-        tally = run_chunk(range(draws))
-
-    probabilities = {ctx: tuple(float(f / draws) for f in tally[ctx]) for ctx in contexts}
+    probabilities = {}
+    for ctx in itertools.product(*(view.nodes[p].domain.labels for p in context_nodes)):
+        idx = tuple(view.nodes[p].domain.index(lbl) for p, lbl in zip(context_nodes, ctx))
+        probabilities[ctx] = tuple(float(Fraction(int(c), draws * lcm)) for c in counts[idx])
     return AttackForecast(decision=decision.id, context_nodes=context_nodes,
                           alternatives=alternatives, probabilities=probabilities,
                           draws=draws, seed=seed)

@@ -10,7 +10,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -77,14 +76,6 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
         k, v = pair.split("=", 1)
         out[k] = v
     return out
-
-
-def _workers() -> int:
-    raw = os.environ.get("ARA_MAID_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     beliefs, uncertainty = _solve_inputs(diagram, args)
     try:
         forecast = forecast_attack(diagram, beliefs, uncertainty,
-                                   draws=args.draws, seed=args.seed,
-                                   workers=_workers())
+                                   draws=args.draws, seed=args.seed)
         solution = solve_defender(diagram, forecast)
     except (ValueError, KeyError) as exc:
         raise _CliError(str(exc))

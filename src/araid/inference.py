@@ -9,6 +9,10 @@ Two independent evaluation routes live here on purpose:
 
 All operations are pure functions of immutable inputs; cells of a decision
 table may be evaluated concurrently by callers.
+
+Expected utility is multilinear in every probability and score table, so a
+batch of parameter draws is one contraction: each sampled table gets a
+leading draw axis that the output keeps (`CompiledModel.utility_query`).
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ Policy = Mapping[str, DecisionRule]
 Evidence = Mapping[str, str]
 
 EU_AGREEMENT_TOL = 1e-9  # spread allowed when several opponent fixings define a cell
+DRAW = "#draw"  # leading axis of batched tables; '#' opens a .maid comment, so no node has it
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -114,8 +119,10 @@ class ContractionTape:
 
     Variables outside `keep` are eliminated deepest-first (reverse
     topological), ties broken by how few factors mention them, then by id.
-    Planning once and replaying matters for Monte Carlo loops that swap a
-    couple of factor tables thousands of times.
+    A variable that is in no elimination order (such as a Monte Carlo draw
+    axis) is simply one more entry in the var lists: kept, it rides through
+    every step that touches a table carrying it, so one execution contracts
+    a whole batch of draws.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -183,12 +190,7 @@ def _contract(factors: Sequence[Factor], keep: Sequence[str],
 
 @dataclass
 class CompiledModel:
-    """Diagram lowered to numpy factors, ready for repeated queries.
-
-    `overrides` in query methods lets callers swap individual probability
-    factors or utility weights per evaluation without rebuilding (the
-    adversarial solver leans on this for Monte Carlo draws).
-    """
+    """Diagram lowered to numpy factors, ready for repeated queries."""
 
     diagram: Diagram
     sizes: dict[str, int] = field(default_factory=dict)
@@ -233,9 +235,9 @@ class CompiledModel:
             table[idx + (n.domain.index(label),)] = 1.0
         return Factor(vars_, table)
 
-    def _value_factor(self, n: Node, spec: ValueSpec | None = None) -> Factor:
+    def _value_factor(self, n: Node) -> Factor:
         from .diagram import parent_tuples
-        spec = spec if spec is not None else n.payload
+        spec: ValueSpec = n.payload
         parents = [self.diagram.nodes[p] for p in n.parents]
         table = np.zeros([self.sizes[p.id] for p in parents])
         domains = [p.domain for p in parents]
@@ -243,10 +245,6 @@ class CompiledModel:
             idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
             table[idx] = spec.score(key, domains)
         return Factor(tuple(n.parents), table)
-
-    def value_factor_with(self, node_id: str, spec: ValueSpec) -> Factor:
-        """Value factor rebuilt with a substituted spec (same parents)."""
-        return self._value_factor(self.diagram.nodes[node_id], spec)
 
     def _rule_factor(self, dec: str, rule: DecisionRule) -> Factor:
         n = self.diagram.nodes[dec]
@@ -275,7 +273,7 @@ class CompiledModel:
     def _assemble(self, policy: Policy, evidence: Evidence, targets: Iterable[str],
                   free_decisions: set[str]
                   ) -> tuple[list[tuple[str | None, Factor]], dict[str, str]]:
-        """Reduced factors tagged with their override slot, plus all reductions.
+        """Reduced factors tagged with their node id, plus all reductions.
 
         Decisions under a constant rule are bound like evidence (their axis
         is sliced away everywhere) rather than carried as 0/1 factors; that
@@ -321,115 +319,95 @@ class CompiledModel:
         result = _contract([f for _, f in factors], keep, self.elim_priority)
         return np.broadcast_to(result, [self.sizes[v] for v in keep]).copy() if keep else result
 
-    def prepare_utility_query(self, agent: str, policy: Policy, evidence: Evidence,
-                              keep: Sequence[str],
-                              free_decisions: set[str] | None = None,
-                              value_nodes: Sequence[str] | None = None
-                              ) -> "PreparedUtilityQuery":
-        """Plan a conditional expected-utility query for repeated evaluation."""
+    def utility_query(self, agent: str, policy: Policy, evidence: Evidence,
+                      keep: Sequence[str], free_decisions: set[str] | None = None,
+                      weights: Mapping[str, float] | None = None,
+                      batched: Iterable[str] = ()) -> "UtilityQuery":
+        """Plan a conditional expected-utility query over `keep`.
+
+        The tables of the nodes in `batched` (probability or value nodes)
+        are planned with a leading DRAW axis, which the result keeps in
+        front of `keep`; see UtilityQuery.evaluate.
+        """
         free = free_decisions if free_decisions is not None else set()
-        util: UtilitySpec = self.diagram.utility_node_of(agent).payload
-        if value_nodes is None:
-            value_nodes = tuple(util.weights)
-        base_weights = {vid: util.weights.get(vid, 0.0) for vid in value_nodes}
+        if weights is None:
+            weights = self.diagram.utility_node_of(agent).payload.weights
         value_parents: set[str] = set()
-        for vid in value_nodes:
+        for vid in weights:
             value_parents.update(self.diagram.nodes[vid].parents)
         targets = value_parents | set(evidence) | set(keep)
         tagged, reductions = self._assemble(policy, evidence, targets, free)
+        batched = set(batched)
+        out = ((DRAW,) if batched else ()) + tuple(keep)
+
+        def scope(nid: str | None, f: Factor) -> tuple[str, ...]:
+            return (DRAW,) + f.vars if nid in batched else f.vars
+
         # probability factors reduced all the way to scalars multiply the
-        # numerator and denominator identically; pulling them out makes the
+        # numerator and denominator identically; leaving them out makes the
         # cancellation exact instead of rounding twice (and catches
         # impossible evidence via an exact zero)
-        scalars = [(slot, f) for slot, f in tagged if f.vars == ()]
-        tagged = [(slot, f) for slot, f in tagged if f.vars != ()]
-        slots = [slot for slot, _ in tagged]
-        tables = [f.table for _, f in tagged]
-        var_lists = [f.vars for _, f in tagged]
-        norm_tape = ContractionTape(var_lists, keep, self.elim_priority)
-        value_tapes: dict[str, tuple[ContractionTape, Factor]] = {}
-        for vid in value_nodes:
-            vf = self._reduce(self.value_factors[vid], reductions)
-            value_tapes[vid] = (ContractionTape(var_lists + [vf.vars], keep,
-                                                self.elim_priority), vf)
-        return PreparedUtilityQuery(
-            model=self, reductions=reductions, keep=tuple(keep),
-            shape=tuple(self.sizes[v] for v in keep), slots=slots,
-            base_tables=tables, scalar_slots=scalars, norm_tape=norm_tape,
-            value_tapes=value_tapes, base_weights=base_weights)
+        factors = [(nid, f) for nid, f in tagged if f.vars != ()]
+        var_lists = [scope(nid, f) for nid, f in factors]
+        scores = {vid: self._reduce(self.value_factors[vid], reductions) for vid in weights}
+        return UtilityQuery(
+            factors=factors, scores=scores, weights=dict(weights), reductions=reductions,
+            possible=all(float(f.table) > 0.0 for _, f in tagged if f.vars == ()),
+            keep=tuple(keep), shape=tuple(1 if v == DRAW else self.sizes[v] for v in out),
+            norm_tape=ContractionTape(var_lists, out, self.elim_priority),
+            value_tapes={vid: ContractionTape(var_lists + [scope(vid, f)], out,
+                                              self.elim_priority)
+                         for vid, f in scores.items()})
 
     def utility_table(self, agent: str, policy: Policy, evidence: Evidence,
                       keep: Sequence[str],
                       free_decisions: set[str] | None = None,
-                      overrides: Mapping[str, Factor] | None = None,
                       weights: Mapping[str, float] | None = None) -> np.ndarray:
-        """Conditional expected utility over `keep` axes.
-
-        Raises ImpossibleEvidenceError as soon as any cell of the
-        conditioning probability table is zero; a silent NaN there would
-        hide modeling bugs.
-        """
-        plan = self.prepare_utility_query(
-            agent, policy, evidence, keep, free_decisions,
-            value_nodes=tuple(weights) if weights is not None else None)
-        return plan.evaluate(overrides=overrides, weights=weights)
+        """Conditional expected utility over `keep` axes."""
+        return self.utility_query(agent, policy, evidence, keep, free_decisions,
+                                  weights).evaluate()
 
 
-@dataclass
-class PreparedUtilityQuery:
-    """Replayable utility query; per-call overrides swap factor tables.
+@dataclass(frozen=True)
+class UtilityQuery:
+    """A planned conditional expected-utility query: sum_v w_v * N_v / Z.
 
-    Override keys are node ids: chance/deterministic ids swap the
-    corresponding probability factor, value-node ids swap that score
-    factor. `weights` replaces the utility weights (same value nodes).
+    Z contracts the reduced probability and rule `factors` down to `keep`;
+    N_v contracts them together with value node v's score factor.
     """
 
-    model: "CompiledModel"
-    reductions: dict[str, str]  # evidence plus constant-rule decision bindings
+    factors: list[tuple[str | None, Factor]]  # tagged with node id, None for rules
+    scores: dict[str, Factor]                 # value node -> reduced score factor
+    weights: dict[str, float]
+    reductions: dict[str, str]                # evidence plus constant-rule bindings
+    possible: bool                            # False when a factor reduced to zero
     keep: tuple[str, ...]
-    shape: tuple[int, ...]
-    slots: list[str | None]
-    base_tables: list[np.ndarray]
-    scalar_slots: list[tuple[str | None, Factor]]
+    shape: tuple[int, ...]                    # result shape, 1 on the draw axis
     norm_tape: ContractionTape
-    value_tapes: dict[str, tuple[ContractionTape, Factor]]
-    base_weights: dict[str, float]
+    value_tapes: dict[str, ContractionTape]
 
-    def evaluate(self, overrides: Mapping[str, Factor] | None = None,
-                 weights: Mapping[str, float] | None = None) -> np.ndarray:
-        w = self.base_weights if weights is None else weights
-        if any(vid not in self.value_tapes for vid in w):
-            raise ValueError("weights reference value nodes outside the prepared query")
-        tables = self.base_tables
-        if overrides:
-            tables = list(tables)
-            for i, slot in enumerate(self.slots):
-                if slot is not None and slot in overrides:
-                    tables[i] = self.model._reduce(
-                        overrides[slot], self.reductions).table
+    def evaluate(self, tables: Mapping[str, np.ndarray] | None = None,
+                 weights: Mapping[str, float | np.ndarray] | None = None) -> np.ndarray:
+        """Expected utility over `keep`, after the draw axis if batched.
 
-        impossible = False
-        for slot, f in self.scalar_slots:
-            value = f.table
-            if overrides and slot is not None and slot in overrides:
-                value = self.model._reduce(overrides[slot], self.reductions).table
-            if float(value) <= 0.0:
-                impossible = True
-        norm = self.norm_tape.execute(tables)
-        if impossible or np.any(norm <= 0.0):
+        `tables` gives each batched node's table over its factor's scope,
+        draw axis first; `weights` may give each value node one per draw. Raises
+        ImpossibleEvidenceError as soon as any cell of the conditioning
+        probability table is zero; a silent NaN would hide modeling bugs.
+        """
+        tables = tables or {}
+        inputs = [tables.get(nid, f.table) for nid, f in self.factors]
+        norm = self.norm_tape.execute(inputs)
+        if not self.possible or np.any(norm <= 0.0):
             raise ImpossibleEvidenceError(
                 f"impossible evidence: {self.reductions!r} has zero probability "
                 f"for some combination of {list(self.keep) or 'the query'}")
-
-        total = np.zeros(self.shape) if self.keep else np.array(0.0)
-        for vid, weight in w.items():
-            tape, base_vf = self.value_tapes[vid]
-            vf = base_vf
-            if overrides and vid in overrides:
-                vf = self.model._reduce(overrides[vid], self.reductions)
-            num = tape.execute(tables + [vf.table])
-            total = total + weight * np.broadcast_to(num, self.shape)
-        return total / np.broadcast_to(norm, self.shape) if self.keep else total / norm
+        total = 0.0
+        for vid, w in (self.weights if weights is None else weights).items():
+            num = self.value_tapes[vid].execute(inputs + [tables.get(vid, self.scores[vid].table)])
+            total = total + np.reshape(w, np.shape(w) + (1,) * len(self.keep)) * num
+        eu = total / norm
+        return np.broadcast_to(eu, np.broadcast_shapes(self.shape, eu.shape))
 
 
 # ---------------------------------------------------------------------------

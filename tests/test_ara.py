@@ -1,8 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from araid import ara
 from araid.ara import (
     AttackForecast,
     DirichletRule,
@@ -18,7 +22,8 @@ from araid.ara import (
 )
 from araid.diagram import NodeKind, validate_diagram
 from araid.drilling import default_beliefs, default_uncertainty
-from araid.inference import constant_policy, expected_utility
+from araid.inference import (CompiledModel, constant_policy, enumerate_expected_utility,
+                             expected_utility)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -100,20 +105,7 @@ def test_continue_belief_strengthens_perpetrate(drilling):
 
 
 def test_identical_alternatives_tie():
-    # two-alternative attacker decision feeding a constant-value utility
-    from araid.diagram import (Agent, AgentKind, Cpt, Domain, Node, UtilitySpec,
-                               ValueSpec, build_diagram)
-    nodes = [
-        Node("move", NodeKind.DECISION, owner="foe", domain=Domain(("l", "r"))),
-        Node("coin", NodeKind.CHANCE, domain=Domain(("h", "t")),
-             payload=Cpt({(): (0.5, 0.5)})),
-        Node("score", NodeKind.VALUE, owner="foe", parents=("coin",),
-             payload=ValueSpec("table", rows={("h",): 0.3, ("t",): 0.9})),
-        Node("payoff", NodeKind.UTILITY, owner="foe", parents=("score",),
-             payload=UtilitySpec({"score": 1.0})),
-    ]
-    d = build_diagram([Agent("foe", AgentKind.ATTACKER)], nodes, {"foe": ("move",)})
-    br = best_response(d, "foe", {})
+    br = best_response(foe_diagram(), "foe", {})
     assert set(br.optimal) == {"l", "r"}
 
 
@@ -143,12 +135,125 @@ def test_forecast_reproducible_and_seed_sensitive(drilling):
         assert all(0.0 <= p <= 1.0 for p in probs)
 
 
-def test_forecast_workers_do_not_change_results(drilling):
-    a = forecast_attack(drilling, default_beliefs(), default_uncertainty(),
-                        draws=60, seed=9, workers=1)
-    b = forecast_attack(drilling, default_beliefs(), default_uncertainty(),
-                        draws=60, seed=9, workers=3)
-    assert a.to_json() == b.to_json()
+def wide_uncertainty(d) -> ParameterUncertainty:
+    """Every rule kind: belief, weights, non-root cpt_row, value_scale and value_root."""
+    rules = {
+        ("belief", "DT"): DirichletRule((2.0, 2.0, 2.0)),
+        ("belief", "DR"): DirichletRule((2.0, 2.0)),
+        ("weights", "AU"): DirichletRule((97.0, 3.0)),
+        ("cpt_row", "UCA", ("attack", "forensic")): DirichletRule((3.0, 7.0)),
+        ("cpt_row", "UCA", ("attack", "no_forensic")): DirichletRule((9.0, 1.0)),
+        ("value_scale", "AMV"): UniformRule(8e6, 1.2e7),
+        ("value_root", "AMV"): UniformRule(2.5, 3.5),
+    }
+    for row in d.nodes["UM"].payload.rows:
+        rules[("cpt_row", "UM", row)] = PerturbRule(0.02)
+    return ParameterUncertainty(rules=rules)
+
+
+def foe_diagram():
+    """One attacker decision, no observed context, a constant-value utility."""
+    from araid.diagram import (Agent, AgentKind, Cpt, Domain, Node, UtilitySpec,
+                               ValueSpec, build_diagram)
+    nodes = [
+        Node("move", NodeKind.DECISION, owner="foe", domain=Domain(("l", "r"))),
+        Node("coin", NodeKind.CHANCE, domain=Domain(("h", "t")),
+             payload=Cpt({(): (0.5, 0.5)})),
+        Node("score", NodeKind.VALUE, owner="foe", parents=("coin",),
+             payload=ValueSpec("table", rows={("h",): 0.3, ("t",): 0.9})),
+        Node("payoff", NodeKind.UTILITY, owner="foe", parents=("score",),
+             payload=UtilitySpec({"score": 1.0})),
+    ]
+    return build_diagram([Agent("foe", AgentKind.ATTACKER)], nodes, {"foe": ("move",)})
+
+
+BLOCK_CASES = {
+    "wide": lambda d: (d, default_beliefs(), wide_uncertainty(d)),
+    "default": lambda d: (d, default_beliefs(), default_uncertainty()),
+    "no-sampled-factor": lambda d: (d, default_beliefs(), ParameterUncertainty()),
+    "context-free": lambda d: (foe_diagram(), {}, ParameterUncertainty(
+        rules={("cpt_row", "coin", ()): DirichletRule((1.0, 1.0))})),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+@settings(max_examples=8, deadline=None)
+@given(draws=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_forecast_does_not_depend_on_the_draw_block(drilling, case, draws, seed):
+    d, beliefs, rules = BLOCK_CASES[case](drilling)
+    outputs = set()
+    for block in (1, 7, ara.DRAW_BLOCK):
+        with mock.patch.object(ara, "DRAW_BLOCK", block):
+            outputs.add(forecast_attack(d, beliefs, rules, draws=draws, seed=seed).to_json())
+    assert len(outputs) == 1
+
+
+def rebuilt_view(view, sampled):
+    """The attacker view as a plain diagram carrying (target, value) parameters."""
+    from dataclasses import replace
+
+    from araid.diagram import Cpt, UtilitySpec, build_diagram
+    nodes = dict(view.nodes)
+    for target, value in sampled:
+        kind, node = target[0], nodes[target[1]]
+        if kind in ("belief", "cpt_row"):
+            rows = dict(node.payload.rows)
+            rows[() if kind == "belief" else target[2]] = tuple(float(p) for p in value)
+            payload = Cpt(rows)
+        elif kind == "weights":
+            payload = UtilitySpec(dict(zip(node.parents, (float(w) for w in value))))
+        else:
+            payload = replace(node.payload, **{kind[len("value_"):]: float(value)})
+        nodes[node.id] = replace(node, payload=payload)
+    return build_diagram(view.agents, nodes.values(), view.decision_order)
+
+
+def oracle_forecast(view):
+    """Per context, the attacker's winners by exhaustive enumeration."""
+    ap = view.nodes["AP"]
+    winners = {}
+    for ctx in itertools.product(*(view.nodes[p].domain.labels for p in ap.parents)):
+        pinned = dict(zip(ap.parents, ctx))
+        decisions = {k: v for k, v in pinned.items() if view.nodes[k].kind == NodeKind.DECISION}
+        evidence = {k: v for k, v in pinned.items() if k not in decisions}
+        eu = {alt: enumerate_expected_utility(
+                  view, "attacker", constant_policy(view, {**decisions, "AP": alt}), evidence)
+              for alt in ap.domain.labels}
+        top = max(eu.values())
+        winners[ctx] = {alt for alt in ap.domain.labels if eu[alt] >= top - ara.TIE_TOL}
+    return winners
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_single_draw_forecast_matches_the_oracle(drilling, seed):
+    rules = wide_uncertainty(drilling)
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    block = ara._DrawBlock(view, CompiledModel.compile(view), rules,
+                           view.utility_node_of("attacker"))
+    block.sample(seed, 0, 1)
+    expected = oracle_forecast(rebuilt_view(
+        view, [(target, slot[0]) for target, slot in zip(block.targets, block.slots)]))
+    fc = forecast_attack(drilling, default_beliefs(), rules, draws=1, seed=seed)
+    for ctx, probs in fc.probabilities.items():
+        got = {alt for alt, p in zip(fc.alternatives, probs) if p > 0}
+        assert got == expected[ctx], ctx
+
+
+def test_sampled_value_scale_and_root_combine(drilling):
+    # both scalars of AMV pinned by degenerate rules: the attacker's view with
+    # scale 1e6 and root 2 makes perpetrating optimal in every context
+    rules = ParameterUncertainty(rules={
+        ("value_scale", "AMV"): UniformRule(1e6, 1e6),
+        ("value_root", "AMV"): UniformRule(2.0, 2.0),
+    })
+    fc = forecast_attack(drilling, default_beliefs(), rules, draws=1, seed=0)
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    expected = oracle_forecast(rebuilt_view(
+        view, [(("value_scale", "AMV"), 1e6), (("value_root", "AMV"), 2.0)]))
+    assert len(fc.probabilities) == 8
+    for ctx, probs in fc.probabilities.items():
+        assert expected[ctx] == {"perpetrate"}
+        assert dict(zip(fc.alternatives, probs)) == {"perpetrate": 1.0, "no_perpetrate": 0.0}
 
 
 def test_perpetrate_probability_monotone_in_believed_accept(drilling):
@@ -169,19 +274,7 @@ def test_perpetrate_probability_monotone_in_believed_accept(drilling):
 
 
 def test_tie_split_equally():
-    from araid.diagram import (Agent, AgentKind, Cpt, Domain, Node, UtilitySpec,
-                               ValueSpec, build_diagram)
-    nodes = [
-        Node("move", NodeKind.DECISION, owner="foe", domain=Domain(("l", "r"))),
-        Node("coin", NodeKind.CHANCE, domain=Domain(("h", "t")),
-             payload=Cpt({(): (0.5, 0.5)})),
-        Node("score", NodeKind.VALUE, owner="foe", parents=("coin",),
-             payload=ValueSpec("table", rows={("h",): 0.3, ("t",): 0.9})),
-        Node("payoff", NodeKind.UTILITY, owner="foe", parents=("score",),
-             payload=UtilitySpec({"score": 1.0})),
-    ]
-    d = build_diagram([Agent("foe", AgentKind.ATTACKER)], nodes, {"foe": ("move",)})
-    fc = forecast_attack(d, beliefs={}, uncertainty=ParameterUncertainty(),
+    fc = forecast_attack(foe_diagram(), beliefs={}, uncertainty=ParameterUncertainty(),
                          draws=7, seed=1)
     assert fc.probabilities[()] == (0.5, 0.5)
 

@@ -163,11 +163,23 @@ def test_solve_deterministic_output_bytes():
     assert a.stdout == b.stdout  # byte-identical payload (report on stderr varies)
 
 
-def test_solve_thread_hint_is_correctness_neutral():
+def test_solve_thread_hint_is_correctness_neutral(monkeypatch):
+    monkeypatch.delenv("ARA_MAID_THREADS", raising=False)
     a = run_cli("solve", DRILLING, "--draws", "120", "--seed", "4", "--out", "json")
-    b = run_cli("solve", DRILLING, "--draws", "120", "--seed", "4", "--out", "json",
-                env={"ARA_MAID_THREADS": "4"})
-    assert a.stdout == b.stdout
+    assert a.returncode == 0, a.stderr
+    for hint in ("4", "abc"):
+        b = run_cli("solve", DRILLING, "--draws", "120", "--seed", "4", "--out", "json",
+                    env={"ARA_MAID_THREADS": hint})
+        assert b.returncode == 0, b.stderr
+        assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_solve_rejects_nonpositive_draws(draws):
+    proc = run_cli("solve", DRILLING, "--draws", draws, "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "draws must be >= 1" in proc.stderr
 
 
 def test_solve_csv_and_json_numbers_agree():
