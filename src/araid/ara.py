@@ -34,7 +34,7 @@ from .inference import (
 )
 
 TIE_TOL = 1e-12
-DRAW_BLOCK = 128  # draws sampled and contracted together; memory is O(block)
+DRAW_BLOCK = 128  # draws per generator and per contraction; part of the random stream
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
 
@@ -150,11 +150,9 @@ def best_response(d_view: Diagram, agent: str,
 class PointRule:
     """Degenerate sampling: keep the model's stated value."""
 
-    def sample_vector(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return base.copy()
-
-    def sample_scalar(self, base: float, rng: np.random.Generator) -> float:
-        return base
+    def sample(self, base: np.ndarray | float, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+        return np.broadcast_to(base, (n, *np.shape(base)))
 
 
 @dataclass(frozen=True)
@@ -163,10 +161,10 @@ class DirichletRule:
 
     concentration: tuple[float, ...]
 
-    def sample_vector(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
         if len(self.concentration) != len(base):
             raise ValueError("concentration length does not match the target vector")
-        return rng.dirichlet(self.concentration)
+        return rng.dirichlet(self.concentration, size=n)
 
 
 @dataclass(frozen=True)
@@ -175,11 +173,11 @@ class PerturbRule:
 
     half_width: float
 
-    def sample_vector(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
         jittered = np.maximum(base + rng.uniform(-self.half_width, self.half_width,
-                                                 size=len(base)), 0.0)
-        total = jittered.sum()
-        if total <= 0:
+                                                 size=(n, len(base))), 0.0)
+        total = jittered.sum(axis=1, keepdims=True)
+        if np.any(total <= 0):
             raise ValueError("perturbed vector collapsed to zero mass")
         return jittered / total
 
@@ -191,8 +189,8 @@ class UniformRule:
     low: float
     high: float
 
-    def sample_scalar(self, base: float, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+    def sample(self, base: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n)
 
 
 SamplingRule = PointRule | DirichletRule | PerturbRule | UniformRule
@@ -262,10 +260,15 @@ def _target_sort_key(target: Target) -> tuple:
     return tuple(str(x) for x in target)
 
 
-def _draw_rng(seed: int, index: int) -> np.random.Generator:
-    # independent substream per draw: the forecast cannot depend on the
-    # order draws are evaluated in
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def block_count(draws: int) -> int:
+    """Blocks of DRAW_BLOCK draws that a forecast of `draws` samples."""
+    return -(-draws // DRAW_BLOCK)
+
+
+def _draw_rng(seed: int, block: int) -> np.random.Generator:
+    # one independent substream per block of DRAW_BLOCK draws: draw i is row
+    # i % DRAW_BLOCK of block i // DRAW_BLOCK, so it depends on (seed, i) alone
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +330,9 @@ class _DrawBlock:
     A sampled probability node gets a [block, *family] copy of its table, a
     value node with a scalar target a [block, (scale, root)] array, and the
     attacker's utility weights a [block, parent] array, all starting at the
-    stated values. Each target draws, in a fixed order, into its own view
-    (`slots`) of these arrays.
+    stated values. Each target draws, in a fixed order, a whole block column
+    into its own view (`slots`) of these arrays, so draw i depends on
+    (seed, i) alone.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
@@ -363,13 +367,11 @@ class _DrawBlock:
         self.bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0])
                       for slot in self.slots]
 
-    def sample(self, seed: int, start: int, n: int) -> None:
-        """Draws start .. start+n-1 into rows 0 .. n-1."""
-        for b in range(n):
-            rng = _draw_rng(seed, start + b)
-            for rule, base, slot in zip(self.rules, self.bases, self.slots):
-                slot[b] = (rule.sample_vector(base, rng) if isinstance(base, np.ndarray)
-                           else rule.sample_scalar(base, rng))
+    def sample(self, seed: int, block: int) -> None:
+        """Every row of block `block`: draws block*DRAW_BLOCK onwards."""
+        rng = _draw_rng(seed, block)
+        for rule, base, slot in zip(self.rules, self.bases, self.slots):
+            slot[:] = rule.sample(base, rng, DRAW_BLOCK)
 
     def inputs(self, n: int) -> tuple[dict, dict | None]:
         """Tables and weights of the first n draws, for UtilityQuery.evaluate."""
@@ -395,12 +397,12 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
                     attacker: str | None = None) -> AttackForecast:
     """Monte Carlo forecast of the attacker's optimal action per context.
 
-    Draw i samples the uncertain parameters from its own substream
-    `_draw_rng(seed, i)`, so results are bit-reproducible for fixed (seed,
-    draws) and independent of grouping. Draws are sampled in blocks of
-    DRAW_BLOCK along a leading draw axis; one planned contraction per block
-    gives the attacker's expected utility in every observable context for
-    all its draws. Alternatives within TIE_TOL of a draw's best split it.
+    Draws are sampled in blocks of DRAW_BLOCK along a leading draw axis,
+    block b from its own substream `_draw_rng(seed, b)`; draw i is row
+    i % DRAW_BLOCK of block i // DRAW_BLOCK and depends on (seed, i) alone,
+    whatever `draws` is. One planned contraction per block gives the
+    attacker's expected utility in every observable context for all its
+    draws. Alternatives within TIE_TOL of a draw's best split it.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -437,9 +439,9 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
         raise ValueError(f"draws must be <= {np.iinfo(np.int64).max // lcm} to tally "
                          f"{len(alternatives)} alternatives exactly")
     counts = np.zeros(query.shape[-len(keep):], dtype=np.int64)
-    for start in range(0, draws, DRAW_BLOCK):
-        n = min(DRAW_BLOCK, draws - start)
-        block.sample(seed, start, n)
+    for b in range(block_count(draws)):
+        n = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
+        block.sample(seed, b)
         eu = np.broadcast_to(query.evaluate(*block.inputs(n)), (n,) + counts.shape)
         winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
         counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)

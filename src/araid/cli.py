@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 model/domain error, 2 I/O error. Everything
 printed to stdout is deterministic (fixed seed in, identical bytes out);
-the run report with wall-clock duration goes to stderr as one JSON line.
+the run report with wall-clock duration (and, for `solve`, per-phase
+timings) goes to stderr as one JSON line.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 import time
 
 from . import drilling
-from .ara import ParameterUncertainty, forecast_attack, solve_defender
+from .ara import ParameterUncertainty, block_count, forecast_attack, solve_defender
 from .diagram import Diagram, NodeKind
 from .inference import (
     AmbiguousCellError,
@@ -163,10 +164,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     started = time.monotonic()
     diagram, digest = _load_diagram(args.file)
     beliefs, uncertainty = _solve_inputs(diagram, args)
+    loaded = time.monotonic()
     try:
         forecast = forecast_attack(diagram, beliefs, uncertainty,
                                    draws=args.draws, seed=args.seed)
+        forecasted = time.monotonic()
         solution = solve_defender(diagram, forecast)
+        solved = time.monotonic()
     except (ValueError, KeyError) as exc:
         raise _CliError(str(exc))
     attack_alt = forecast.alternatives[0]
@@ -229,6 +233,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, sort_keys=True))
     _report("solve", args.file, digest, started, seed=args.seed, draws=args.draws,
+            timings_s={"load": round(loaded - started, 6),
+                       "forecast": round(forecasted - loaded, 6),
+                       "solve": round(solved - forecasted, 6)},
+            forecast_blocks=block_count(forecast.draws),
             result={"expected_utility": solution.optimal.expected_utility,
                     "p_attack_range": [
                         min(p[0] for p in forecast.probabilities.values()),

@@ -181,18 +181,6 @@ class Diagram:
     nodes: Mapping[str, Node]
     decision_order: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"no agent {agent_id!r}")
-
-    def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
-
-    def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
-        return [n for n in self.nodes.values() if n.kind == kind]
-
     def decisions_of(self, agent_id: str) -> list[Node]:
         return [n for n in self.nodes.values()
                 if n.kind == NodeKind.DECISION and n.owner == agent_id]
@@ -203,9 +191,6 @@ class Diagram:
         if len(found) != 1:
             raise ValueError(f"agent {agent_id!r} has {len(found)} utility nodes, expected 1")
         return found[0]
-
-    def children(self, node_id: str) -> list[str]:
-        return [n.id for n in self.nodes.values() if node_id in n.parents]
 
     def replace_nodes(self, new_nodes: Iterable[Node],
                       decision_order: Mapping[str, tuple[str, ...]] | None = None) -> "Diagram":

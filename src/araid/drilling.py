@@ -55,7 +55,6 @@ MONEY_SCALE = 10_000_000.0
 class DrillingModelConfig:
     """Cost constants (US dollars) and structural flags for the builder."""
 
-    attacker_observes_context: bool = True  # alias of include_uc_to_ap_arc
     include_uc_to_ap_arc: bool = True
     avoid_cost: float = 10_000_000.0
     share_cost: float = 500_000.0
@@ -200,13 +199,12 @@ def _dc_tables(config: DrillingModelConfig) -> tuple[Domain, DetTable]:
 def build_drilling_model(config: DrillingModelConfig | None = None) -> Diagram:
     """Assemble the full drilling diagram; always returns a valid diagram."""
     c = config or DrillingModelConfig()
-    observe_uc = c.include_uc_to_ap_arc and c.attacker_observes_context
     dc_domain, dc_table = _dc_tables(c)
 
     agents = [Agent(DEFENDER, AgentKind.DEFENDER, "Defender"),
               Agent(ATTACKER, AgentKind.ATTACKER, "Attacker")]
 
-    ap_parents = ("DP", "DF") + (("UC",) if observe_uc else ())
+    ap_parents = ("DP", "DF") + (("UC",) if c.include_uc_to_ap_arc else ())
     nodes = [
         # defender decisions
         Node("DP", NodeKind.DECISION, DEFENDER, Domain(DP)),

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -176,16 +178,68 @@ BLOCK_CASES = {
 }
 
 
+def traced_forecast(d, beliefs, rules, draws, seed):
+    """forecast_attack, plus every draw's sampled inputs and its EU on its own.
+
+    Each draw's EU comes from the forecast's own query evaluated on that
+    draw's row alone, as a one-row batch.
+    """
+    queries, batches = [], []
+    plan, inputs = CompiledModel.utility_query, ara._DrawBlock.inputs
+
+    def spy_plan(self, *args, **kwargs):
+        queries.append(plan(self, *args, **kwargs))
+        return queries[-1]
+
+    def spy_inputs(self, n):
+        tables, weights = inputs(self, n)
+        batches.append((n, {k: t.copy() for k, t in tables.items()},
+                        None if weights is None else {k: w.copy() for k, w in weights.items()}))
+        return tables, weights
+
+    with mock.patch.object(CompiledModel, "utility_query", spy_plan), \
+            mock.patch.object(ara._DrawBlock, "inputs", spy_inputs):
+        fc = forecast_attack(d, beliefs, rules, draws=draws, seed=seed)
+    (query,) = queries
+    rows, eus = [], []
+    for n, tables, weights in batches:
+        for i in range(n):
+            one = ({k: t[i:i + 1] for k, t in tables.items()},
+                   None if weights is None else {k: w[i:i + 1] for k, w in weights.items()})
+            rows.append(one)
+            eus.append(np.reshape(query.evaluate(*one), query.shape[-len(query.keep):]))
+    return fc, rows, eus
+
+
+def same_row(a, b) -> bool:
+    (ta, wa), (tb, wb) = a, b
+    return (ta.keys() == tb.keys() and all(np.array_equal(ta[k], tb[k]) for k in ta)
+            and (wa is None) == (wb is None)
+            and (wa is None or all(np.array_equal(wa[k], wb[k]) for k in wa)))
+
+
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 @settings(max_examples=8, deadline=None)
-@given(draws=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-def test_forecast_does_not_depend_on_the_draw_block(drilling, case, draws, seed):
+@given(draws=st.integers(1, 300), other=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_depends_on_seed_and_index_alone(drilling, case, draws, other, seed):
     d, beliefs, rules = BLOCK_CASES[case](drilling)
-    outputs = set()
-    for block in (1, 7, ara.DRAW_BLOCK):
-        with mock.patch.object(ara, "DRAW_BLOCK", block):
-            outputs.add(forecast_attack(d, beliefs, rules, draws=draws, seed=seed).to_json())
-    assert len(outputs) == 1
+    fc, rows, eus = traced_forecast(d, beliefs, rules, draws, seed)
+    _, other_rows, _ = traced_forecast(d, beliefs, rules, other, seed)
+    assert len(rows) == draws and len(other_rows) == other
+    # (a) draw i samples the same parameters whatever the number of draws
+    assert all(same_row(a, b) for a, b in zip(rows, other_rows))
+    # (b) the batched tally equals one that evaluates each draw on its own
+    tally = {}
+    for eu in eus:
+        for ctx in itertools.product(*(range(k) for k in eu.shape[:-1])):
+            winners = eu[ctx] >= eu[ctx].max() - ara.TIE_TOL
+            share = [Fraction(int(w), int(winners.sum())) for w in winners]
+            tally[ctx] = [a + b for a, b in zip(tally.get(ctx, [0] * len(share)), share)]
+    labels = [d.nodes[p].domain.labels for p in fc.context_nodes]
+    for ctx, counts in tally.items():
+        key = tuple(lbls[i] for lbls, i in zip(labels, ctx))
+        assert fc.probabilities[key] == tuple(float(c / draws) for c in counts)
 
 
 def rebuilt_view(view, sampled):
@@ -230,7 +284,7 @@ def test_single_draw_forecast_matches_the_oracle(drilling, seed):
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
     block = ara._DrawBlock(view, CompiledModel.compile(view), rules,
                            view.utility_node_of("attacker"))
-    block.sample(seed, 0, 1)
+    block.sample(seed, 0)
     expected = oracle_forecast(rebuilt_view(
         view, [(target, slot[0]) for target, slot in zip(block.targets, block.slots)]))
     fc = forecast_attack(drilling, default_beliefs(), rules, draws=1, seed=seed)
@@ -312,14 +366,66 @@ def test_scalar_and_row_uncertainty_sampling(drilling):
         assert sum(probs) == pytest.approx(1.0)
 
 
+# parent-stream (one generator per draw) `solve --seed 1 --draws 10000`:
+# P(perpetrate) per (DP, DF, UC) context, and the optimal policy
+OLD_STREAM_DRAWS = 10_000
+OLD_STREAM_PERPETRATE = {
+    ("additional", "forensic", "normal"): 0.1263,
+    ("additional", "forensic", "riskier"): 0.1545,
+    ("additional", "no_forensic", "normal"): 0.1569,
+    ("additional", "no_forensic", "riskier"): 0.1875,
+    ("no_additional", "forensic", "normal"): 0.613,
+    ("no_additional", "forensic", "riskier"): 0.6472,
+    ("no_additional", "no_forensic", "normal"): 0.7614,
+    ("no_additional", "no_forensic", "riskier"): 0.7837,
+}
+OLD_STREAM_POLICY = {"DF": {(): "no_forensic"}, "DP": {(): "additional"},
+                     "DR": {("attack",): "stop", ("no_attack",): "continue"},
+                     "DT": {(): "accept"}}
+
+
+def test_block_stream_agrees_with_the_per_draw_stream(drilling):
+    fc = forecast_attack(drilling, default_beliefs(), default_uncertainty(),
+                         draws=OLD_STREAM_DRAWS, seed=1)
+    assert set(fc.probabilities) == set(OLD_STREAM_PERPETRATE)
+    n = OLD_STREAM_DRAWS
+    for ctx, old in OLD_STREAM_PERPETRATE.items():
+        new = fc.probability(ctx, "perpetrate")
+        se = math.sqrt(old * (1 - old) / n + new * (1 - new) / n)
+        assert abs(new - old) <= 4 * se, ctx
+    assert solve_defender(drilling, fc).optimal.policy == OLD_STREAM_POLICY
+
+
 def test_perturb_rule_keeps_weights_normalized():
+    rows = PerturbRule(0.02).sample(np.array([0.03, 0.97]), np.random.default_rng(0), 50)
+    assert rows.shape == (50, 2)
+    assert rows.sum(axis=1) == pytest.approx(np.ones(50), abs=1e-12)
+    assert (rows >= 0).all()
+
+
+def test_perturb_rule_rejects_a_block_with_a_collapsed_row():
+    # each row collapses when both entries jitter to <= 0 (chance 1/8)
+    rule, base = PerturbRule(0.01), np.array([0.005, 0.0])
+    with pytest.raises(ValueError, match="zero mass"):
+        rule.sample(base, np.random.default_rng(0), ara.DRAW_BLOCK)
+
+
+def test_dirichlet_rule_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="concentration length"):
+        DirichletRule((1.0, 1.0)).sample(np.full(3, 1 / 3), np.random.default_rng(0), 4)
+
+
+def test_point_rule_rows_equal_the_base():
     rng = np.random.default_rng(0)
-    rule = PerturbRule(0.02)
-    base = np.array([0.03, 0.97])
-    for _ in range(50):
-        w = rule.sample_vector(base, rng)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (w >= 0).all()
+    base = np.array([0.2, 0.8])
+    assert np.array_equal(PointRule().sample(base, rng, 5), np.tile(base, (5, 1)))
+    assert np.array_equal(PointRule().sample(3.5, rng, 5), np.full(5, 3.5))
+
+
+def test_uniform_rule_values_lie_in_the_interval():
+    values = UniformRule(2.0, 3.0).sample(2.5, np.random.default_rng(0), ara.DRAW_BLOCK)
+    assert values.shape == (ara.DRAW_BLOCK,)
+    assert ((values >= 2.0) & (values <= 3.0)).all()
 
 
 # -- defender optimization -------------------------------------------------------

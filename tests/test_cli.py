@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -237,3 +239,24 @@ def test_run_report_on_stderr():
     assert report["command"] == "validate"
     assert len(report["input"]["sha256"]) == 64
     assert report["duration_seconds"] >= 0
+
+
+def test_solve_run_report_has_phase_timings_and_blocks():
+    from araid import cli
+
+    def solve(report):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_report", report), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["solve", DRILLING, "--draws", "300", "--seed", "3",
+                             "--out", "json"]) == 0
+        return out.getvalue(), err.getvalue()
+
+    stdout, stderr = solve(cli._report)
+    report = json.loads(stderr.strip().splitlines()[-1])
+    assert set(report["timings_s"]) == {"load", "forecast", "solve"}
+    assert all(t >= 0 for t in report["timings_s"].values())
+    assert sum(report["timings_s"].values()) <= report["duration_seconds"] + 3e-6
+    assert report["forecast_blocks"] == 3   # ceil(300 / 128)
+    # the report goes to stderr only: stdout is the same without it
+    assert solve(lambda *args, **kwargs: None) == (stdout, "")

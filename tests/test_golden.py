@@ -18,7 +18,7 @@ MODEL = "src/araid/data/drilling.maid"   # relative: the path is echoed in JSON 
 GOLDEN = {
     "solve-json": (
         ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "json"],
-        "79e86c1d5e57cdfda50327f7097a05138a86075ac412714a92f303692ef53f0a"),
+        "366690a8108e6850b5376ad077faec006d609c664690522f9f43d2e403578604"),
     "tables-defender": (
         ["tables", MODEL, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA",
          "--out", "csv"],
