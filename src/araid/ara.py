@@ -28,12 +28,12 @@ from .diagram import (
     build_diagram,
 )
 from .inference import (
+    TIE_TOL,
     CompiledModel,
     constant_policy,
     parent_tuples_of,
 )
 
-TIE_TOL = 1e-12
 DRAW_BLOCK = 128  # draws per generator and per contraction; part of the random stream
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
@@ -122,6 +122,8 @@ def best_response(d_view: Diagram, agent: str,
     evidence: dict[str, str] = {}
     for nid, label in context.items():
         node = d_view.nodes[nid]
+        if nid == decision.id:
+            continue  # the decision itself stays the free axis
         if node.kind == NodeKind.DECISION:
             policy_part[nid] = label
         else:
@@ -132,11 +134,9 @@ def best_response(d_view: Diagram, agent: str,
     if uncovered:
         raise ValueError(f"context must pin decision(s) {uncovered}")
 
-    m = CompiledModel.compile(d_view)
-    expected: dict[str, float] = {}
-    for alt in decision.domain.labels:
-        policy = constant_policy(d_view, {**policy_part, decision.id: alt})
-        expected[alt] = float(m.utility_table(agent, policy, evidence, []))
+    query = CompiledModel.compile(d_view).utility_query(
+        agent, constant_policy(d_view, policy_part), evidence, [decision.id])
+    expected = dict(zip(decision.domain.labels, map(float, query.evaluate())))
     top = max(expected.values())
     optimal = tuple(lbl for lbl in decision.domain.labels if expected[lbl] >= top - TIE_TOL)
     return BestResponse(decision=decision.id, expected=expected, optimal=optimal)
@@ -424,13 +424,11 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     context_nodes = decision.parents
     alternatives = decision.domain.labels
     block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker))
-    # the query reduces nothing (no evidence, every decision free), so a
-    # sampled node's batched table is its whole family table
+    # the query reduces nothing (no evidence, every decision a free axis), so
+    # a sampled node's batched table is its whole family table
     keep = list(context_nodes) + [decision.id]
-    query = compiled.utility_query(
-        attacker, {}, {}, keep,
-        free_decisions={n.id for n in view.nodes.values() if n.kind == NodeKind.DECISION},
-        batched=set(block.tables) | set(block.scalars))
+    query = compiled.utility_query(attacker, {}, {}, keep,
+                                   batched=set(block.tables) | set(block.scalars))
 
     # a draw with k tied winners gives each lcm(1..m)/k, m alternatives: the
     # tally stays exact in integers
@@ -520,16 +518,19 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
 
     Enumerates every combination of decision rules (a rule maps each
     observed-information tuple to an alternative) and ranks them by
-    expected utility; deterministic tie order by policy content.
+    expected utility; deterministic tie order by policy content. All
+    policies are one contraction: each decision's 0/1 rule tables are
+    stacked along the batch axis, one row per policy.
     """
     defender = defender or _unique_agent(d, AgentKind.DEFENDER)
     solved = apply_forecast(d, forecast)
     m = CompiledModel.compile(solved)
     decisions = sorted(n.id for n in solved.decisions_of(defender))
-    ranked: list[RankedPolicy] = []
-    for rules in itertools.product(*(list(_all_rules(solved, dec)) for dec in decisions)):
-        policy: dict = dict(zip(decisions, rules))
-        eu = float(m.utility_table(defender, policy, {}, []))
-        ranked.append(RankedPolicy(policy=policy, expected_utility=eu))
+    policies = [dict(zip(decisions, rules)) for rules in
+                itertools.product(*(list(_all_rules(solved, dec)) for dec in decisions))]
+    query = m.utility_query(defender, {}, {}, [], batched=decisions)
+    eus = query.evaluate({dec: np.stack([m.rule_factor(dec, p[dec]).table for p in policies])
+                          for dec in decisions})
+    ranked = [RankedPolicy(policy=p, expected_utility=float(eu)) for p, eu in zip(policies, eus)]
     ranked.sort(key=lambda r: (-r.expected_utility, _policy_sort_key(r.policy)))
     return DefenderSolution(optimal=ranked[0], ranking=tuple(ranked))

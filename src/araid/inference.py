@@ -7,12 +7,11 @@ Two independent evaluation routes live here on purpose:
 * a brute-force enumerator over joint assignments (the reference oracle the
   tests hold the engine against).
 
-All operations are pure functions of immutable inputs; cells of a decision
-table may be evaluated concurrently by callers.
-
-Expected utility is multilinear in every probability and score table, so a
-batch of parameter draws is one contraction: each sampled table gets a
-leading draw axis that the output keeps (`CompiledModel.utility_query`).
+Expected utility is multilinear in every probability, rule and score
+table, so one planned contraction (`CompiledModel.utility_query`) serves a
+whole decision table, a best response, a batch of parameter draws or every
+policy of a search: free decisions and conditioning nodes are kept as
+axes, and batched tables get a leading axis that the output keeps.
 """
 from __future__ import annotations
 
@@ -38,7 +37,8 @@ Policy = Mapping[str, DecisionRule]
 Evidence = Mapping[str, str]
 
 EU_AGREEMENT_TOL = 1e-9  # spread allowed when several opponent fixings define a cell
-DRAW = "#draw"  # leading axis of batched tables; '#' opens a .maid comment, so no node has it
+TIE_TOL = 1e-12  # alternatives within this of the best are all optimal
+BATCH = "#batch"  # leading axis of batched tables; '#' opens a .maid comment, so no node has it
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -57,7 +57,9 @@ def parent_tuples_of(d: Diagram, node_id: str):
 
 def constant_rule(d: Diagram, decision: str, alternative: str) -> dict[tuple[str, ...], str]:
     """Rule choosing `alternative` for every observed-parent tuple."""
-    node = d.nodes[decision]
+    node = d.nodes.get(decision)
+    if node is None or node.kind != NodeKind.DECISION:
+        raise ValueError(f"{decision!r} is not a decision node")
     if alternative not in node.domain.labels:
         raise ValueError(f"{alternative!r} is not an alternative of {decision!r}")
     from .diagram import parent_tuples
@@ -119,10 +121,10 @@ class ContractionTape:
 
     Variables outside `keep` are eliminated deepest-first (reverse
     topological), ties broken by how few factors mention them, then by id.
-    A variable that is in no elimination order (such as a Monte Carlo draw
-    axis) is simply one more entry in the var lists: kept, it rides through
-    every step that touches a table carrying it, so one execution contracts
-    a whole batch of draws.
+    A variable that is in no elimination order (such as the batch axis) is
+    simply one more entry in the var lists: kept, it rides through every
+    step that touches a table carrying it, so one execution contracts a
+    whole batch of draws or policies.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -211,7 +213,7 @@ class CompiledModel:
             if n.kind == NodeKind.CHANCE:
                 m.prob_factors[n.id] = m._cpt_factor(n)
             elif n.kind == NodeKind.DETERMINISTIC:
-                m.prob_factors[n.id] = m._det_factor(n)
+                m.prob_factors[n.id] = m.rule_factor(n.id, n.payload.rows)
             elif n.kind == NodeKind.VALUE:
                 m.value_factors[n.id] = m._value_factor(n)
         return m
@@ -226,15 +228,6 @@ class CompiledModel:
             table[idx] = row
         return Factor(vars_, table)
 
-    def _det_factor(self, n: Node) -> Factor:
-        vars_ = n.parents + (n.id,)
-        table = np.zeros([self.sizes[v] for v in vars_])
-        parents = [self.diagram.nodes[p] for p in n.parents]
-        for key, label in n.payload.rows.items():
-            idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
-            table[idx + (n.domain.index(label),)] = 1.0
-        return Factor(vars_, table)
-
     def _value_factor(self, n: Node) -> Factor:
         from .diagram import parent_tuples
         spec: ValueSpec = n.payload
@@ -246,9 +239,10 @@ class CompiledModel:
             table[idx] = spec.score(key, domains)
         return Factor(tuple(n.parents), table)
 
-    def _rule_factor(self, dec: str, rule: DecisionRule) -> Factor:
-        n = self.diagram.nodes[dec]
-        vars_ = n.parents + (dec,)
+    def rule_factor(self, nid: str, rule: DecisionRule) -> Factor:
+        """0/1 table over a node's family: 1 where it takes rule[parent tuple]."""
+        n = self.diagram.nodes[nid]
+        vars_ = n.parents + (nid,)
         table = np.zeros([self.sizes[v] for v in vars_])
         parents = [self.diagram.nodes[p] for p in n.parents]
         for key, alt in rule.items():
@@ -258,8 +252,12 @@ class CompiledModel:
 
     # -- query plumbing ----------------------------------------------------
 
-    def _relevant(self, targets: Iterable[str]) -> set[str]:
-        """Targets plus every ancestor (barren nodes drop out)."""
+    def _relevant(self, targets: Iterable[str], free: set[str]) -> set[str]:
+        """Targets plus every ancestor (barren nodes drop out).
+
+        A free decision has no factor, so its parents are not reached
+        through it.
+        """
         seen: set[str] = set()
         stack = list(targets)
         while stack:
@@ -267,41 +265,41 @@ class CompiledModel:
             if cur in seen:
                 continue
             seen.add(cur)
-            stack.extend(self.diagram.nodes[cur].parents)
+            if cur not in free:
+                stack.extend(self.diagram.nodes[cur].parents)
         return seen
 
-    def _assemble(self, policy: Policy, evidence: Evidence, targets: Iterable[str],
-                  free_decisions: set[str]
-                  ) -> tuple[list[tuple[str | None, Factor]], dict[str, str]]:
+    def _assemble(self, policy: Policy, evidence: Evidence, keep: Sequence[str],
+                  targets: Iterable[str], batched: set[str] = frozenset()
+                  ) -> tuple[list[tuple[str, Factor]], dict[str, str]]:
         """Reduced factors tagged with their node id, plus all reductions.
 
-        Decisions under a constant rule are bound like evidence (their axis
-        is sliced away everywhere) rather than carried as 0/1 factors; that
-        keeps algebra that should cancel exactly cancelling exactly.
+        A decision with no rule in `policy` is a free axis with no factor and
+        must be in `keep`; a batched decision gets a rule factor whose table
+        the caller gives per batch row. Decisions under a constant rule are
+        bound like evidence (their axis is sliced away everywhere) rather
+        than carried as 0/1 factors; that keeps algebra that should cancel
+        exactly cancelling exactly.
         """
-        relevant = self._relevant(targets)
-        bindings: dict[str, str] = {}
-        raw: list[tuple[str | None, Factor]] = []
-        rule_factors: list[tuple[str, DecisionRule]] = []
-        for nid in sorted(relevant):
+        free = {n.id for n in self.diagram.nodes.values() if n.kind == NodeKind.DECISION
+                and n.id not in policy and n.id not in batched}
+        reductions = dict(evidence)
+        raw: list[tuple[str, Factor]] = []
+        rules: list[tuple[str, Factor]] = []
+        for nid in sorted(self._relevant(targets, free)):
             n = self.diagram.nodes[nid]
             if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC):
                 raw.append((nid, self.prob_factors[nid]))
-            elif n.kind == NodeKind.DECISION:
-                if nid in free_decisions:
-                    continue  # kept as a free axis
-                if nid not in policy:
+            elif nid in free:
+                if nid not in keep:
                     raise ValueError(f"no rule or axis for decision {nid!r}")
-                alternatives = set(policy[nid].values())
-                if len(alternatives) == 1:
-                    bindings[nid] = next(iter(alternatives))
+            elif n.kind == NodeKind.DECISION:
+                alternatives = set(policy.get(nid, {}).values())
+                if len(alternatives) == 1 and nid not in batched:
+                    reductions[nid] = next(iter(alternatives))
                 else:
-                    rule_factors.append((nid, policy[nid]))
-        reductions = dict(evidence)
-        reductions.update(bindings)
-        for nid, rule in rule_factors:
-            raw.append((None, self._rule_factor(nid, rule)))
-        return [(slot, self._reduce(f, reductions)) for slot, f in raw], reductions
+                    rules.append((nid, self.rule_factor(nid, policy.get(nid, {}))))
+        return [(nid, self._reduce(f, reductions)) for nid, f in raw + rules], reductions
 
     def _reduce(self, f: Factor, reductions: Mapping[str, str]) -> Factor:
         for nid, label in reductions.items():
@@ -310,62 +308,58 @@ class CompiledModel:
         return f
 
     def probability_table(self, policy: Policy, evidence: Evidence,
-                          keep: Sequence[str], extra_targets: Iterable[str] = (),
-                          free_decisions: set[str] | None = None) -> np.ndarray:
+                          keep: Sequence[str]) -> np.ndarray:
         """P(evidence) as a table over `keep` (free decision/chance axes)."""
-        free = free_decisions if free_decisions is not None else set()
-        targets = set(keep) | set(evidence) | set(extra_targets)
-        factors, _ = self._assemble(policy, evidence, targets, free)
+        factors, _ = self._assemble(policy, evidence, keep, set(keep) | set(evidence))
         result = _contract([f for _, f in factors], keep, self.elim_priority)
         return np.broadcast_to(result, [self.sizes[v] for v in keep]).copy() if keep else result
 
     def utility_query(self, agent: str, policy: Policy, evidence: Evidence,
-                      keep: Sequence[str], free_decisions: set[str] | None = None,
-                      weights: Mapping[str, float] | None = None,
+                      keep: Sequence[str], weights: Mapping[str, float] | None = None,
                       batched: Iterable[str] = ()) -> "UtilityQuery":
         """Plan a conditional expected-utility query over `keep`.
 
-        The tables of the nodes in `batched` (probability or value nodes)
-        are planned with a leading DRAW axis, which the result keeps in
-        front of `keep`; see UtilityQuery.evaluate.
+        Decisions with no rule in `policy` are free axes and must be kept.
+        The tables of the nodes in `batched` (probability, value or decision
+        nodes) are planned with a leading BATCH axis, which the result keeps
+        in front of `keep`; see UtilityQuery.evaluate.
         """
-        free = free_decisions if free_decisions is not None else set()
         if weights is None:
             weights = self.diagram.utility_node_of(agent).payload.weights
         value_parents: set[str] = set()
         for vid in weights:
             value_parents.update(self.diagram.nodes[vid].parents)
-        targets = value_parents | set(evidence) | set(keep)
-        tagged, reductions = self._assemble(policy, evidence, targets, free)
         batched = set(batched)
-        out = ((DRAW,) if batched else ()) + tuple(keep)
+        tagged, reductions = self._assemble(policy, evidence, keep,
+                                            value_parents | set(evidence) | set(keep), batched)
+        out = ((BATCH,) if batched else ()) + tuple(keep)
 
-        def scope(nid: str | None, f: Factor) -> tuple[str, ...]:
-            return (DRAW,) + f.vars if nid in batched else f.vars
+        def scope(nid: str, f: Factor) -> tuple[str, ...]:
+            return (BATCH,) + f.vars if nid in batched else f.vars
 
-        # probability factors reduced all the way to scalars multiply the
-        # numerator and denominator identically; leaving them out makes the
-        # cancellation exact instead of rounding twice (and catches
-        # impossible evidence via an exact zero)
-        factors = [(nid, f) for nid, f in tagged if f.vars != ()]
+        # an unbatched factor over kept axes alone multiplies the numerator
+        # and denominator of each cell identically; leaving it out makes the
+        # cancellation exact instead of rounding twice, and where it is zero
+        # it marks the cell impossible
+        possible = np.ones([self.sizes[v] for v in keep], dtype=bool)
+        factors = []
+        for nid, f in tagged:
+            if nid in batched or not set(f.vars) <= set(keep):
+                factors.append((nid, f))
+                continue
+            in_keep_order = sorted(f.vars, key=keep.index)
+            possible &= (np.transpose(f.table, [f.vars.index(v) for v in in_keep_order])
+                         > 0.0).reshape([self.sizes[v] if v in f.vars else 1 for v in keep])
         var_lists = [scope(nid, f) for nid, f in factors]
         scores = {vid: self._reduce(self.value_factors[vid], reductions) for vid in weights}
         return UtilityQuery(
             factors=factors, scores=scores, weights=dict(weights), reductions=reductions,
-            possible=all(float(f.table) > 0.0 for _, f in tagged if f.vars == ()),
-            keep=tuple(keep), shape=tuple(1 if v == DRAW else self.sizes[v] for v in out),
+            possible=possible, keep=tuple(keep),
+            shape=tuple(1 if v == BATCH else self.sizes[v] for v in out),
             norm_tape=ContractionTape(var_lists, out, self.elim_priority),
             value_tapes={vid: ContractionTape(var_lists + [scope(vid, f)], out,
                                               self.elim_priority)
                          for vid, f in scores.items()})
-
-    def utility_table(self, agent: str, policy: Policy, evidence: Evidence,
-                      keep: Sequence[str],
-                      free_decisions: set[str] | None = None,
-                      weights: Mapping[str, float] | None = None) -> np.ndarray:
-        """Conditional expected utility over `keep` axes."""
-        return self.utility_query(agent, policy, evidence, keep, free_decisions,
-                                  weights).evaluate()
 
 
 @dataclass(frozen=True)
@@ -373,41 +367,55 @@ class UtilityQuery:
     """A planned conditional expected-utility query: sum_v w_v * N_v / Z.
 
     Z contracts the reduced probability and rule `factors` down to `keep`;
-    N_v contracts them together with value node v's score factor.
+    N_v contracts them together with value node v's score factor. A cell is
+    possible where Z > 0 and no factor left out over kept axes is zero.
     """
 
-    factors: list[tuple[str | None, Factor]]  # tagged with node id, None for rules
-    scores: dict[str, Factor]                 # value node -> reduced score factor
+    factors: list[tuple[str, Factor]]  # tagged with node id
+    scores: dict[str, Factor]          # value node -> reduced score factor
     weights: dict[str, float]
-    reductions: dict[str, str]                # evidence plus constant-rule bindings
-    possible: bool                            # False when a factor reduced to zero
+    reductions: dict[str, str]         # evidence plus constant-rule bindings
+    possible: np.ndarray               # over keep: False where a left-out factor is 0
     keep: tuple[str, ...]
-    shape: tuple[int, ...]                    # result shape, 1 on the draw axis
+    shape: tuple[int, ...]             # result shape, 1 on the batch axis
     norm_tape: ContractionTape
     value_tapes: dict[str, ContractionTape]
 
-    def evaluate(self, tables: Mapping[str, np.ndarray] | None = None,
-                 weights: Mapping[str, float | np.ndarray] | None = None) -> np.ndarray:
-        """Expected utility over `keep`, after the draw axis if batched.
+    def expected(self, tables: Mapping[str, np.ndarray] | None = None,
+                 weights: Mapping[str, float | np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Expected utility over `keep`, after the batch axis if batched, and
+        the mask of possible cells; the utility is meaningless elsewhere.
 
         `tables` gives each batched node's table over its factor's scope,
-        draw axis first; `weights` may give each value node one per draw. Raises
-        ImpossibleEvidenceError as soon as any cell of the conditioning
-        probability table is zero; a silent NaN would hide modeling bugs.
+        batch axis first; `weights` may give each value node one per batch row.
         """
         tables = tables or {}
         inputs = [tables.get(nid, f.table) for nid, f in self.factors]
         norm = self.norm_tape.execute(inputs)
-        if not self.possible or np.any(norm <= 0.0):
-            raise ImpossibleEvidenceError(
-                f"impossible evidence: {self.reductions!r} has zero probability "
-                f"for some combination of {list(self.keep) or 'the query'}")
         total = 0.0
         for vid, w in (self.weights if weights is None else weights).items():
             num = self.value_tapes[vid].execute(inputs + [tables.get(vid, self.scores[vid].table)])
             total = total + np.reshape(w, np.shape(w) + (1,) * len(self.keep)) * num
-        eu = total / norm
-        return np.broadcast_to(eu, np.broadcast_shapes(self.shape, eu.shape))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eu = total / norm
+        shape = np.broadcast_shapes(self.shape, np.shape(eu))
+        return np.broadcast_to(eu, shape), np.broadcast_to(self.possible & (norm > 0.0), shape)
+
+    def evaluate(self, tables: Mapping[str, np.ndarray] | None = None,
+                 weights: Mapping[str, float | np.ndarray] | None = None) -> np.ndarray:
+        """Expected utility as `expected` gives it, with every cell possible.
+
+        Raises ImpossibleEvidenceError as soon as any cell of the
+        conditioning probability table is zero; a silent NaN would hide
+        modeling bugs.
+        """
+        eu, possible = self.expected(tables, weights)
+        if not possible.all():
+            raise ImpossibleEvidenceError(
+                f"impossible evidence: {self.reductions!r} has zero probability "
+                f"for some combination of {list(self.keep) or 'the query'}")
+        return eu
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +476,7 @@ def expected_utility(d: Diagram, agent: str, policy: Policy,
     _check_evidence(d, evidence)
     _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
     m = CompiledModel.compile(d)
-    return float(m.utility_table(agent, policy, evidence, []))
+    return float(m.utility_query(agent, policy, evidence, []).evaluate())
 
 
 def expected_value(d: Diagram, value_node: str, policy: Policy,
@@ -481,7 +489,8 @@ def expected_value(d: Diagram, value_node: str, policy: Policy,
         raise ValueError(f"{value_node!r} is not a value node")
     m = CompiledModel.compile(d)
     agent = node.owner
-    return float(m.utility_table(agent, policy, evidence, [], weights={value_node: 1.0}))
+    return float(m.utility_query(agent, policy, evidence, [],
+                                 weights={value_node: 1.0}).evaluate())
 
 
 @dataclass(frozen=True)
@@ -506,72 +515,58 @@ class EuTable:
 
 
 def decision_table(d: Diagram, agent: str, axes: Sequence[str],
-                   fixed: Policy | None = None,
-                   argmax_tol: float = 1e-12) -> EuTable:
+                   fixed: Policy | None = None) -> EuTable:
     """Expected-utility table over decision/chance axes.
 
-    Decision axes are pinned cell by cell (a value, not a rule); chance
-    axes become conditioning evidence. Opponent decisions neither in
-    `axes` nor in `fixed` are resolved per cell: each alternative that
-    keeps the cell's evidence possible must yield the same utility
-    (within EU_AGREEMENT_TOL), otherwise the cell is ambiguous.
+    One query keeps the axes and every opponent decision neither in `axes`
+    nor in `fixed`: decision axes are free, chance axes are conditioned on,
+    and a cell is an index into the result. Along the unfixed opponent
+    axes, every filling that keeps the cell possible must yield the same
+    utility (within EU_AGREEMENT_TOL), otherwise the cell is ambiguous; the
+    first possible filling gives the cell's value.
     """
-    fixed = dict(fixed or {})
     axis_nodes = []
-    for a in axes:
+    for i, a in enumerate(axes):
         if a not in d.nodes:
             raise ValueError(f"unknown axis node {a!r}")
+        if a in axes[:i]:
+            raise ValueError(f"axis {a!r} given twice")
         n = d.nodes[a]
         if n.kind not in (NodeKind.DECISION, NodeKind.CHANCE, NodeKind.DETERMINISTIC):
             raise ValueError(f"axis {a!r} must be a decision or chance node")
         axis_nodes.append(n)
     labels = {n.id: n.domain.labels for n in axis_nodes}
     decision_axes = [n.id for n in axis_nodes if n.kind == NodeKind.DECISION]
-    chance_axes = [n.id for n in axis_nodes if n.kind != NodeKind.DECISION]
+    policy = {dec: rule for dec, rule in (fixed or {}).items() if dec not in decision_axes}
     unfixed = sorted(n.id for n in d.nodes.values()
                      if n.kind == NodeKind.DECISION and n.id not in decision_axes
-                     and n.id not in fixed)
+                     and n.id not in policy)
 
-    m = CompiledModel.compile(d)
-    cells: dict[tuple[str, ...], float] = {}
-    fillings = [dict(zip(unfixed, combo)) for combo in itertools.product(
-        *(d.nodes[u].domain.labels for u in unfixed))] or [{}]
-
-    for key in itertools.product(*(labels[a] for a in axes)):
-        cell_policy_axes = {a: lbl for a, lbl in zip(axes, key) if a in decision_axes}
-        evidence = {a: lbl for a, lbl in zip(axes, key) if a in chance_axes}
-        candidates: list[float] = []
-        for filling in fillings:
-            policy = dict(fixed)
-            policy.update(constant_policy(d, cell_policy_axes))
-            policy.update(constant_policy(d, filling))
-            try:
-                eu = float(m.utility_table(agent, policy, evidence, []))
-            except ImpossibleEvidenceError:
-                continue
-            candidates.append(eu)
-        if not candidates:
+    query = CompiledModel.compile(d).utility_query(agent, policy, {}, list(axes) + unfixed)
+    eu, possible = query.expected()
+    lead = possible.shape[:len(axes)]
+    eu, possible = eu.reshape(lead + (-1,)), possible.reshape(lead + (-1,))
+    keys = list(itertools.product(*(labels[a] for a in axes)))
+    values = np.empty(lead)
+    for key, idx in zip(keys, np.ndindex(*lead)):
+        candidates = eu[idx][possible[idx]]
+        if not candidates.size:
             raise ImpossibleEvidenceError(
                 f"impossible evidence: table cell {dict(zip(axes, key))!r} has zero "
                 f"probability under every completion")
-        if max(candidates) - min(candidates) > EU_AGREEMENT_TOL:
+        if candidates.max() - candidates.min() > EU_AGREEMENT_TOL:
             raise AmbiguousCellError(
                 f"cell {dict(zip(axes, key))!r} depends on unfixed opponent decision(s) "
                 f"{unfixed}; fix them explicitly")
-        cells[key] = candidates[0]
+        values[idx] = candidates[0]
 
-    own = [a for a in axes if a in decision_axes and d.nodes[a].owner == agent]
-    group_axes = tuple(a for a in axes if a not in own)
-    argmax: set[tuple[str, ...]] = set()
-    group_idx = [axes.index(a) for a in group_axes]
-    groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for key in cells:
-        groups.setdefault(tuple(key[i] for i in group_idx), []).append(key)
-    for members in groups.values():
-        top = max(cells[k] for k in members)
-        argmax.update(k for k in members if cells[k] >= top - argmax_tol)
-    return EuTable(agent=agent, axes=tuple(axes), labels=labels, cells=cells,
-                   group_axes=group_axes, argmax=frozenset(argmax))
+    own = tuple(i for i, a in enumerate(axes)
+                if a in decision_axes and d.nodes[a].owner == agent)
+    marked = values >= values.max(axis=own, keepdims=True) - TIE_TOL
+    return EuTable(agent=agent, axes=tuple(axes), labels=labels,
+                   cells=dict(zip(keys, values.ravel().tolist())),
+                   group_axes=tuple(a for i, a in enumerate(axes) if i not in own),
+                   argmax=frozenset(k for k, m in zip(keys, marked.ravel()) if m))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from araid.ara import (
 )
 from araid.diagram import NodeKind, validate_diagram
 from araid.drilling import default_beliefs, default_uncertainty
-from araid.inference import (CompiledModel, constant_policy, enumerate_expected_utility,
-                             expected_utility)
+from araid import inference
+from araid.inference import (CompiledModel, constant_policy, decision_table,
+                             enumerate_expected_utility, expected_utility)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -109,6 +110,52 @@ def test_continue_belief_strengthens_perpetrate(drilling):
 def test_identical_alternatives_tie():
     br = best_response(foe_diagram(), "foe", {})
     assert set(br.optimal) == {"l", "r"}
+
+
+def near_tie_diagram(gap: float):
+    """The foe's moves l and r score 0.25 and 0.25 + gap, with certainty."""
+    from araid.diagram import (Agent, AgentKind, Domain, Node, UtilitySpec, ValueSpec,
+                               build_diagram)
+    nodes = [
+        Node("move", NodeKind.DECISION, owner="foe", domain=Domain(("l", "r"))),
+        Node("score", NodeKind.VALUE, owner="foe", parents=("move",),
+             payload=ValueSpec("table", rows={("l",): 0.25, ("r",): 0.25 + gap})),
+        Node("payoff", NodeKind.UTILITY, owner="foe", parents=("score",),
+             payload=UtilitySpec({"score": 1.0})),
+    ]
+    return build_diagram([Agent("foe", AgentKind.ATTACKER)], nodes, {"foe": ("move",)})
+
+
+@pytest.mark.parametrize("gap, optimal", [(0.5e-12, ("l", "r")), (2e-12, ("r",))])
+def test_tables_and_best_responses_share_one_tie_tolerance(gap, optimal):
+    assert ara.TIE_TOL is inference.TIE_TOL == 1e-12
+    d = near_tie_diagram(gap)
+    assert best_response(d, "foe", {}).optimal == optimal
+    assert decision_table(d, "foe", ["move"]).argmax == {(alt,) for alt in optimal}
+
+
+@pytest.mark.parametrize("call", ["decision_table", "best_response", "solve_defender"])
+def test_each_call_plans_one_utility_query(drilling, call):
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    run = {
+        "decision_table": lambda: decision_table(
+            drilling, "defender", ["DP", "DF", "DT", "DR", "UC", "UA"]),
+        "best_response": lambda: best_response(
+            view, "attacker", {"DP": "additional", "DF": "forensic", "UC": "normal"}),
+        "solve_defender": lambda: solve_defender(drilling, forecast),
+    }[call]
+    plans = []
+    plan = CompiledModel.utility_query
+
+    def spy_plan(self, *args, **kwargs):
+        plans.append(args)
+        return plan(self, *args, **kwargs)
+
+    with mock.patch.object(CompiledModel, "utility_query", spy_plan):
+        run()
+    assert len(plans) == 1
 
 
 # -- forecast --------------------------------------------------------------------
@@ -478,7 +525,9 @@ def test_solution_matches_direct_policy_evaluation(drilling):
     solution = solve_defender(drilling, forecast)
     for ranked in solution.ranking[:8]:
         eu = expected_utility(solved, "defender", ranked.policy)
-        assert eu == ranked.expected_utility  # exact: same engine, same path
+        # exact on this model, although the search multiplies by batched 0/1
+        # rule tables where expected_utility slices constant rules away
+        assert eu == ranked.expected_utility
 
 
 def test_apply_forecast_requires_matching_contexts(drilling):

@@ -102,6 +102,23 @@ def test_tables_attacker_with_fix_and_unknown_axis():
     assert "NOPE" in proc.stderr
 
 
+@pytest.mark.parametrize("pin, node", [("UC=riskier", "'UC'"), ("ZZ=x", "'ZZ'")])
+def test_tables_fix_rejects_a_non_decision(pin, node):
+    proc = run_cli("tables", DRILLING, "--agent", "defender",
+                   "--axes", "DP,DF,DT,DR,UC,UA", "--fix", pin)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"{node} is not a decision node" in proc.stderr
+
+
+def test_tables_rejects_a_repeated_axis():
+    proc = run_cli("tables", DRILLING, "--agent", "defender",
+                   "--axes", "DP,DP,DF,DT,DR,UC,UA")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "axis 'DP' given twice" in proc.stderr
+
+
 # -- evaluate -----------------------------------------------------------------
 
 def test_evaluate_published_cells():
@@ -122,6 +139,15 @@ def test_evaluate_impossible_evidence():
                    "AP=no_perpetrate", "--evidence", "UA=attack")
     assert proc.returncode == 1
     assert "impossible evidence" in proc.stderr
+
+
+def test_evaluate_policy_rejects_a_non_decision():
+    proc = run_cli("evaluate", DRILLING, "--agent", "defender", "--policy",
+                   "DP=additional", "DF=forensic", "DT=accept", "DR=continue",
+                   "AP=perpetrate", "UC=riskier")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "'UC' is not a decision node" in proc.stderr
 
 
 def test_evaluate_requires_total_policy():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,50 @@ def test_marginal_matches_enumeration_on_random_diagrams():
 
 
 # -- decision tables -----------------------------------------------------------
+
+def test_decision_table_matches_enumeration_on_random_diagrams():
+    """Every cell against the oracle, with and without a fixed rule.
+
+    Axes are the decisions plus one chance or deterministic node; a
+    deterministic axis has labels its parents never produce, so some tables
+    have impossible cells and must raise. The fixed decision carries a
+    non-constant rule, which the query keeps as a 0/1 rule factor.
+    """
+    rng = np.random.default_rng(404)
+    compared = impossible = with_rule = 0
+    for _ in range(80):
+        d = random_diagram(rng)
+        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        conditions = [n.id for n in d.nodes.values()
+                      if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+        condition = conditions[int(rng.integers(0, len(conditions)))]
+        policy = random_policy(rng, d)
+        ruled = [dec for dec in decisions if len(set(policy[dec].values())) > 1]
+        runs = [({}, decisions)]
+        if ruled:
+            runs.append(({ruled[0]: policy[ruled[0]]}, [x for x in decisions if x != ruled[0]]))
+            with_rule += 1
+        for fixed, pinned in runs:
+            axes = pinned + [condition]
+            labels = [d.nodes[a].domain.labels for a in axes]
+            oracle = {}
+            try:
+                for key in itertools.product(*labels):
+                    cell_policy = {**fixed, **constant_policy(d, dict(zip(pinned, key)))}
+                    oracle[key] = enumerate_expected_utility(
+                        d, "player", cell_policy, {condition: key[-1]})
+            except ImpossibleEvidenceError:
+                with pytest.raises(ImpossibleEvidenceError):
+                    decision_table(d, "player", axes, fixed=fixed)
+                impossible += 1
+                continue
+            table = decision_table(d, "player", axes, fixed=fixed)
+            assert table.cells.keys() == oracle.keys()
+            for key, value in oracle.items():
+                assert table.cells[key] == pytest.approx(value, abs=1e-12)
+            compared += 1
+    assert compared > 90 and impossible > 8 and with_rule > 30
+
 
 def test_defender_table_has_96_cells_and_correct_argmax(drilling):
     table = decision_table(drilling, "defender", ["DP", "DF", "DT", "DR", "UC", "UA"])
