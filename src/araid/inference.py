@@ -11,7 +11,9 @@ Expected utility is multilinear in every probability, rule and score
 table, so one planned contraction (`CompiledModel.utility_query`) serves a
 whole decision table, a best response, a batch of parameter draws or every
 policy of a search: free decisions and conditioning nodes are kept as
-axes, and batched tables get a leading axis that the output keeps.
+axes, and batched tables get a batch axis that the output keeps. The part
+of each contraction that no batched table reaches is a constant, computed
+once when the query is planned.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ Evidence = Mapping[str, str]
 
 EU_AGREEMENT_TOL = 1e-9  # spread allowed when several opponent fixings define a cell
 TIE_TOL = 1e-12  # alternatives within this of the best are all optimal
-BATCH = "#batch"  # leading axis of batched tables; '#' opens a .maid comment, so no node has it
+BATCH = "#batch"  # batch axis of batched tables; '#' opens a .maid comment, so no node has it
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -71,7 +73,13 @@ def constant_policy(d: Diagram, choices: Mapping[str, str]) -> dict[str, dict[tu
 
 
 def _check_policy(d: Diagram, policy: Policy, covered: Iterable[str]) -> None:
+    """Every key of `policy` is a decision node, and each `covered` decision
+    has a complete, in-domain rule."""
     from .diagram import parent_tuples
+    for dec in policy:
+        node = d.nodes.get(dec)
+        if node is None or node.kind != NodeKind.DECISION:
+            raise ValueError(f"policy entry {dec!r} is not a decision node")
     for dec in covered:
         node = d.nodes[dec]
         if dec not in policy:
@@ -124,11 +132,20 @@ class ContractionTape:
     A variable that is in no elimination order (such as the batch axis) is
     simply one more entry in the var lists: kept, it rides through every
     step that touches a table carrying it, so one execution contracts a
-    whole batch of draws or policies.
+    whole batch of draws or policies. Every intermediate step puts BATCH
+    last in its output, so with batch-innermost inputs each einsum streams
+    along the batch; only the final step orders its output as `keep` does.
+
+    `fixed` gives the tables of the inputs that never change, by position.
+    Every step that reads only those and their results runs once, here;
+    `steps` keeps the rest. `execute` then takes the other inputs, in
+    order, followed by `constants`: the fixed results that a kept step
+    reads (or the whole result, when no step is left).
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
-                 elim_priority: Mapping[str, tuple]):
+                 elim_priority: Mapping[str, tuple],
+                 fixed: Mapping[int, np.ndarray] | None = None):
         self.keep = tuple(keep)
         all_vars: dict[str, int] = {}
         for vs in var_lists:
@@ -143,16 +160,18 @@ class ContractionTape:
         # slots: initial factors first, step results appended after
         live: list[tuple[int, tuple[str, ...]]] = list(enumerate(var_lists))
         next_slot = len(var_lists)
-        self.steps: list[tuple[str, tuple[int, ...]]] = []
+        steps: list[tuple[str, tuple[int, ...]]] = []
         for v in elim:
             group = [(s, vs) for s, vs in live if v in vs]
             if not group:
                 continue
             rest = [(s, vs) for s, vs in live if v not in vs]
             out_vars = tuple(dict.fromkeys(w for _, vs in group for w in vs if w != v))
+            if BATCH in out_vars:
+                out_vars = tuple(w for w in out_vars if w != BATCH) + (BATCH,)
             spec = ",".join("".join(letters[w] for w in vs) for _, vs in group)
             spec += "->" + "".join(letters[w] for w in out_vars)
-            self.steps.append((spec, tuple(s for s, _ in group)))
+            steps.append((spec, tuple(s for s, _ in group)))
             live = rest + [(next_slot, out_vars)]
             next_slot += 1
 
@@ -160,18 +179,38 @@ class ContractionTape:
         if live:
             spec = ",".join("".join(letters[w] for w in vs) for _, vs in live)
             spec += "->" + "".join(letters[w] for w in self.present)
-            self.steps.append((spec, tuple(s for s, _ in live)))
+            steps.append((spec, tuple(s for s, _ in live)))
         self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
-        self.n_inputs = len(var_lists)
+        self._hoist(len(var_lists), steps, fixed or {})
+
+    def _hoist(self, n_inputs: int, steps: list[tuple[str, tuple[int, ...]]],
+               fixed: Mapping[int, np.ndarray]) -> None:
+        """Run the steps that read fixed slots alone; renumber the rest."""
+        values = dict(fixed)
+        kept = []
+        for slot, (spec, operands) in enumerate(steps, start=n_inputs):
+            if all(i in values for i in operands):
+                values[slot] = np.einsum(spec, *(values[i] for i in operands))
+            else:
+                kept.append((slot, spec, operands))
+        if kept:
+            read = sorted({i for _, _, operands in kept for i in operands if i in values})
+        else:  # everything was fixed: the result is one more constant
+            read = [n_inputs + len(steps) - 1] if steps else []
+        order = [i for i in range(n_inputs) if i not in values] + read
+        index = {slot: i for i, slot in enumerate(order)}
+        self.steps: list[tuple[str, tuple[int, ...]]] = []
+        for slot, spec, operands in kept:
+            self.steps.append((spec, tuple(index[i] for i in operands)))
+            index[slot] = len(index)
+        self.constants = [values[i] for i in read]
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """Run the steps on the varying inputs followed by `constants`."""
         slots = list(tables)
-        if not self.steps:
-            result = np.array(1.0)
-        else:
-            for spec, operands in self.steps:
-                slots.append(np.einsum(spec, *(slots[i] for i in operands)))
-            result = slots[-1]
+        for spec, operands in self.steps:
+            slots.append(np.einsum(spec, *(slots[i] for i in operands)))
+        result = slots[-1] if slots else np.array(1.0)
         # axes come out in keep order already; insert singleton axes for kept
         # variables no factor mentions so callers can broadcast (the result
         # is constant along them)
@@ -322,7 +361,8 @@ class CompiledModel:
         Decisions with no rule in `policy` are free axes and must be kept.
         The tables of the nodes in `batched` (probability, value or decision
         nodes) are planned with a leading BATCH axis, which the result keeps
-        in front of `keep`; see UtilityQuery.evaluate.
+        in front of `keep`; see UtilityQuery.expected. Every contraction
+        step that reads no batched table runs once, here.
         """
         if weights is None:
             weights = self.diagram.utility_node_of(agent).payload.weights
@@ -351,28 +391,34 @@ class CompiledModel:
             possible &= (np.transpose(f.table, [f.vars.index(v) for v in in_keep_order])
                          > 0.0).reshape([self.sizes[v] if v in f.vars else 1 for v in keep])
         var_lists = [scope(nid, f) for nid, f in factors]
-        scores = {vid: self._reduce(self.value_factors[vid], reductions) for vid in weights}
+        fixed = {i: f.table for i, (nid, f) in enumerate(factors) if nid not in batched}
+        value_tapes = {}
+        for vid in weights:
+            f = self._reduce(self.value_factors[vid], reductions)
+            value_fixed = fixed if vid in batched else {**fixed, len(factors): f.table}
+            value_tapes[vid] = ContractionTape(var_lists + [scope(vid, f)], out,
+                                               self.elim_priority, value_fixed)
         return UtilityQuery(
-            factors=factors, scores=scores, weights=dict(weights), reductions=reductions,
+            inputs=tuple(nid for nid, _ in factors if nid in batched),
+            batched=frozenset(batched), weights=dict(weights), reductions=reductions,
             possible=possible, keep=tuple(keep),
             shape=tuple(1 if v == BATCH else self.sizes[v] for v in out),
-            norm_tape=ContractionTape(var_lists, out, self.elim_priority),
-            value_tapes={vid: ContractionTape(var_lists + [scope(vid, f)], out,
-                                              self.elim_priority)
-                         for vid, f in scores.items()})
+            norm_tape=ContractionTape(var_lists, out, self.elim_priority, fixed),
+            value_tapes=value_tapes)
 
 
 @dataclass(frozen=True)
 class UtilityQuery:
     """A planned conditional expected-utility query: sum_v w_v * N_v / Z.
 
-    Z contracts the reduced probability and rule `factors` down to `keep`;
+    Z contracts the reduced probability and rule factors down to `keep`;
     N_v contracts them together with value node v's score factor. A cell is
     possible where Z > 0 and no factor left out over kept axes is zero.
+    The tapes hold every part that no batched table reaches as constants.
     """
 
-    factors: list[tuple[str, Factor]]  # tagged with node id
-    scores: dict[str, Factor]          # value node -> reduced score factor
+    inputs: tuple[str, ...]            # batched factors, in tape input order
+    batched: frozenset[str]            # nodes whose tables each call gives
     weights: dict[str, float]
     reductions: dict[str, str]         # evidence plus constant-rule bindings
     possible: np.ndarray               # over keep: False where a left-out factor is 0
@@ -388,14 +434,26 @@ class UtilityQuery:
         the mask of possible cells; the utility is meaningless elsewhere.
 
         `tables` gives each batched node's table over its factor's scope,
-        batch axis first; `weights` may give each value node one per batch row.
+        batch axis first in the shape; any strides work, and a batch axis
+        at stride 1 (a `np.moveaxis` view of a batch-last array) is the
+        fast layout. A table for a node the query did not batch raises
+        ValueError, since its planned constants would ignore it. `weights`
+        may give each value node one per batch row.
         """
         tables = tables or {}
-        inputs = [tables.get(nid, f.table) for nid, f in self.factors]
-        norm = self.norm_tape.execute(inputs)
+        stray = sorted(set(tables) - self.batched)
+        if stray:
+            raise ValueError(f"tables given for node(s) {stray} that the query did not batch")
+        missing = sorted({*self.inputs, *self.batched.intersection(self.value_tapes)} - set(tables))
+        if missing:
+            raise ValueError(f"no table given for batched node(s) {missing}")
+        inputs = [tables[nid] for nid in self.inputs]
+        norm = self.norm_tape.execute(inputs + self.norm_tape.constants)
         total = 0.0
         for vid, w in (self.weights if weights is None else weights).items():
-            num = self.value_tapes[vid].execute(inputs + [tables.get(vid, self.scores[vid].table)])
+            tape = self.value_tapes[vid]
+            score = [tables[vid]] if vid in self.batched else []
+            num = tape.execute(inputs + score + tape.constants)
             total = total + np.reshape(w, np.shape(w) + (1,) * len(self.keep)) * num
         with np.errstate(divide="ignore", invalid="ignore"):
             eu = total / norm
@@ -484,6 +542,7 @@ def expected_value(d: Diagram, value_node: str, policy: Policy,
     """Conditional expectation of a single value node's score."""
     evidence = evidence or {}
     _check_evidence(d, evidence)
+    _check_policy(d, policy, ())
     node = d.nodes[value_node]
     if node.kind != NodeKind.VALUE:
         raise ValueError(f"{value_node!r} is not a value node")
@@ -535,6 +594,7 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
         if n.kind not in (NodeKind.DECISION, NodeKind.CHANCE, NodeKind.DETERMINISTIC):
             raise ValueError(f"axis {a!r} must be a decision or chance node")
         axis_nodes.append(n)
+    _check_policy(d, fixed or {}, ())
     labels = {n.id: n.domain.labels for n in axis_nodes}
     decision_axes = [n.id for n in axis_nodes if n.kind == NodeKind.DECISION]
     policy = {dec: rule for dec, rule in (fixed or {}).items() if dec not in decision_axes}

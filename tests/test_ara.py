@@ -443,6 +443,56 @@ def test_block_stream_agrees_with_the_per_draw_stream(drilling):
     assert solve_defender(drilling, fc).optimal.policy == OLD_STREAM_POLICY
 
 
+def spy_on(owner, name):
+    """Patch owner.name with a pass-through that records each call's args."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return calls, mock.patch.object(owner, name, spy)
+
+
+def test_each_forecast_block_runs_only_the_batched_contraction_steps(drilling):
+    # a structural stand-in for a timing test: on the shipped defaults, the
+    # steps that read no sampled table run once, when the query is planned,
+    # and the 9 steps that do run once per 128-draw block (24 before)
+    calls, spy = spy_on(inference.np, "einsum")
+    with spy:
+        forecast_attack(drilling, default_beliefs(), default_uncertainty(),
+                        draws=ara.DRAW_BLOCK, seed=1)
+        one = len(calls)
+        forecast_attack(drilling, default_beliefs(), default_uncertainty(),
+                        draws=2 * ara.DRAW_BLOCK, seed=1)
+    assert len(calls) - one - one == 9
+
+
+def test_a_table_for_a_node_the_query_did_not_batch_is_rejected(drilling):
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    m = CompiledModel.compile(view)
+    query = m.utility_query("attacker", {}, {}, ["DP", "DF", "UC", "AP"], batched={"DT"})
+    dt = np.moveaxis(np.repeat(m.prob_factors["DT"].table[:, None], 4, axis=1), -1, 0)
+    assert query.expected({"DT": dt})[0].shape == (4, 2, 2, 2, 2)
+    with pytest.raises(ValueError, match="'DR'.* did not batch"):
+        query.expected({"DT": dt, "DR": m.prob_factors["DR"].table})
+    with pytest.raises(ValueError, match="no table given for batched node.*'DT'"):
+        query.expected({})
+
+
+def test_policy_search_builds_each_rule_table_once(drilling):
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    calls, spy = spy_on(CompiledModel, "rule_factor")
+    with spy:
+        solution = solve_defender(drilling, forecast)
+    distinct = {(dec, tuple(sorted(r.policy[dec].items())))
+                for r in solution.ranking for dec in r.policy}
+    built = [(nid, tuple(sorted(rule.items()))) for _, nid, rule in calls
+             if nid in {"DP", "DF", "DT", "DR"} and rule]
+    # the planned query also builds one empty-rule placeholder per batched decision
+    assert len(distinct) == 11 and sorted(built) == sorted(distinct)
+
+
 def test_perturb_rule_keeps_weights_normalized():
     rows = PerturbRule(0.02).sample(np.array([0.03, 0.97]), np.random.default_rng(0), 50)
     assert rows.shape == (50, 2)

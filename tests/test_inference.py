@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from araid.diagram import NodeKind, ValueSpec, Node, build_diagram
 from araid.inference import (
     AmbiguousCellError,
+    CompiledModel,
+    Factor,
     ImpossibleEvidenceError,
     constant_policy,
     decision_table,
     enumerate_expected_utility,
     enumerate_marginal,
     expected_utility,
+    expected_value,
     joint_probability,
     marginal_distribution,
 )
@@ -109,6 +113,19 @@ def test_impossible_evidence_raises(drilling):
         expected_utility(drilling, "defender", policy, {"UA": "attack"})
 
 
+@pytest.mark.parametrize("extra", ["UC", "ZZ", "DU"])
+def test_policy_entries_must_name_decision_nodes(drilling, extra):
+    # a chance node, an unknown id and a value node: each used to be ignored
+    policy = {**drilling_policy(drilling), extra: {(): "riskier"}}
+    axes = ["DP", "DF", "DT", "DR", "UC", "UA"]
+    with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
+        expected_utility(drilling, "defender", policy)
+    with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
+        expected_value(drilling, "DM", policy)
+    with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
+        decision_table(drilling, "defender", axes, fixed={extra: {(): "riskier"}})
+
+
 # -- expected utility --------------------------------------------------------
 
 T12_SPOT_CELLS = [
@@ -196,6 +213,103 @@ def test_marginal_matches_enumeration_on_random_diagrams():
         slow = enumerate_marginal(d, policy, {}, target)
         for lbl in fast:
             assert fast[lbl] == pytest.approx(slow[lbl], abs=1e-12)
+
+
+def batch_case(rng, d, m, kind):
+    """A batch of R rows for one decision's rule or one or two chance nodes.
+
+    Returns the batched nodes, the full random policy, the batched tables
+    [R, *family] (batch-first, contiguous), each node's compiled table
+    (rows equal to it are planted) and `alone(i)`: the model and policy
+    that give row i with no batch at all.
+    """
+    policy = random_policy(rng, d)
+    rows = int(rng.integers(2, 7))
+    if kind == "decision":
+        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        dec = decisions[int(rng.integers(0, len(decisions)))]
+        rules = [policy[dec]] + [random_policy(rng, d)[dec] for _ in range(rows - 1)]
+        batch = {dec: np.stack([m.rule_factor(dec, rule).table for rule in rules])}
+        return [dec], policy, batch, {dec: batch[dec][0].copy()}, \
+            lambda i: (m, {**policy, dec: rules[i]})
+    chance = [n.id for n in d.nodes.values() if n.kind == NodeKind.CHANCE]
+    picked = [chance[i] for i in rng.choice(len(chance), size=int(rng.integers(1, 3)),
+                                            replace=False)]
+    batch, compiled = {}, {}
+    for nid in picked:
+        stated = m.prob_factors[nid].table
+        draws = rng.dirichlet(np.ones(stated.shape[-1]), size=(rows,) + stated.shape[:-1])
+        draws[0] = stated  # every batched node at its compiled table
+        if nid == picked[0]:
+            draws[-1] = stated  # the first node alone at its compiled table
+        batch[nid], compiled[nid] = draws, stated
+
+    def alone(i):
+        rows = {nid: Factor(m.prob_factors[nid].vars, batch[nid][i]) for nid in picked}
+        return replace(m, prob_factors={**m.prob_factors, **rows}), policy
+    return picked, policy, batch, compiled, alone
+
+
+def test_batched_query_matches_row_by_row_and_unbatched_on_random_diagrams():
+    """Each batch row of a query, in both memory layouts, against the same
+    query on that row alone (a one-row batch), against a query that plans
+    the row's table with no batch, and, where the row is the compiled
+    table, against the unbatched query.
+
+    This covers the batch-innermost layout and the steps run once at
+    planning on diagrams that the drilling model does not reach.
+    """
+    rng = np.random.default_rng(515)
+    seen = {"chance": 0, "decision": 0, "stated": 0, "conditioned": 0}
+    for _ in range(60):
+        d = random_diagram(rng)
+        m = CompiledModel.compile(d)
+        kind = "decision" if rng.integers(0, 2) else "chance"
+        batched, policy, batch, compiled, alone = batch_case(rng, d, m, kind)
+        # no axis, a random chance or deterministic axis, or the deterministic
+        # node, whose labels that no parent state produces are impossible cells
+        conditions = [n.id for n in d.nodes.values()
+                      if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+        keep = [[], [conditions[int(rng.integers(0, len(conditions)))]],
+                [c for c in conditions if c == "t0"]][int(rng.integers(0, 3))]
+        rest = {k: v for k, v in policy.items() if k not in batched}
+        query = m.utility_query("player", rest, {}, keep, batched=batched)
+        # a decision under a constant rule is bound, so it leaves the family
+        # of a batched decision that observes it
+        for nid in batched:
+            for v in reversed(d.nodes[nid].parents):
+                if v in query.reductions:
+                    axis = d.nodes[nid].parents.index(v)
+                    at = d.nodes[v].domain.index(query.reductions[v])
+                    batch[nid] = np.take(batch[nid], at, axis=1 + axis)
+                    compiled[nid] = np.take(compiled[nid], at, axis=axis)
+        plain_eu, plain_possible = m.utility_query("player", policy, {}, keep).expected()
+        n = len(next(iter(batch.values())))
+        innermost = {nid: np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 0, -1)), -1, 0)
+                     for nid, t in batch.items()}
+        assert all(t.strides[0] == t.itemsize for t in innermost.values())
+        singles = [row_m.utility_query("player", row_policy, {}, keep).expected()
+                   for row_m, row_policy in map(alone, range(n))]
+        for tables in (batch, innermost):
+            # a batch that no contraction reaches comes back with extent 1
+            eu, possible = (np.broadcast_to(a, (n,) + plain_possible.shape)
+                            for a in query.expected(tables))
+            for i in range(n):
+                one_eu, one_possible = query.expected({k: t[i:i + 1] for k, t in tables.items()})
+                single_eu, single_possible = singles[i]
+                assert np.array_equal(possible[i], one_possible[0])
+                assert np.array_equal(possible[i], single_possible)
+                assert np.array_equal(possible[i], plain_possible)
+                mask = possible[i]
+                assert eu[i][mask] == pytest.approx(one_eu[0][mask], abs=1e-12)
+                assert eu[i][mask] == pytest.approx(single_eu[mask], abs=1e-12)
+                if all(np.array_equal(tables[k][i], compiled[k]) for k in tables):
+                    assert eu[i][mask] == pytest.approx(plain_eu[mask], abs=1e-12)
+                    seen["stated"] += 1
+        seen[kind] += 1
+        seen["conditioned"] += bool(keep) and not plain_possible.all()
+    assert seen["chance"] > 20 and seen["decision"] > 20
+    assert seen["stated"] > 120 and seen["conditioned"] > 2, seen
 
 
 # -- decision tables -----------------------------------------------------------
