@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -30,11 +29,21 @@ from .diagram import (
 from .inference import (
     TIE_TOL,
     CompiledModel,
+    UtilityQuery,
     constant_policy,
     parent_tuples_of,
 )
 
-DRAW_BLOCK = 128  # draws per generator and per contraction; part of the random stream
+DRAW_BLOCK = 128  # draws per generator; part of the random stream
+
+# The most memory the largest batched array of one forecast contraction may
+# take. The forecast contracts as many whole 128-draw blocks at once as fit,
+# which spreads each contraction's fixed cost over more draws. 128 KiB gives
+# the shipped plan (32 cells per draw) 512-draw chunks, 20 contractions per
+# 10,000 draws instead of 79, for about 0.3 MB more peak RSS; 8- and 16-block
+# chunks measured +0.5 and +1.8 MB, and 4-block chunks of a 192-cell plan
+# (every rule kind sampled) +1.7 MB, so that plan keeps one block.
+FORECAST_CHUNK_BYTES = 128 * 1024
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
 
@@ -99,9 +108,6 @@ class BestResponse:
     decision: str
     expected: Mapping[str, float]  # alternative -> expected utility
     optimal: tuple[str, ...]       # all maximizers, domain order
-
-    def strictly_prefers(self, alternative: str) -> bool:
-        return self.optimal == (alternative,)
 
 
 def best_response(d_view: Diagram, agent: str,
@@ -265,6 +271,14 @@ def block_count(draws: int) -> int:
     return -(-draws // DRAW_BLOCK)
 
 
+def chunk_draws(query: UtilityQuery) -> int:
+    """Draws per forecast contraction: the most whole blocks of DRAW_BLOCK
+    whose largest batched array (`query.row_cells` float64 cells per draw)
+    fits in FORECAST_CHUNK_BYTES, and never less than one block."""
+    block_bytes = query.row_cells * np.dtype(float).itemsize * DRAW_BLOCK
+    return DRAW_BLOCK * max(1, FORECAST_CHUNK_BYTES // block_bytes)
+
+
 def _draw_rng(seed: int, block: int) -> np.random.Generator:
     # one independent substream per block of DRAW_BLOCK draws: draw i is row
     # i % DRAW_BLOCK of block i // DRAW_BLOCK, so it depends on (seed, i) alone
@@ -290,6 +304,8 @@ class AttackForecast:
     probabilities: Mapping[tuple[str, ...], tuple[float, ...]]
     draws: int
     seed: int
+    # contractions the forecast ran; how it was computed, not what it says
+    chunks: int = field(default=0, compare=False, repr=False)
 
     def probability(self, context: tuple[str, ...], alternative: str) -> float:
         return self.probabilities[context][self.alternatives.index(alternative)]
@@ -324,26 +340,27 @@ class AttackForecast:
                               draws=0, seed=0)
 
 
-def _draw_first(table: np.ndarray) -> np.ndarray:
-    """DRAW_BLOCK copies of `table`, stored draw axis last, viewed draw axis first."""
-    return np.moveaxis(np.repeat(table[..., None], DRAW_BLOCK, axis=-1), -1, 0)
+def _draw_first(table: np.ndarray, rows: int) -> np.ndarray:
+    """`rows` copies of `table`, stored draw axis last, viewed draw axis first."""
+    return np.moveaxis(np.repeat(table[..., None], rows, axis=-1), -1, 0)
 
 
 class _DrawBlock:
-    """Arrays with a draw axis that a block of draws is sampled into.
+    """Arrays with a draw axis that a chunk of draw blocks is sampled into.
 
-    A sampled probability node gets a [block, *family] copy of its table, a
-    value node with a scalar target a [block, (scale, root)] array, and the
-    attacker's utility weights a [block, parent] array, all starting at the
-    stated values. Each is allocated draw axis last and handed out as a
-    `np.moveaxis` view, so the draw axis comes first in the shape but sits
-    at stride 1, where the contraction streams along it. Each target draws,
-    in a fixed order, a whole block column into its own view (`slots`) of
-    these arrays, so draw i depends on (seed, i) alone.
+    A sampled probability node gets a [rows, *family] copy of its table, a
+    value node with a scalar target a [rows, (scale, root)] array, and the
+    attacker's utility weights a [rows, parent] array, all starting at the
+    stated values; `rows` is a whole number of blocks of DRAW_BLOCK. Each is
+    allocated draw axis last and handed out as a `np.moveaxis` view, so the
+    draw axis comes first in the shape but sits at stride 1, where the
+    contraction streams along it. Each target draws, in a fixed order, a
+    whole block column into its own view (`slots`) of these arrays, so draw
+    i depends on (seed, i) alone.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
-                 uncertainty: ParameterUncertainty, utility: Node):
+                 uncertainty: ParameterUncertainty, utility: Node, rows: int):
         self.view, self.utility = view, utility
         self.tables: dict[str, np.ndarray] = {}
         self.scalars: dict[str, np.ndarray] = {}
@@ -355,7 +372,7 @@ class _DrawBlock:
             kind, node = target[0], view.nodes[target[1]]
             if kind in ("belief", "cpt_row"):
                 table = self.tables.setdefault(node.id, _draw_first(
-                    compiled.prob_factors[node.id].table))
+                    compiled.prob_factors[node.id].table, rows))
                 key = () if kind == "belief" else target[2]
                 self.slots.append(table[(slice(None),) + tuple(
                     view.nodes[p].domain.index(lbl) for p, lbl in zip(node.parents, key))])
@@ -364,21 +381,23 @@ class _DrawBlock:
                     raise ValueError(f"{target!r}: only the attacker's utility weights "
                                      f"can be sampled")
                 self.weights = _draw_first(np.array(
-                    [node.payload.weights[p] for p in node.parents]))
+                    [node.payload.weights[p] for p in node.parents]), rows)
                 self.slots.append(self.weights)
             else:
                 pair = self.scalars.setdefault(node.id, _draw_first(np.array(
-                    [node.payload.scale, node.payload.root], dtype=float)))
+                    [node.payload.scale, node.payload.root], dtype=float), rows))
                 self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
         # the stated values, copied before any draw overwrites them
         self.bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0])
                       for slot in self.slots]
 
-    def sample(self, seed: int, block: int) -> None:
-        """Every row of block `block`: draws block*DRAW_BLOCK onwards."""
+    def sample(self, seed: int, block: int, j: int) -> None:
+        """Block `block` (draws block*DRAW_BLOCK onwards) into rows
+        [j*DRAW_BLOCK, (j+1)*DRAW_BLOCK)."""
         rng = _draw_rng(seed, block)
+        rows = slice(j * DRAW_BLOCK, (j + 1) * DRAW_BLOCK)
         for rule, base, slot in zip(self.rules, self.bases, self.slots):
-            slot[:] = rule.sample(base, rng, DRAW_BLOCK)
+            slot[rows] = rule.sample(base, rng, DRAW_BLOCK)
 
     def inputs(self, n: int) -> tuple[dict, dict | None]:
         """Tables and weights of the first n draws, for UtilityQuery.evaluate."""
@@ -408,8 +427,9 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     Draws are sampled in blocks of DRAW_BLOCK along a leading draw axis,
     block b from its own substream `_draw_rng(seed, b)`; draw i is row
     i % DRAW_BLOCK of block i // DRAW_BLOCK and depends on (seed, i) alone,
-    whatever `draws` is. One planned contraction per block gives the
-    attacker's expected utility in every observable context for all its
+    whatever `draws` is. Consecutive blocks fill a chunk of `chunk_draws`
+    rows, sized from the plan, and one planned contraction per chunk gives
+    the attacker's expected utility in every observable context for all its
     draws. Alternatives within TIE_TOL of a draw's best split it.
     """
     if draws < 1:
@@ -431,12 +451,14 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     decision = own[0]
     context_nodes = decision.parents
     alternatives = decision.domain.labels
-    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker))
     # the query reduces nothing (no evidence, every decision a free axis), so
-    # a sampled node's batched table is its whole family table
+    # a sampled node's batched table is its whole family table; sampled
+    # weights are given per row without batching the utility node
     keep = list(context_nodes) + [decision.id]
-    query = compiled.utility_query(attacker, {}, {}, keep,
-                                   batched=set(block.tables) | set(block.scalars))
+    query = compiled.utility_query(attacker, {}, {}, keep, batched={
+        target[1] for target in uncertainty.rules if target[0] != "weights"})
+    chunk = min(chunk_draws(query), block_count(draws) * DRAW_BLOCK)
+    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker), chunk)
 
     # a draw with k tied winners gives each lcm(1..m)/k, m alternatives: the
     # tally stays exact in integers
@@ -445,9 +467,11 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
         raise ValueError(f"draws must be <= {np.iinfo(np.int64).max // lcm} to tally "
                          f"{len(alternatives)} alternatives exactly")
     counts = np.zeros(query.shape[-len(keep):], dtype=np.int64)
-    for b in range(block_count(draws)):
-        n = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
-        block.sample(seed, b)
+    starts = range(0, draws, chunk)
+    for start in starts:
+        n = min(chunk, draws - start)
+        for j in range(block_count(n)):
+            block.sample(seed, start // DRAW_BLOCK + j, j)
         eu = np.broadcast_to(query.evaluate(*block.inputs(n)), (n,) + counts.shape)
         winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
         counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
@@ -455,10 +479,10 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     probabilities = {}
     for ctx in itertools.product(*(view.nodes[p].domain.labels for p in context_nodes)):
         idx = tuple(view.nodes[p].domain.index(lbl) for p, lbl in zip(context_nodes, ctx))
-        probabilities[ctx] = tuple(float(Fraction(int(c), draws * lcm)) for c in counts[idx])
+        probabilities[ctx] = tuple(int(c) / (draws * lcm) for c in counts[idx])
     return AttackForecast(decision=decision.id, context_nodes=context_nodes,
                           alternatives=alternatives, probabilities=probabilities,
-                          draws=draws, seed=seed)
+                          draws=draws, seed=seed, chunks=len(starts))
 
 
 # ---------------------------------------------------------------------------

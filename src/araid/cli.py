@@ -236,7 +236,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             timings_s={"load": round(loaded - started, 6),
                        "forecast": round(forecasted - loaded, 6),
                        "solve": round(solved - forecasted, 6)},
-            forecast_blocks=block_count(forecast.draws),
+            forecast_blocks=block_count(forecast.draws), forecast_chunks=forecast.chunks,
             result={"expected_utility": solution.optimal.expected_utility,
                     "p_attack_range": [
                         min(p[0] for p in forecast.probabilities.values()),

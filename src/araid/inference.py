@@ -18,6 +18,7 @@ once when the query is planned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +30,7 @@ from .diagram import (
     NodeKind,
     UtilitySpec,
     ValueSpec,
+    parent_tuples,
     topological_order,
 )
 
@@ -53,7 +55,6 @@ class AmbiguousCellError(ValueError):
 
 def parent_tuples_of(d: Diagram, node_id: str):
     """Parent-value tuples of one node, in parent-domain product order."""
-    from .diagram import parent_tuples
     return parent_tuples(d.nodes, d.nodes[node_id])
 
 
@@ -64,7 +65,6 @@ def constant_rule(d: Diagram, decision: str, alternative: str) -> dict[tuple[str
         raise ValueError(f"{decision!r} is not a decision node")
     if alternative not in node.domain.labels:
         raise ValueError(f"{alternative!r} is not an alternative of {decision!r}")
-    from .diagram import parent_tuples
     return {key: alternative for key in parent_tuples(d.nodes, node)}
 
 
@@ -75,7 +75,6 @@ def constant_policy(d: Diagram, choices: Mapping[str, str]) -> dict[str, dict[tu
 def _check_policy(d: Diagram, policy: Policy, covered: Iterable[str]) -> None:
     """Every key of `policy` is a decision node, and each `covered` decision
     has a complete, in-domain rule."""
-    from .diagram import parent_tuples
     for dec in policy:
         node = d.nodes.get(dec)
         if node is None or node.kind != NodeKind.DECISION:
@@ -110,12 +109,12 @@ def _check_evidence(d: Diagram, evidence: Evidence) -> None:
 @dataclass(frozen=True)
 class Factor:
     vars: tuple[str, ...]
-    table: np.ndarray  # one axis per var, in order
+    table: np.ndarray | None  # one axis per var, in order; None: given per batch row
 
     def reduce(self, var: str, index: int) -> "Factor":
         axis = self.vars.index(var)
         return Factor(self.vars[:axis] + self.vars[axis + 1:],
-                      np.take(self.table, index, axis=axis))
+                      None if self.table is None else np.take(self.table, index, axis=axis))
 
 
 def _letters(order: Mapping[str, int]):
@@ -140,11 +139,18 @@ class ContractionTape:
     Every step that reads only those and their results runs once, here;
     `steps` keeps the rest. `execute` then takes the other inputs, in
     order, followed by `constants`: the fixed results that a kept step
-    reads (or the whole result, when no step is left).
+    reads (or the whole result, when no step is left). A last kept step
+    that only reorders axes is not run as an einsum: `relabel` holds its
+    operand and permutation, and `execute` returns a transposed view.
+
+    `row_cells` is the cost of one execution per batch row: the largest
+    batched operand or output of the kept steps, in cells without the
+    batch axis (`sizes` gives each variable's extent). Without a batch
+    axis, the whole execution is one row and every operand counts.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
-                 elim_priority: Mapping[str, tuple],
+                 elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
                  fixed: Mapping[int, np.ndarray] | None = None):
         self.keep = tuple(keep)
         all_vars: dict[str, int] = {}
@@ -183,6 +189,19 @@ class ContractionTape:
         self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
         self._hoist(len(var_lists), steps, fixed or {})
 
+        extent = {letters[v]: sizes[v] for v in all_vars if v != BATCH}
+        batch = letters.get(BATCH, "")  # "" is in every term: with no batch, all count
+        terms = [t for spec, _ in self.steps for t in spec.replace("->", ",").split(",")]
+        self.row_cells = max((math.prod(extent[c] for c in t if c != batch)
+                              for t in terms if batch in t), default=1)
+        self.relabel: tuple[int, tuple[int, ...]] | None = None
+        if self.steps:
+            spec, operands = self.steps[-1]
+            ins, out = spec.split("->")
+            if len(operands) == 1 and len(set(ins)) == len(ins) and sorted(ins) == sorted(out):
+                self.steps.pop()
+                self.relabel = (operands[0], tuple(ins.index(c) for c in out))
+
     def _hoist(self, n_inputs: int, steps: list[tuple[str, tuple[int, ...]]],
                fixed: Mapping[int, np.ndarray]) -> None:
         """Run the steps that read fixed slots alone; renumber the rest."""
@@ -210,7 +229,11 @@ class ContractionTape:
         slots = list(tables)
         for spec, operands in self.steps:
             slots.append(np.einsum(spec, *(slots[i] for i in operands)))
-        result = slots[-1] if slots else np.array(1.0)
+        if self.relabel is not None:
+            operand, axes = self.relabel
+            result = slots[operand].transpose(axes)
+        else:
+            result = slots[-1] if slots else np.array(1.0)
         # axes come out in keep order already; insert singleton axes for kept
         # variables no factor mentions so callers can broadcast (the result
         # is constant along them)
@@ -220,8 +243,8 @@ class ContractionTape:
 
 
 def _contract(factors: Sequence[Factor], keep: Sequence[str],
-              elim_priority: Mapping[str, tuple]) -> np.ndarray:
-    tape = ContractionTape([f.vars for f in factors], keep, elim_priority)
+              elim_priority: Mapping[str, tuple], sizes: Mapping[str, int]) -> np.ndarray:
+    tape = ContractionTape([f.vars for f in factors], keep, elim_priority, sizes)
     return tape.execute([f.table for f in factors])
 
 
@@ -268,7 +291,6 @@ class CompiledModel:
         return Factor(vars_, table)
 
     def _value_factor(self, n: Node) -> Factor:
-        from .diagram import parent_tuples
         spec: ValueSpec = n.payload
         parents = [self.diagram.nodes[p] for p in n.parents]
         table = np.zeros([self.sizes[p.id] for p in parents])
@@ -314,11 +336,11 @@ class CompiledModel:
         """Reduced factors tagged with their node id, plus all reductions.
 
         A decision with no rule in `policy` is a free axis with no factor and
-        must be in `keep`; a batched decision gets a rule factor whose table
-        the caller gives per batch row. Decisions under a constant rule are
-        bound like evidence (their axis is sliced away everywhere) rather
-        than carried as 0/1 factors; that keeps algebra that should cancel
-        exactly cancelling exactly.
+        must be in `keep`; a batched decision gets a factor with its scope
+        and no table, since the caller gives the table per batch row.
+        Decisions under a constant rule are bound like evidence (their axis
+        is sliced away everywhere) rather than carried as 0/1 factors; that
+        keeps algebra that should cancel exactly cancelling exactly.
         """
         free = {n.id for n in self.diagram.nodes.values() if n.kind == NodeKind.DECISION
                 and n.id not in policy and n.id not in batched}
@@ -334,7 +356,9 @@ class CompiledModel:
                     raise ValueError(f"no rule or axis for decision {nid!r}")
             elif n.kind == NodeKind.DECISION:
                 alternatives = set(policy.get(nid, {}).values())
-                if len(alternatives) == 1 and nid not in batched:
+                if nid in batched:
+                    rules.append((nid, Factor(n.parents + (nid,), None)))
+                elif len(alternatives) == 1:
                     reductions[nid] = next(iter(alternatives))
                 else:
                     rules.append((nid, self.rule_factor(nid, policy.get(nid, {}))))
@@ -350,7 +374,7 @@ class CompiledModel:
                           keep: Sequence[str]) -> np.ndarray:
         """P(evidence) as a table over `keep` (free decision/chance axes)."""
         factors, _ = self._assemble(policy, evidence, keep, set(keep) | set(evidence))
-        result = _contract([f for _, f in factors], keep, self.elim_priority)
+        result = _contract([f for _, f in factors], keep, self.elim_priority, self.sizes)
         return np.broadcast_to(result, [self.sizes[v] for v in keep]).copy() if keep else result
 
     def utility_query(self, agent: str, policy: Policy, evidence: Evidence,
@@ -397,13 +421,13 @@ class CompiledModel:
             f = self._reduce(self.value_factors[vid], reductions)
             value_fixed = fixed if vid in batched else {**fixed, len(factors): f.table}
             value_tapes[vid] = ContractionTape(var_lists + [scope(vid, f)], out,
-                                               self.elim_priority, value_fixed)
+                                               self.elim_priority, self.sizes, value_fixed)
         return UtilityQuery(
             inputs=tuple(nid for nid, _ in factors if nid in batched),
             batched=frozenset(batched), weights=dict(weights), reductions=reductions,
             possible=possible, keep=tuple(keep),
             shape=tuple(1 if v == BATCH else self.sizes[v] for v in out),
-            norm_tape=ContractionTape(var_lists, out, self.elim_priority, fixed),
+            norm_tape=ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed),
             value_tapes=value_tapes)
 
 
@@ -426,6 +450,12 @@ class UtilityQuery:
     shape: tuple[int, ...]             # result shape, 1 on the batch axis
     norm_tape: ContractionTape
     value_tapes: dict[str, ContractionTape]
+
+    @property
+    def row_cells(self) -> int:
+        """The largest batched array one call contracts, in cells per batch
+        row, over the normaliser and value tapes."""
+        return max(t.row_cells for t in (self.norm_tape, *self.value_tapes.values()))
 
     def expected(self, tables: Mapping[str, np.ndarray] | None = None,
                  weights: Mapping[str, float | np.ndarray] | None = None

@@ -10,9 +10,6 @@ from __future__ import annotations
 import csv
 from importlib import resources
 
-from .diagram import Diagram
-from .modelfile import parse_model
-
 _DATA = resources.files(__package__) / "data"
 
 
@@ -23,11 +20,6 @@ def data_path(name: str):
 
 def drilling_maid_text() -> str:
     return data_path("drilling.maid").read_text(encoding="utf-8")
-
-
-def load_drilling_diagram() -> Diagram:
-    """Parse the shipped drilling model file."""
-    return parse_model(drilling_maid_text())
 
 
 def read_table(name: str) -> list[dict[str, str]]:

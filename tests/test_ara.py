@@ -330,8 +330,8 @@ def test_single_draw_forecast_matches_the_oracle(drilling, seed):
     rules = wide_uncertainty(drilling)
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
     block = ara._DrawBlock(view, CompiledModel.compile(view), rules,
-                           view.utility_node_of("attacker"))
-    block.sample(seed, 0)
+                           view.utility_node_of("attacker"), ara.DRAW_BLOCK)
+    block.sample(seed, 0, 0)
     expected = oracle_forecast(rebuilt_view(
         view, [(target, slot[0]) for target, slot in zip(block.targets, block.slots)]))
     fc = forecast_attack(drilling, default_beliefs(), rules, draws=1, seed=seed)
@@ -453,18 +453,70 @@ def spy_on(owner, name):
     return calls, mock.patch.object(owner, name, spy)
 
 
-def test_each_forecast_block_runs_only_the_batched_contraction_steps(drilling):
+def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
     # a structural stand-in for a timing test: on the shipped defaults, the
     # steps that read no sampled table run once, when the query is planned,
-    # and the 9 steps that do run once per 128-draw block (24 before)
+    # and the 8 einsum steps that do run once per 512-draw chunk of four
+    # 128-draw blocks (9 per block before; the ninth, a pure axis relabel,
+    # is now a transposed view)
     calls, spy = spy_on(inference.np, "einsum")
+
+    def einsums(draws):
+        before = len(calls)
+        fc = forecast_attack(drilling, default_beliefs(), default_uncertainty(),
+                             draws=draws, seed=1)
+        return len(calls) - before, fc.chunks
+
     with spy:
-        forecast_attack(drilling, default_beliefs(), default_uncertainty(),
-                        draws=ara.DRAW_BLOCK, seed=1)
-        one = len(calls)
-        forecast_attack(drilling, default_beliefs(), default_uncertainty(),
-                        draws=2 * ara.DRAW_BLOCK, seed=1)
-    assert len(calls) - one - one == 9
+        block, one, two = (einsums(n) for n in (ara.DRAW_BLOCK, 512, 1024))
+    assert block[0] == one[0] and block[1] == one[1] == 1
+    assert two[0] - one[0] == 8 and two[1] == 2
+
+
+FORECAST_RULES = {"default": lambda d: default_uncertainty(), "wide": wide_uncertainty}
+
+
+def forecast_query(d, rules):
+    """The query forecast_attack plans for `rules` on the shipped beliefs."""
+    queries, plan = [], CompiledModel.utility_query
+
+    def spy_plan(self, *args, **kwargs):
+        queries.append(plan(self, *args, **kwargs))
+        return queries[-1]
+
+    with mock.patch.object(CompiledModel, "utility_query", spy_plan):
+        forecast_attack(d, default_beliefs(), rules, draws=1, seed=0)
+    (query,) = queries
+    return query
+
+
+@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 192, 128)])
+def test_forecast_chunk_is_whole_blocks_within_the_cap(drilling, case, cells, chunk):
+    query = forecast_query(drilling, FORECAST_RULES[case](drilling))
+    assert query.row_cells == cells
+    got = ara.chunk_draws(query)
+    assert got == chunk and got % ara.DRAW_BLOCK == 0 and got >= ara.DRAW_BLOCK
+    # the largest such chunk within the cap, or one block when none fits
+    assert got == ara.DRAW_BLOCK or cells * got * 8 <= ara.FORECAST_CHUNK_BYTES
+    assert cells * (got + ara.DRAW_BLOCK) * 8 > ara.FORECAST_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("case", list(FORECAST_RULES))
+@pytest.mark.parametrize("draws", [1, 300, 1000, 1337])
+def test_forecast_is_the_same_whatever_the_chunk(drilling, case, draws):
+    # draw counts that are multiples neither of a block nor of a chunk
+    rules = FORECAST_RULES[case](drilling)
+
+    def run(cap):
+        with mock.patch.object(ara, "FORECAST_CHUNK_BYTES", cap):
+            return forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
+
+    derived = forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
+    one_block, one_chunk = run(0), run(2**40)
+    assert one_block.chunks == ara.block_count(draws) and one_chunk.chunks == 1
+    assert derived.chunks == math.ceil(draws / ara.chunk_draws(forecast_query(drilling, rules)))
+    for other in (one_block, one_chunk):
+        assert other == derived and other.to_json() == derived.to_json()
 
 
 def test_a_table_for_a_node_the_query_did_not_batch_is_rejected(drilling):
@@ -488,8 +540,8 @@ def test_policy_search_builds_each_rule_table_once(drilling):
     distinct = {(dec, tuple(sorted(r.policy[dec].items())))
                 for r in solution.ranking for dec in r.policy}
     built = [(nid, tuple(sorted(rule.items()))) for _, nid, rule in calls
-             if nid in {"DP", "DF", "DT", "DR"} and rule]
-    # the planned query also builds one empty-rule placeholder per batched decision
+             if nid in {"DP", "DF", "DT", "DR"}]
+    # the planned query builds no table for a batched decision, only its scope
     assert len(distinct) == 11 and sorted(built) == sorted(distinct)
 
 

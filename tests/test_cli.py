@@ -284,5 +284,6 @@ def test_solve_run_report_has_phase_timings_and_blocks():
     assert all(t >= 0 for t in report["timings_s"].values())
     assert sum(report["timings_s"].values()) <= report["duration_seconds"] + 3e-6
     assert report["forecast_blocks"] == 3   # ceil(300 / 128)
+    assert report["forecast_chunks"] == 1   # the three blocks fit one 512-draw chunk
     # the report goes to stderr only: stdout is the same without it
     assert solve(lambda *args, **kwargs: None) == (stdout, "")

@@ -6,8 +6,10 @@ import pytest
 
 from araid.diagram import NodeKind, ValueSpec, Node, build_diagram
 from araid.inference import (
+    BATCH,
     AmbiguousCellError,
     CompiledModel,
+    ContractionTape,
     Factor,
     ImpossibleEvidenceError,
     constant_policy,
@@ -310,6 +312,37 @@ def test_batched_query_matches_row_by_row_and_unbatched_on_random_diagrams():
         seen["conditioned"] += bool(keep) and not plain_possible.all()
     assert seen["chance"] > 20 and seen["decision"] > 20
     assert seen["stated"] > 120 and seen["conditioned"] > 2, seen
+
+
+def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
+    # eliminating b leaves [a, c, batch]; putting it in keep order is a pure
+    # relabel, which must not run as an einsum
+    sizes = {"a": 2, "b": 3, "c": 5}
+    tape = ContractionTape([("a", "b"), (BATCH, "b", "c")], [BATCH, "a", "c"], {}, sizes)
+    assert len(tape.steps) == 1 and tape.relabel == (2, (2, 0, 1))
+    # per batch row, the batched input holds b*c = 15 cells and the
+    # intermediate a*c = 10; the unbatched [a, b] operand does not count
+    assert tape.row_cells == 15
+    rng = np.random.default_rng(4)
+    x, y = rng.random((2, 3)), rng.random((7, 3, 5))
+    out = tape.execute([x, y])
+    assert out.shape == (7, 2, 5) and not out.flags.owndata
+    # bit for bit what running the relabel as an einsum step gives
+    spec, _ = tape.steps[0]
+    inner = spec.split("->")[1]
+    relabel = inner + "->" + "".join(inner[i] for i in tape.relabel[1])
+    assert np.array_equal(out, np.einsum(relabel, np.einsum(spec, x, y)))
+    assert np.allclose(out, np.einsum("ab,zbc->zac", x, y), rtol=1e-15, atol=0)
+
+    # with no batch axis the whole execution is one row: every operand counts
+    whole = ContractionTape([("a", "b"), ("b", "c")], ["c", "a"], {}, sizes)
+    assert whole.row_cells == 15 and whole.relabel is not None
+    # a relabel of the only input leaves no step: the result views the input
+    alone = ContractionTape([("a", "c")], ["c", "a"], {}, sizes)
+    assert alone.steps == [] and alone.row_cells == 10
+    z = rng.random((2, 5))
+    assert np.shares_memory(alone.execute([z]), z)
+    assert np.array_equal(alone.execute([z]), z.T)
 
 
 # -- decision tables -----------------------------------------------------------
