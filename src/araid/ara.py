@@ -24,7 +24,6 @@ from .diagram import (
     Diagram,
     Node,
     NodeKind,
-    build_diagram,
 )
 from .inference import (
     TIE_TOL,
@@ -62,9 +61,6 @@ def _check_beliefs(d: Diagram, beliefs: AttackerBeliefs) -> None:
             raise ValueError(f"belief target {nid!r} is not a decision node")
         if set(dist) != set(node.domain.labels):
             raise ValueError(f"belief for {nid!r} must cover exactly its alternatives")
-        total = sum(dist.values())
-        if abs(total - 1.0) > 1e-9 or any(p < 0 for p in dist.values()):
-            raise ValueError(f"belief for {nid!r} is not a distribution (sums to {total:.10g})")
 
 
 def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
@@ -94,13 +90,7 @@ def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
         row = tuple(float(dist[lbl]) for lbl in old.domain.labels)
         new_nodes.append(Node(nid, NodeKind.CHANCE, owner=None, domain=old.domain,
                               parents=(), payload=Cpt({(): row})))
-    order = dict(d.decision_order)
-    for agent_id, seq in list(order.items()):
-        order[agent_id] = tuple(x for x in seq if x not in beliefs)
-    merged = dict(d.nodes)
-    for n in new_nodes:
-        merged[n.id] = n
-    return build_diagram(d.agents, merged.values(), order)
+    return d.replace_nodes(new_nodes)
 
 
 @dataclass(frozen=True)
@@ -530,11 +520,7 @@ def apply_forecast(d: Diagram, forecast: AttackForecast) -> Diagram:
         rows[key] = tuple(forecast.probabilities[key])
     chance = Node(node.id, NodeKind.CHANCE, owner=None, domain=node.domain,
                   parents=node.parents, payload=Cpt(rows))
-    order = {a: tuple(x for x in seq if x != node.id)
-             for a, seq in d.decision_order.items()}
-    merged = dict(d.nodes)
-    merged[node.id] = chance
-    return build_diagram(d.agents, merged.values(), order)
+    return d.replace_nodes([chance])
 
 
 def _all_rules(d: Diagram, decision: str):

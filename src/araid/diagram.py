@@ -192,28 +192,17 @@ class Diagram:
             raise ValueError(f"agent {agent_id!r} has {len(found)} utility nodes, expected 1")
         return found[0]
 
-    def replace_nodes(self, new_nodes: Iterable[Node],
-                      decision_order: Mapping[str, tuple[str, ...]] | None = None) -> "Diagram":
-        """Copy with some nodes swapped out (same ids); revalidates."""
+    def replace_nodes(self, new_nodes: Iterable[Node]) -> "Diagram":
+        """Copy with some nodes swapped out (same ids); revalidates.
+
+        A replaced decision that is no longer a decision leaves its agent's
+        decision order.
+        """
         merged = dict(self.nodes)
-        for n in new_nodes:
-            merged[n.id] = n
-        order = decision_order if decision_order is not None else self.decision_order
+        merged.update((n.id, n) for n in new_nodes)
+        order = {a: tuple(x for x in seq if merged[x].kind == NodeKind.DECISION)
+                 for a, seq in self.decision_order.items()}
         return build_diagram(self.agents, merged.values(), order)
-
-
-def stochastic_row_violation(probs: Sequence[float]) -> str | None:
-    """Check one probability row; returns a problem description or None.
-
-    Shared with the model-format parser so row diagnostics carry the same
-    wording with a line number attached.
-    """
-    if any(p < 0.0 or p > 1.0 for p in probs):
-        return "probability outside [0, 1]"
-    total = sum(probs)
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        return f"row sums to {total:.10g}"
-    return None
 
 
 def parent_tuples(diagram_nodes: Mapping[str, Node], node: Node) -> Iterable[tuple[str, ...]]:
@@ -352,18 +341,19 @@ def _check_domain(n: Node) -> list[Violation]:
     return v
 
 
-def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
-    v = []
+def _check_rows(d: Diagram, n: Node, rows: Mapping[tuple[str, ...], object],
+                what: str = "node") -> tuple[set[tuple[str, ...]], list[Violation]]:
+    """Expected parent tuples of a table, and its missing and extra rows."""
     expected = set(parent_tuples(d.nodes, n))
-    got = set(n.payload.rows)
-    for missing in sorted(expected - got):
-        v.append(Violation("incomplete-table",
-                           f"incomplete table: node {n.id!r} missing row {missing}",
-                           node=n.id, key=missing))
-    for extra in sorted(got - expected):
-        v.append(Violation("extra-row",
-                           f"node {n.id!r} has a row for unknown parent tuple {extra}",
-                           node=n.id, key=extra))
+    v = [Violation("incomplete-table", f"incomplete table: {what} {n.id!r} missing row {key}",
+                   node=n.id, key=key) for key in sorted(expected - rows.keys())]
+    v += [Violation("extra-row", f"{what} {n.id!r} has a row for unknown parent tuple {key}",
+                    node=n.id, key=key) for key in sorted(rows.keys() - expected)]
+    return expected, v
+
+
+def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
+    expected, v = _check_rows(d, n, n.payload.rows)
     for key, row in n.payload.rows.items():
         if key not in expected:
             continue
@@ -372,26 +362,21 @@ def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
                                f"node {n.id!r} row {key}: {len(row)} entries for "
                                f"{len(n.domain)} labels", node=n.id, key=key))
             continue
-        problem = stochastic_row_violation(row)
-        if problem:
-            v.append(Violation("non-stochastic-row",
-                               f"non-stochastic row: node {n.id!r} row {key}: {problem}",
-                               node=n.id, key=key))
+        total = sum(row)
+        if any(p < 0.0 or p > 1.0 for p in row):
+            problem = "probability outside [0, 1]"
+        elif abs(total - 1.0) > ROW_SUM_TOL:
+            problem = f"row sums to {total:.10g}"
+        else:
+            continue
+        v.append(Violation("non-stochastic-row",
+                           f"non-stochastic row: node {n.id!r} row {key}: {problem}",
+                           node=n.id, key=key))
     return v
 
 
 def _check_det(d: Diagram, n: Node) -> list[Violation]:
-    v = []
-    expected = set(parent_tuples(d.nodes, n))
-    got = set(n.payload.rows)
-    for missing in sorted(expected - got):
-        v.append(Violation("incomplete-table",
-                           f"incomplete table: node {n.id!r} missing row {missing}",
-                           node=n.id, key=missing))
-    for extra in sorted(got - expected):
-        v.append(Violation("extra-row",
-                           f"node {n.id!r} has a row for unknown parent tuple {extra}",
-                           node=n.id, key=extra))
+    expected, v = _check_rows(d, n, n.payload.rows)
     for key, label in n.payload.rows.items():
         if key in expected and label not in n.domain.labels:
             v.append(Violation("unknown-output",
@@ -409,16 +394,7 @@ def _check_value(d: Diagram, n: Node) -> list[Violation]:
         if spec.rows is None:
             return [Violation("missing-spec", f"value node {n.id!r}: table form without rows",
                               node=n.id)]
-        expected = set(parent_tuples(d.nodes, n))
-        got = set(spec.rows)
-        for missing in sorted(expected - got):
-            v.append(Violation("incomplete-table",
-                               f"incomplete table: value node {n.id!r} missing row {missing}",
-                               node=n.id, key=missing))
-        for extra in sorted(got - expected):
-            v.append(Violation("extra-row",
-                               f"value node {n.id!r} has a row for unknown tuple {extra}",
-                               node=n.id, key=extra))
+        _, v = _check_rows(d, n, spec.rows, what="value node")
         for key, s in spec.rows.items():
             if not math.isfinite(s):
                 v.append(Violation("non-finite-score",

@@ -32,6 +32,7 @@ from .diagram import (
     Cpt,
     DetTable,
     Diagram,
+    DiagramError,
     Domain,
     Node,
     NodeKind,
@@ -40,9 +41,7 @@ from .diagram import (
     Violation,
     build_diagram,
     parent_tuples,
-    stochastic_row_violation,
     topological_order,
-    validate_diagram,
 )
 
 _WORD = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.+-]*$")
@@ -80,6 +79,7 @@ class _NodeDraft:
     cpt_rows: list[tuple[int, dict[str, str], dict[str, float]]] = field(default_factory=list)
     det_rows: list[tuple[int, dict[str, str], str]] = field(default_factory=list)
     value_rows: list[tuple[int, dict[str, str], float]] = field(default_factory=list)
+    row_lines: dict[tuple[str, ...], int] = field(default_factory=dict)  # key -> row's line
     value_params: dict[str, str] | None = None
     value_line: int = 0
     weights: dict[str, float] | None = None
@@ -260,22 +260,27 @@ class _Parser:
         conds = self._parse_conditions(line_no, conds_text)
         if draft is None or conds is None:
             return
+        probs = self._outcome(line_no, outcome_text)
+        if probs is not None:
+            draft.cpt_rows.append((line_no, conds, probs))
+
+    def _outcome(self, line_no: int, text: str) -> dict[str, float] | None:
+        """Parse `label=prob,...`; None after reporting a malformed one."""
         probs: dict[str, float] = {}
-        for part in outcome_text.split(","):
+        for part in text.split(","):
             part = part.strip()
             if "=" not in part:
-                return self.error(line_no, f"outcome must be label=prob, got {part!r}", part)
+                self.error(line_no, f"outcome must be label=prob, got {part!r}", part)
+                return None
             lbl, ptok = part.split("=", 1)
             p = self._float(line_no, ptok)
             if p is None:
-                return
+                return None
             if lbl in probs:
-                return self.error(line_no, f"outcome repeats label {lbl!r}", part)
+                self.error(line_no, f"outcome repeats label {lbl!r}", part)
+                return None
             probs[lbl] = p
-        problem = stochastic_row_violation(list(probs.values()))
-        if problem:
-            self.error(line_no, problem)
-        draft.cpt_rows.append((line_no, conds, probs))
+        return probs
 
     def _stmt_det(self, line_no: int, stmt: str, args: list[str]) -> None:
         parts = self._split_row(line_no, stmt)
@@ -387,42 +392,41 @@ class _Parser:
             else:
                 self.nodes[dst].parents.append(src)
 
-        flagged_rows: set[tuple[str, tuple[str, ...]]] = set()
-        built: list[Node] = []
-        for draft in self.nodes.values():
-            node = self._assemble_node(draft, flagged_rows)
-            if node is not None:
-                built.append(node)
-
+        built = [self._assemble_node(draft) for draft in self.nodes.values()]
         agents = tuple(a for _, a in self.agents.values())
         order = {aid: seq for aid, (_, seq) in self.orders.items()}
-        draft_diagram = Diagram(agents=tuple(sorted(agents, key=lambda a: a.id)),
-                                nodes={n.id: n for n in built},
-                                decision_order=order)
-        for violation in validate_diagram(draft_diagram):
-            if violation.node and violation.key is not None and \
-                    (violation.node, violation.key) in flagged_rows:
-                continue  # already reported with the row's own line number
-            self.error(self._line_of(violation), str(violation))
-        if any(d.severity == "error" for d in self.diags):
+        try:
+            return build_diagram(agents, built, order)
+        except DiagramError as exc:
+            for violation in exc.violations:
+                self.error(self._line_of(violation), str(violation))
             return None
-        return build_diagram(agents, built, order)
 
     def _line_of(self, violation: Violation) -> int:
-        if violation.node and violation.node in self.nodes:
-            return self.nodes[violation.node].line
-        return 1
+        """The line of the violation's table row, else of its node."""
+        draft = self.nodes.get(violation.node)
+        if draft is None:
+            return 1
+        return draft.row_lines.get(violation.key, draft.line)
 
-    def _ordered_key(self, draft: _NodeDraft, line_no: int,
-                     conds: dict[str, str]) -> tuple[str, ...] | None:
-        if set(conds) != set(draft.parents):
-            self.error(line_no, f"row conditions {sorted(conds)} must name exactly the "
-                                f"declared parents {draft.parents} of {draft.id!r}")
-            return None
-        return tuple(conds[p] for p in draft.parents)
+    def _keyed_rows(self, draft: _NodeDraft, rows: list[tuple[int, dict[str, str], object]]
+                    ) -> dict[tuple[str, ...], object]:
+        """Table rows keyed by parent-value tuple, in declared-parent order."""
+        out = {}
+        for line_no, conds, value in rows:
+            if set(conds) != set(draft.parents):
+                self.error(line_no, f"row conditions {sorted(conds)} must name exactly the "
+                                    f"declared parents {draft.parents} of {draft.id!r}")
+                continue
+            key = tuple(conds[p] for p in draft.parents)
+            if key in out:
+                self.error(line_no, f"duplicate row {key} for node {draft.id!r}")
+                continue
+            out[key] = value
+            draft.row_lines[key] = line_no
+        return out
 
-    def _assemble_node(self, draft: _NodeDraft,
-                       flagged: set[tuple[str, tuple[str, ...]]]) -> Node | None:
+    def _assemble_node(self, draft: _NodeDraft) -> Node:
         kind = NodeKind(draft.kind)
         domain = None
         if draft.domain is not None:
@@ -431,32 +435,15 @@ class _Parser:
 
         if kind == NodeKind.CHANCE:
             rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-            for line_no, conds, probs in draft.cpt_rows:
-                key = self._ordered_key(draft, line_no, conds)
-                if key is None:
-                    continue
-                if key in rows:
-                    self.error(line_no, f"duplicate row {key} for node {draft.id!r}")
-                    continue
-                if domain is not None and set(probs) != set(domain.labels):
-                    self.error(line_no, f"row must give one probability per domain label "
-                                        f"of {draft.id!r}")
+            for key, probs in self._keyed_rows(draft, draft.cpt_rows).items():
+                if domain is None or set(probs) != set(domain.labels):
+                    self.error(draft.row_lines[key], f"row must give one probability per "
+                                                     f"domain label of {draft.id!r}")
                     continue
                 rows[key] = tuple(probs[lbl] for lbl in domain.labels)
-                if stochastic_row_violation(rows[key]):
-                    flagged.add((draft.id, key))
             payload = Cpt(rows)
         elif kind == NodeKind.DETERMINISTIC:
-            drows: dict[tuple[str, ...], str] = {}
-            for line_no, conds, label in draft.det_rows:
-                key = self._ordered_key(draft, line_no, conds)
-                if key is None:
-                    continue
-                if key in drows:
-                    self.error(line_no, f"duplicate row {key} for node {draft.id!r}")
-                    continue
-                drows[key] = label
-            payload = DetTable(drows)
+            payload = DetTable(self._keyed_rows(draft, draft.det_rows))
         elif kind == NodeKind.VALUE:
             payload = self._assemble_value(draft)
         elif kind == NodeKind.UTILITY:
@@ -486,16 +473,7 @@ class _Parser:
         form = params.pop("form")
         line = draft.value_line
         if form == "table":
-            rows: dict[tuple[str, ...], float] = {}
-            for line_no, conds, score in draft.value_rows:
-                key = self._ordered_key(draft, line_no, conds)
-                if key is None:
-                    continue
-                if key in rows:
-                    self.error(line_no, f"duplicate row {key} for node {draft.id!r}")
-                    continue
-                rows[key] = score
-            return ValueSpec("table", rows=rows)
+            return ValueSpec("table", rows=self._keyed_rows(draft, draft.value_rows))
         if form == "indicator":
             one = frozenset(params.pop("one", "").split(",")) - {""}
             zero = frozenset(params.pop("zero", "").split(",")) - {""}
@@ -548,16 +526,13 @@ def parse_distribution_rows(text: str | bytes) -> dict[str, dict[str, float]]:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     out: dict[str, dict[str, float]] = {}
-    diags: list[ParseDiagnostic] = []
     parser = _Parser(text)
     for line_no, raw in enumerate(text.split("\n"), start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue
-        tokens = stmt.split()
-        if tokens[0] != "cpt":
-            diags.append(ParseDiagnostic(line_no, 1, "error",
-                                         "belief files hold only cpt rows"))
+        if stmt.split()[0] != "cpt":
+            parser.error(line_no, "belief files hold only cpt rows")
             continue
         parts = parser._split_row(line_no, stmt)
         if parts is None:
@@ -566,26 +541,14 @@ def parse_distribution_rows(text: str | bytes) -> dict[str, dict[str, float]]:
         if conds:
             parser.error(line_no, "belief rows are unconditional (leave `|  :` empty)")
             continue
-        probs: dict[str, float] = {}
-        ok = True
-        for part in outcome.split(","):
-            part = part.strip()
-            if "=" not in part:
-                parser.error(line_no, f"outcome must be label=prob, got {part!r}")
-                ok = False
-                break
-            lbl, ptok = part.split("=", 1)
-            p = parser._float(line_no, ptok)
-            if p is None:
-                ok = False
-                break
-            probs[lbl] = p
-        if ok:
+        if node in out:
+            parser.error(line_no, f"duplicate row for node {node!r}", node)
+            continue
+        probs = parser._outcome(line_no, outcome)
+        if probs is not None:
             out[node] = probs
-    diags.extend(parser.diags)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise ModelFormatError(sorted(errors, key=lambda d: (d.line, d.column)))
+    if parser.diags:
+        raise ModelFormatError(sorted(parser.diags, key=lambda d: (d.line, d.column)))
     return out
 
 

@@ -22,11 +22,13 @@ from araid.ara import (
     forecast_attack,
     solve_defender,
 )
-from araid.diagram import NodeKind, validate_diagram
+from araid.diagram import Cpt, DiagramError, Node, NodeKind, build_diagram, validate_diagram
 from araid.drilling import default_beliefs, default_uncertainty
 from araid import inference
 from araid.inference import (CompiledModel, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
+
+from conftest import random_diagram
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -60,6 +62,69 @@ def test_view_requires_belief_for_every_unobserved_decision(drilling):
         attacker_view(drilling, {"DT": default_beliefs()["DT"]}, observed={"DP", "DF"})
     with pytest.raises(ValueError, match="both observed"):
         attacker_view(drilling, default_beliefs(), observed={"DP", "DF", "DT"})
+
+
+def test_view_rejects_a_belief_that_is_not_a_distribution(drilling):
+    beliefs = {**default_beliefs(), "DR": {"continue": 0.7, "stop": 0.5}}
+    with pytest.raises(DiagramError, match=r"node 'DR' row \(\): row sums to 1.2"):
+        attacker_view(drilling, beliefs, observed={"DP", "DF"})
+
+
+# the derivations as written out by hand: merge the new nodes, drop them from
+# the decision orders, build
+def hand_merged_view(d, beliefs):
+    merged = dict(d.nodes)
+    for nid, dist in beliefs.items():
+        old = d.nodes[nid]
+        row = tuple(float(dist[lbl]) for lbl in old.domain.labels)
+        merged[nid] = Node(nid, NodeKind.CHANCE, domain=old.domain, payload=Cpt({(): row}))
+    order = {a: tuple(x for x in seq if x not in beliefs) for a, seq in d.decision_order.items()}
+    return build_diagram(d.agents, merged.values(), order)
+
+
+def hand_merged_forecast(d, forecast):
+    node = d.nodes[forecast.decision]
+    merged = dict(d.nodes)
+    merged[node.id] = Node(node.id, NodeKind.CHANCE, domain=node.domain, parents=node.parents,
+                           payload=Cpt(dict(forecast.probabilities)))
+    order = {a: tuple(x for x in seq if x != node.id) for a, seq in d.decision_order.items()}
+    return build_diagram(d.agents, merged.values(), order)
+
+
+def random_distribution(rng, labels):
+    return dict(zip(labels, map(float, rng.dirichlet(np.ones(len(labels))))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_derivations_equal_the_hand_merged_diagram(seed):
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng)
+    decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+    distributed = [nid for nid in decisions if rng.integers(0, 2)]
+    beliefs = {nid: random_distribution(rng, d.nodes[nid].domain.labels) for nid in distributed}
+    view = attacker_view(d, beliefs, observed=set(decisions) - set(distributed),
+                         attacker="intruder")
+    assert view == hand_merged_view(d, beliefs)
+    for nid in decisions:
+        forecast = AttackForecast.constant(
+            d, nid, random_distribution(rng, d.nodes[nid].domain.labels))
+        solved = apply_forecast(d, forecast)
+        assert solved == hand_merged_forecast(d, forecast)
+        # replacing a decision by a chance node drops it from its agent's order
+        assert solved.decision_order.get("player", ()) == tuple(
+            x for x in d.decision_order["player"] if x != nid)
+
+
+def test_derivations_of_the_shipped_model_equal_the_hand_merged_diagram(drilling):
+    beliefs = default_beliefs()
+    view = attacker_view(drilling, beliefs, observed={"DP", "DF"})
+    assert view == hand_merged_view(drilling, beliefs)
+    forecast = AttackForecast.constant(
+        drilling, "AP", {"perpetrate": 0.35, "no_perpetrate": 0.65})
+    solved = apply_forecast(drilling, forecast)
+    assert solved == hand_merged_forecast(drilling, forecast)
+    assert "attacker" not in solved.decision_order
 
 
 def test_point_beliefs_equal_fixed_policy(drilling):

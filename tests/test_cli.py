@@ -258,6 +258,54 @@ def test_solve_without_beliefs_needs_known_model(tmp_path):
     assert "no --beliefs" in proc.stderr
 
 
+@pytest.mark.parametrize("rows, diagnostic", [
+    ("cpt DR | : continue=0.7,continue=0.5,stop=0.5\n",
+     "2:25: error: outcome repeats label 'continue'"),
+    ("cpt DR | : continue=1.0,stop=0.0\ncpt DR | : continue=0.0,stop=1.0\n",
+     "3:5: error: duplicate row for node 'DR'"),
+], ids=["repeated-label", "repeated-row"])
+def test_solve_rejects_repeats_in_a_belief_file(tmp_path, rows, diagnostic):
+    beliefs = tmp_path / "repeats.maid"
+    beliefs.write_text("cpt DT | : avoid=0.0,share=0.0,accept=1.0\n" + rows)
+    proc = run_cli("solve", DRILLING, "--draws", "1", "--beliefs", str(beliefs))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert diagnostic in proc.stderr
+
+
+def count_validations(argv: list[str]) -> int:
+    """Calls of validate_diagram, under every name an araid module holds it by."""
+    from araid import cli, diagram
+    original = diagram.validate_diagram
+    calls = []
+
+    def spy(d):
+        calls.append(d)
+        return original(d)
+
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("araid") and getattr(m, "validate_diagram", None) is original]
+    with contextlib.ExitStack() as stack:
+        for module in holders:
+            stack.enter_context(mock.patch.object(module, "validate_diagram", spy))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        assert cli.main(argv) == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv, validations", [
+    (["validate", DRILLING], 1),
+    (["tables", DRILLING, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA"], 1),
+    (["evaluate", DRILLING, "--agent", "defender", "--policy", "DP=no_additional",
+      "DF=no_forensic", "DT=accept", "DR=continue", "AP=no_perpetrate"], 1),
+    # the parse, the attacker view and the forecast-applied diagram
+    (["solve", DRILLING, "--draws", "300"], 3),
+], ids=["validate", "tables", "evaluate", "solve"])
+def test_each_diagram_is_validated_once(argv, validations):
+    assert count_validations(argv) == validations
+
+
 def test_run_report_on_stderr():
     proc = run_cli("validate", DRILLING)
     report = json.loads(proc.stderr.strip().splitlines()[-1])

@@ -36,6 +36,33 @@ def test_row_sum_error_carries_line_number():
     assert "row sums to 0.9" in diag.message
 
 
+def test_table_diagnostics_carry_their_row_line_number():
+    head = ("node P kind=chance domain=a,b\n"
+            "cpt P | : a=0.5,b=0.5\n")
+    det = head + ("node X kind=deterministic domain=a,b\n"
+                  "arc P -> X\n"
+                  "det X | P=a : a\n"
+                  "det X | P=b : zz\n")
+    cpt = head + ("node X kind=chance domain=a,b\n"
+                  "arc P -> X\n"
+                  "cpt X | P=a : a=0.5,b=0.5\n"
+                  "cpt X | P=c : a=0.5,b=0.5\n"
+                  "cpt X | P=b : a=0.5,b=0.5\n")
+    for text, message in ((det, "row ('b',) outputs 'zz', not in domain"),
+                          (cpt, "row for unknown parent tuple ('c',)")):
+        diagram, diags = try_parse_model(text)
+        assert diagram is None
+        (diag,) = diags
+        assert diag.line == 6 and message in diag.message, diag
+
+
+def test_chance_rows_without_a_domain_are_diagnosed():
+    diagram, diags = try_parse_model("node X kind=chance\ncpt X | : a=1.0\n")
+    assert diagram is None
+    assert [d.line for d in diags] == [1, 2]
+    assert "node 'X' needs a domain" in diags[0].message
+
+
 def test_unknown_keyword_and_undeclared_reference():
     diagram, diags = try_parse_model("frobnicate x\n")
     assert diagram is None and "unknown keyword" in diags[0].message
@@ -151,3 +178,17 @@ def test_parse_distribution_rows():
                        "DR": {"continue": 1.0, "stop": 0.0}}
     with pytest.raises(ModelFormatError):
         parse_distribution_rows("node X kind=chance\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("cpt DR | : continue=0.7,continue=0.5,stop=0.5\n", 1, "outcome repeats label 'continue'"),
+    ("cpt DR | : continue=1.0,stop=0.0\n"
+     "cpt DT | : avoid=0.0,share=0.0,accept=1.0\n"
+     "cpt DR | : continue=0.0,stop=1.0\n", 3, "duplicate row for node 'DR'"),
+], ids=["repeated-label", "repeated-row"])
+def test_distribution_rows_reject_repeats(text, line, message):
+    with pytest.raises(ModelFormatError) as raised:
+        parse_distribution_rows(text)
+    (diag,) = raised.value.diagnostics
+    assert diag.line == line
+    assert message in diag.message
