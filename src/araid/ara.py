@@ -40,18 +40,24 @@ DRAW_BLOCK = 128  # draws per generator; part of the random stream
 # which spreads each contraction's fixed cost over more draws. 128 KiB gives
 # the shipped plan (32 cells per draw) 512-draw chunks, 20 contractions per
 # 10,000 draws instead of 79, for about 0.3 MB more peak RSS; 8- and 16-block
-# chunks measured +0.5 and +1.8 MB, and 4-block chunks of a 192-cell plan
-# (every rule kind sampled) +1.7 MB, so that plan keeps one block.
+# chunks measured +0.5 and +1.8 MB. The plan that samples every rule kind
+# has 96 cells per draw and keeps one block (96 KiB; two would take 192).
 FORECAST_CHUNK_BYTES = 128 * 1024
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
 
 
-def _unique_agent(d: Diagram, kind: AgentKind) -> str:
-    found = [a.id for a in d.agents if a.kind == kind]
-    if len(found) != 1:
-        raise ValueError(f"diagram needs exactly one {kind.value} agent, found {found}")
-    return found[0]
+def _agent(d: Diagram, agent: str | None, kind: AgentKind) -> str:
+    """`agent`, checked to name an agent of `d`; by default its one `kind` agent."""
+    if agent is None:
+        found = [a.id for a in d.agents if a.kind == kind]
+        if len(found) != 1:
+            raise ValueError(f"diagram needs exactly one {kind.value} agent, found {found}")
+        return found[0]
+    if agent not in {a.id for a in d.agents}:
+        raise ValueError(f"unknown {kind.value} {agent!r}: the diagram's agents are "
+                         f"{[a.id for a in d.agents]}")
+    return agent
 
 
 def _check_beliefs(d: Diagram, beliefs: AttackerBeliefs) -> None:
@@ -73,7 +79,7 @@ def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
     pinned per context. Everything else, including the defender's value
     and utility nodes, is retained.
     """
-    attacker = attacker or _unique_agent(d, AgentKind.ATTACKER)
+    attacker = _agent(d, attacker, AgentKind.ATTACKER)
     _check_beliefs(d, beliefs)
     opponent_decisions = {n.id for n in d.nodes.values()
                           if n.kind == NodeKind.DECISION and n.owner != attacker}
@@ -151,6 +157,10 @@ class PointRule:
         return np.broadcast_to(base, (n, *np.shape(base)))
 
 
+# The drawing rules below also take k stacked bases (a leading axis) and
+# return k stacks of n draws: the generator fills the larger array in the
+# order that k calls in a row would, so the numbers are the same.
+
 @dataclass(frozen=True)
 class DirichletRule:
     """Dirichlet draw over a probability row or weight vector."""
@@ -158,9 +168,10 @@ class DirichletRule:
     concentration: tuple[float, ...]
 
     def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-        if len(self.concentration) != len(base):
+        """[n, L] draws for a base of length L; [k, n, L] for stacked [k, L]."""
+        if len(self.concentration) != np.shape(base)[-1]:
             raise ValueError("concentration length does not match the target vector")
-        return rng.dirichlet(self.concentration, size=n)
+        return rng.dirichlet(self.concentration, size=np.shape(base)[:-1] + (n,))
 
 
 @dataclass(frozen=True)
@@ -170,9 +181,12 @@ class PerturbRule:
     half_width: float
 
     def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+        """[n, L] draws for a base of length L; [k, n, L] for stacked [k, L]."""
+        base = np.asarray(base)[..., None, :]
         jittered = np.maximum(base + rng.uniform(-self.half_width, self.half_width,
-                                                 size=(n, len(base))), 0.0)
-        total = jittered.sum(axis=1, keepdims=True)
+                                                 size=base.shape[:-2] + (n, base.shape[-1])),
+                              0.0)
+        total = jittered.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ValueError("perturbed vector collapsed to zero mass")
         return jittered / total
@@ -185,8 +199,10 @@ class UniformRule:
     low: float
     high: float
 
-    def sample(self, base: float, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
+    def sample(self, base: float | np.ndarray, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+        """[n] draws for a scalar base; [k, n] for stacked [k]."""
+        return rng.uniform(self.low, self.high, size=np.shape(base) + (n,))
 
 
 SamplingRule = PointRule | DirichletRule | PerturbRule | UniformRule
@@ -346,7 +362,8 @@ class _DrawBlock:
     draw axis comes first in the shape but sits at stride 1, where the
     contraction streams along it. Each target draws, in a fixed order, a
     whole block column into its own view (`slots`) of these arrays, so draw
-    i depends on (seed, i) alone.
+    i depends on (seed, i) alone. A run of consecutive targets under one
+    drawing rule (`runs`) draws in one call, which gives the same numbers.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
@@ -356,7 +373,6 @@ class _DrawBlock:
         self.scalars: dict[str, np.ndarray] = {}
         self.weights: np.ndarray | None = None
         self.targets = sorted(uncertainty.rules, key=_target_sort_key)
-        self.rules = [uncertainty.rules[t] for t in self.targets]
         self.slots: list[np.ndarray] = []
         for target in self.targets:
             kind, node = target[0], view.nodes[target[1]]
@@ -378,16 +394,30 @@ class _DrawBlock:
                     [node.payload.scale, node.payload.root], dtype=float), rows))
                 self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
         # the stated values, copied before any draw overwrites them
-        self.bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0])
-                      for slot in self.slots]
+        bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in self.slots]
+        # consecutive targets under one drawing rule with bases of one shape
+        # draw in one call, on their stacked bases
+        runs: list[tuple[SamplingRule, list, list[np.ndarray]]] = []
+        for target, base, slot in zip(self.targets, bases, self.slots):
+            rule = uncertainty.rules[target]
+            if (runs and not isinstance(rule, PointRule) and rule == runs[-1][0]
+                    and np.shape(base) == np.shape(runs[-1][1][0])):
+                runs[-1][1].append(base)
+                runs[-1][2].append(slot)
+            else:
+                runs.append((rule, [base], [slot]))
+        self.runs = [(rule, run[0] if len(run) == 1 else np.stack(run), slots)
+                     for rule, run, slots in runs]
 
     def sample(self, seed: int, block: int, j: int) -> None:
         """Block `block` (draws block*DRAW_BLOCK onwards) into rows
         [j*DRAW_BLOCK, (j+1)*DRAW_BLOCK)."""
         rng = _draw_rng(seed, block)
         rows = slice(j * DRAW_BLOCK, (j + 1) * DRAW_BLOCK)
-        for rule, base, slot in zip(self.rules, self.bases, self.slots):
-            slot[rows] = rule.sample(base, rng, DRAW_BLOCK)
+        for rule, base, slots in self.runs:
+            drawn = rule.sample(base, rng, DRAW_BLOCK)
+            for slot, values in zip(slots, drawn if len(slots) > 1 else (drawn,)):
+                slot[rows] = values
 
     def inputs(self, n: int) -> tuple[dict, dict | None]:
         """Tables and weights of the first n draws, for UtilityQuery.evaluate."""
@@ -424,7 +454,7 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    attacker = attacker or _unique_agent(d, AgentKind.ATTACKER)
+    attacker = _agent(d, attacker, AgentKind.ATTACKER)
     if observed is None:
         observed = {n.id for n in d.nodes.values()
                     if n.kind == NodeKind.DECISION and n.owner != attacker
@@ -540,7 +570,7 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
     policies are one contraction: each decision's 0/1 rule tables are
     stacked along the batch axis, one row per policy.
     """
-    defender = defender or _unique_agent(d, AgentKind.DEFENDER)
+    defender = _agent(d, defender, AgentKind.DEFENDER)
     solved = apply_forecast(d, forecast)
     m = CompiledModel.compile(solved)
     decisions = sorted(n.id for n in solved.decisions_of(defender))

@@ -11,9 +11,15 @@ Expected utility is multilinear in every probability, rule and score
 table, so one planned contraction (`CompiledModel.utility_query`) serves a
 whole decision table, a best response, a batch of parameter draws or every
 policy of a search: free decisions and conditioning nodes are kept as
-axes, and batched tables get a batch axis that the output keeps. The part
-of each contraction that no batched table reaches is a constant, computed
-once when the query is planned.
+axes, and batched tables get a batch axis that the output keeps. A query
+is a normaliser tape, which contracts the factors of the ancestors of the
+kept axes and the evidence, and one tape per value node, which adds the
+ancestors of that node's parents and its score table. A factor outside a
+tape's ancestors is barren there (its table sums out to 1), so the tape
+leaves it out; with no evidence the normaliser often has no factor left
+(on the shipped model, in the forecast and the policy search) and is
+exactly 1. The part of each contraction that no batched table
+reaches is a constant, computed once when the query is planned.
 """
 from __future__ import annotations
 
@@ -222,7 +228,9 @@ class ContractionTape:
         for slot, spec, operands in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
             index[slot] = len(index)
-        self.constants = [values[i] for i in read]
+        # C-contiguous copies: a hoisted result can come out in any layout,
+        # and an einsum reads a contiguous operand faster
+        self.constants = [np.array(values[i], order="C") for i in read]
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """Run the steps on the varying inputs followed by `constants`."""
@@ -237,8 +245,11 @@ class ContractionTape:
         # axes come out in keep order already; insert singleton axes for kept
         # variables no factor mentions so callers can broadcast (the result
         # is constant along them)
-        for i in self.missing_axes:
-            result = np.expand_dims(result, axis=i)
+        if self.missing_axes:
+            shape = list(result.shape)
+            for i in self.missing_axes:
+                shape.insert(i, 1)
+            result = result.reshape(shape)
         return result
 
 
@@ -313,6 +324,11 @@ class CompiledModel:
 
     # -- query plumbing ----------------------------------------------------
 
+    def _free(self, policy: Policy, batched: set[str]) -> set[str]:
+        """Decisions with neither a rule in `policy` nor a batched table."""
+        return {n.id for n in self.diagram.nodes.values() if n.kind == NodeKind.DECISION
+                and n.id not in policy and n.id not in batched}
+
     def _relevant(self, targets: Iterable[str], free: set[str]) -> set[str]:
         """Targets plus every ancestor (barren nodes drop out).
 
@@ -342,8 +358,7 @@ class CompiledModel:
         is sliced away everywhere) rather than carried as 0/1 factors; that
         keeps algebra that should cancel exactly cancelling exactly.
         """
-        free = {n.id for n in self.diagram.nodes.values() if n.kind == NodeKind.DECISION
-                and n.id not in policy and n.id not in batched}
+        free = self._free(policy, batched)
         reductions = dict(evidence)
         raw: list[tuple[str, Factor]] = []
         rules: list[tuple[str, Factor]] = []
@@ -385,8 +400,12 @@ class CompiledModel:
         Decisions with no rule in `policy` are free axes and must be kept.
         The tables of the nodes in `batched` (probability, value or decision
         nodes) are planned with a leading BATCH axis, which the result keeps
-        in front of `keep`; see UtilityQuery.expected. Every contraction
-        step that reads no batched table runs once, here.
+        in front of `keep`; see UtilityQuery.expected. Each tape contracts
+        only the factors of its own targets' ancestors: the normaliser's
+        targets are `keep` and the evidence, and value node v adds v's
+        parents. Every other factor is barren for that tape and would sum
+        out to 1. Every contraction step that reads no batched table runs
+        once, here.
         """
         if weights is None:
             weights = self.diagram.utility_node_of(agent).payload.weights
@@ -397,9 +416,6 @@ class CompiledModel:
         tagged, reductions = self._assemble(policy, evidence, keep,
                                             value_parents | set(evidence) | set(keep), batched)
         out = ((BATCH,) if batched else ()) + tuple(keep)
-
-        def scope(nid: str, f: Factor) -> tuple[str, ...]:
-            return (BATCH,) + f.vars if nid in batched else f.vars
 
         # an unbatched factor over kept axes alone multiplies the numerator
         # and denominator of each cell identically; leaving it out makes the
@@ -414,41 +430,58 @@ class CompiledModel:
             in_keep_order = sorted(f.vars, key=keep.index)
             possible &= (np.transpose(f.table, [f.vars.index(v) for v in in_keep_order])
                          > 0.0).reshape([self.sizes[v] if v in f.vars else 1 for v in keep])
-        var_lists = [scope(nid, f) for nid, f in factors]
-        fixed = {i: f.table for i, (nid, f) in enumerate(factors) if nid not in batched}
-        value_tapes = {}
+
+        free = self._free(policy, batched)
+        targets = set(keep) | set(evidence)
+
+        def plan(nodes: set[str], extra: list[tuple[str, Factor]]
+                 ) -> tuple[tuple[str, ...], ContractionTape]:
+            """The batched inputs and the tape of the factors of `nodes`."""
+            picked = [(nid, f) for nid, f in factors if nid in nodes] + extra
+            var_lists = [(BATCH,) + f.vars if nid in batched else f.vars for nid, f in picked]
+            fixed = {i: f.table for i, (nid, f) in enumerate(picked) if nid not in batched}
+            return (tuple(nid for nid, _ in picked if nid in batched),
+                    ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed))
+
+        norm_inputs, norm_tape = plan(self._relevant(targets, free), [])
+        value_inputs, value_tapes = {}, {}
         for vid in weights:
-            f = self._reduce(self.value_factors[vid], reductions)
-            value_fixed = fixed if vid in batched else {**fixed, len(factors): f.table}
-            value_tapes[vid] = ContractionTape(var_lists + [scope(vid, f)], out,
-                                               self.elim_priority, self.sizes, value_fixed)
+            nodes = self._relevant(targets | set(self.diagram.nodes[vid].parents), free)
+            value_inputs[vid], value_tapes[vid] = plan(
+                nodes, [(vid, self._reduce(self.value_factors[vid], reductions))])
         return UtilityQuery(
-            inputs=tuple(nid for nid, _ in factors if nid in batched),
-            batched=frozenset(batched), weights=dict(weights), reductions=reductions,
-            possible=possible, keep=tuple(keep),
+            inputs=tuple(dict.fromkeys(itertools.chain(norm_inputs, *value_inputs.values()))),
+            batched=frozenset(batched), weights=dict(weights),
+            reductions=reductions, possible=possible, keep=tuple(keep),
             shape=tuple(1 if v == BATCH else self.sizes[v] for v in out),
-            norm_tape=ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed),
-            value_tapes=value_tapes)
+            norm_inputs=norm_inputs, norm_tape=norm_tape,
+            value_inputs=value_inputs, value_tapes=value_tapes)
 
 
 @dataclass(frozen=True)
 class UtilityQuery:
     """A planned conditional expected-utility query: sum_v w_v * N_v / Z.
 
-    Z contracts the reduced probability and rule factors down to `keep`;
-    N_v contracts them together with value node v's score factor. A cell is
-    possible where Z > 0 and no factor left out over kept axes is zero.
-    The tapes hold every part that no batched table reaches as constants.
+    Z contracts the reduced probability and rule factors of the ancestors
+    of `keep` and the evidence down to `keep`; N_v contracts those of the
+    ancestors of value node v's parents as well, together with v's score
+    factor. Each tape leaves out the factors that its targets do not
+    depend on, so with no evidence Z often has no factor left and is
+    exactly 1. A cell is possible where Z > 0 and no factor left out over
+    kept axes is zero. The tapes hold every part that no batched table
+    reaches as constants.
     """
 
-    inputs: tuple[str, ...]            # batched factors, in tape input order
+    inputs: tuple[str, ...]            # batched tables any tape reads
     batched: frozenset[str]            # nodes whose tables each call gives
     weights: dict[str, float]
     reductions: dict[str, str]         # evidence plus constant-rule bindings
     possible: np.ndarray               # over keep: False where a left-out factor is 0
     keep: tuple[str, ...]
     shape: tuple[int, ...]             # result shape, 1 on the batch axis
+    norm_inputs: tuple[str, ...]       # the batched tables Z reads, in tape input order
     norm_tape: ContractionTape
+    value_inputs: dict[str, tuple[str, ...]]  # the same for each N_v
     value_tapes: dict[str, ContractionTape]
 
     @property
@@ -466,29 +499,41 @@ class UtilityQuery:
         `tables` gives each batched node's table over its factor's scope,
         batch axis first in the shape; any strides work, and a batch axis
         at stride 1 (a `np.moveaxis` view of a batch-last array) is the
-        fast layout. A table for a node the query did not batch raises
-        ValueError, since its planned constants would ignore it. `weights`
-        may give each value node one per batch row.
+        fast layout. A batched result comes back batch axis innermost in
+        memory too, whatever the inputs' layout. A batched probability or
+        rule table must be a conditional distribution (each row over the
+        node's own axis sums to 1), since the plan leaves out of each tape
+        the factors that its targets do not depend on. A table for a node
+        the query did not batch raises ValueError, since its planned
+        constants would ignore it. `weights` may give each value node one
+        per batch row.
         """
         tables = tables or {}
         stray = sorted(set(tables) - self.batched)
         if stray:
             raise ValueError(f"tables given for node(s) {stray} that the query did not batch")
-        missing = sorted({*self.inputs, *self.batched.intersection(self.value_tapes)} - set(tables))
+        missing = sorted(set(self.inputs) - set(tables))
         if missing:
             raise ValueError(f"no table given for batched node(s) {missing}")
-        inputs = [tables[nid] for nid in self.inputs]
-        norm = self.norm_tape.execute(inputs + self.norm_tape.constants)
-        total = 0.0
+        norm = self.norm_tape.execute(
+            [tables[nid] for nid in self.norm_inputs] + self.norm_tape.constants)
+        scaled = []
         for vid, w in (self.weights if weights is None else weights).items():
             tape = self.value_tapes[vid]
-            score = [tables[vid]] if vid in self.batched else []
-            num = tape.execute(inputs + score + tape.constants)
-            total = total + np.reshape(w, np.shape(w) + (1,) * len(self.keep)) * num
+            num = tape.execute([tables[nid] for nid in self.value_inputs[vid]] + tape.constants)
+            scaled.append((np.reshape(w, np.shape(w) + (1,) * len(self.keep)), num))
+        shape = np.broadcast_shapes(self.shape, np.shape(norm),
+                                    *(np.shape(a) for pair in scaled for a in pair))
+        # weigh and sum in batch-innermost arrays: a numerator without a
+        # batch axis would otherwise lay its term, and the sum, out batch first
+        total = np.moveaxis(np.zeros(shape[1:] + shape[:1]), -1, 0) if self.batched \
+            else np.zeros(shape)
+        term = np.empty_like(total)
+        for w, num in scaled:
+            total += np.multiply(w, num, out=term)
         with np.errstate(divide="ignore", invalid="ignore"):
             eu = total / norm
-        shape = np.broadcast_shapes(self.shape, np.shape(eu))
-        return np.broadcast_to(eu, shape), np.broadcast_to(self.possible & (norm > 0.0), shape)
+        return eu, np.broadcast_to(self.possible & (norm > 0.0), shape)
 
     def evaluate(self, tables: Mapping[str, np.ndarray] | None = None,
                  weights: Mapping[str, float | np.ndarray] | None = None) -> np.ndarray:

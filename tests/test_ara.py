@@ -22,7 +22,8 @@ from araid.ara import (
     forecast_attack,
     solve_defender,
 )
-from araid.diagram import Cpt, DiagramError, Node, NodeKind, build_diagram, validate_diagram
+from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, build_diagram,
+                           validate_diagram)
 from araid.drilling import default_beliefs, default_uncertainty
 from araid import inference
 from araid.inference import (CompiledModel, constant_policy, decision_table,
@@ -70,6 +71,22 @@ def test_view_rejects_a_belief_that_is_not_a_distribution(drilling):
         attacker_view(drilling, beliefs, observed={"DP", "DF"})
 
 
+def test_an_agent_id_that_names_no_agent_is_rejected(drilling):
+    beliefs = default_beliefs()
+    with pytest.raises(ValueError, match="unknown attacker 'intruder'"):
+        attacker_view(drilling, beliefs, observed={"DP", "DF"}, attacker="intruder")
+    with pytest.raises(ValueError, match="unknown attacker 'intruder'"):
+        forecast_attack(drilling, beliefs, default_uncertainty(), draws=1, seed=0,
+                        attacker="intruder")
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.5,
+                                                        "no_perpetrate": 0.5})
+    with pytest.raises(ValueError, match="unknown defender 'operator'"):
+        solve_defender(drilling, forecast, defender="operator")
+    # the ids the diagram does name still work when given explicitly
+    assert solve_defender(drilling, forecast, defender="defender") == \
+        solve_defender(drilling, forecast)
+
+
 # the derivations as written out by hand: merge the new nodes, drop them from
 # the decision orders, build
 def hand_merged_view(d, beliefs):
@@ -100,6 +117,9 @@ def random_distribution(rng, labels):
 def test_derivations_equal_the_hand_merged_diagram(seed):
     rng = np.random.default_rng(seed)
     d = random_diagram(rng)
+    # an attacker agent with no decision: every decision is an opponent's
+    d = build_diagram(d.agents + (Agent("intruder", AgentKind.ATTACKER),), d.nodes.values(),
+                      d.decision_order)
     decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
     distributed = [nid for nid in decisions if rng.integers(0, 2)]
     beliefs = {nid: random_distribution(rng, d.nodes[nid].domain.labels) for nid in distributed}
@@ -521,9 +541,10 @@ def spy_on(owner, name):
 def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
     # a structural stand-in for a timing test: on the shipped defaults, the
     # steps that read no sampled table run once, when the query is planned,
-    # and the 8 einsum steps that do run once per 512-draw chunk of four
-    # 128-draw blocks (9 per block before; the ninth, a pure axis relabel,
-    # is now a transposed view)
+    # and the 2 einsum steps that do run once per 512-draw chunk of four
+    # 128-draw blocks. They are AMV's: the normaliser and ACV's numerator
+    # depend on no sampled table, and the tape's last step, a pure axis
+    # relabel, is a transposed view
     calls, spy = spy_on(inference.np, "einsum")
 
     def einsums(draws):
@@ -535,14 +556,14 @@ def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
     with spy:
         block, one, two = (einsums(n) for n in (ara.DRAW_BLOCK, 512, 1024))
     assert block[0] == one[0] and block[1] == one[1] == 1
-    assert two[0] - one[0] == 8 and two[1] == 2
+    assert two[0] - one[0] == 2 and two[1] == 2
 
 
 FORECAST_RULES = {"default": lambda d: default_uncertainty(), "wide": wide_uncertainty}
 
 
-def forecast_query(d, rules):
-    """The query forecast_attack plans for `rules` on the shipped beliefs."""
+def planned_query(run):
+    """The one query that `run()` plans."""
     queries, plan = [], CompiledModel.utility_query
 
     def spy_plan(self, *args, **kwargs):
@@ -550,12 +571,17 @@ def forecast_query(d, rules):
         return queries[-1]
 
     with mock.patch.object(CompiledModel, "utility_query", spy_plan):
-        forecast_attack(d, default_beliefs(), rules, draws=1, seed=0)
+        run()
     (query,) = queries
     return query
 
 
-@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 192, 128)])
+def forecast_query(d, rules):
+    """The query forecast_attack plans for `rules` on the shipped beliefs."""
+    return planned_query(lambda: forecast_attack(d, default_beliefs(), rules, draws=1, seed=0))
+
+
+@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 96, 128)])
 def test_forecast_chunk_is_whole_blocks_within_the_cap(drilling, case, cells, chunk):
     query = forecast_query(drilling, FORECAST_RULES[case](drilling))
     assert query.row_cells == cells
@@ -564,6 +590,48 @@ def test_forecast_chunk_is_whole_blocks_within_the_cap(drilling, case, cells, ch
     # the largest such chunk within the cap, or one block when none fits
     assert got == ara.DRAW_BLOCK or cells * got * 8 <= ara.FORECAST_CHUNK_BYTES
     assert cells * (got + ara.DRAW_BLOCK) * 8 > ara.FORECAST_CHUNK_BYTES
+
+
+def test_no_evidence_plans_the_normaliser_away(drilling):
+    # nothing the forecast or the policy search keeps has an ancestor with a
+    # factor left in the contraction, so the normaliser is exactly 1
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    queries = [forecast_query(drilling, rules(drilling)) for rules in FORECAST_RULES.values()]
+    for query in queries + [planned_query(lambda: solve_defender(drilling, forecast))]:
+        tape = query.norm_tape
+        assert query.norm_inputs == () and tape.steps == [] and tape.constants == []
+        assert np.array_equal(tape.execute([]), np.ones([1] * len(query.shape)))
+    # the shipped forecast's ACV numerator reads no sampled table: a constant
+    query = queries[0]
+    acv = query.value_tapes["ACV"]
+    assert query.value_inputs["ACV"] == () and acv.steps == [] and len(acv.constants) == 1
+    # its weighted sum with AMV's batched numerator keeps the draw axis
+    # innermost in memory, where the tally reads along it
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    m = CompiledModel.compile(view)
+    tables = {nid: ara._draw_first(m.prob_factors[nid].table, 8) for nid in ("DT", "DR")}
+    eu = query.evaluate(tables, {"AMV": np.full(8, 0.97), "ACV": np.full(8, 0.03)})
+    assert eu.shape == (8, 2, 2, 2, 2) and eu.strides[0] == eu.itemsize
+
+
+def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    m = CompiledModel.compile(view)
+    keep = ["DP", "DF", "UC", "AP"]
+    tables = {nid: m.prob_factors[nid].table[None] for nid in ("DT", "DR")}
+    for label in view.nodes["UM"].domain.labels:
+        query = m.utility_query("attacker", {}, {"UM": label}, keep, batched={"DT", "DR"})
+        # UM's ancestors: UA (under the free AP and DP), UC and the sampled DR
+        assert query.norm_inputs == ("DR",) and query.norm_tape.steps
+        assert set(query.inputs) == {"DR", "DT"}
+        eu = query.evaluate(tables)
+        for idx in np.ndindex(*eu.shape[1:]):
+            cell = {v: view.nodes[v].domain.labels[i] for v, i in zip(keep, idx)}
+            policy = constant_policy(view, {v: cell[v] for v in ("DP", "DF", "AP")})
+            oracle = enumerate_expected_utility(view, "attacker", policy,
+                                                {"UC": cell["UC"], "UM": label})
+            assert eu[(0,) + idx] == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", list(FORECAST_RULES))
@@ -622,6 +690,40 @@ def test_perturb_rule_rejects_a_block_with_a_collapsed_row():
     rule, base = PerturbRule(0.01), np.array([0.005, 0.0])
     with pytest.raises(ValueError, match="zero mass"):
         rule.sample(base, np.random.default_rng(0), ara.DRAW_BLOCK)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.integers(0, 2**20),
+       half_width=st.floats(0.0, 0.05), alpha=st.floats(0.05, 20.0))
+def test_batched_sampling_equals_one_target_at_a_time(drilling, seed, block, half_width, alpha):
+    # the 8 UM rows share one perturb rule, both UCA rows one Dirichlet rule
+    # and AMV's two scalars one uniform rule, so each run draws in one call;
+    # the sequential loop draws every target on its own, in the same order,
+    # from one generator
+    rules = {**wide_uncertainty(drilling).rules,
+             ("value_scale", "AMV"): UniformRule(2.0, 3.0),
+             ("value_root", "AMV"): UniformRule(2.0, 3.0)}
+    for row in drilling.nodes["UM"].payload.rows:
+        rules[("cpt_row", "UM", row)] = PerturbRule(half_width)
+    for row in (("attack", "forensic"), ("attack", "no_forensic")):
+        rules[("cpt_row", "UCA", row)] = DirichletRule((alpha, alpha))
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    block_of = ara._DrawBlock(view, CompiledModel.compile(view), ParameterUncertainty(rules),
+                              view.utility_node_of("attacker"), 2 * ara.DRAW_BLOCK)
+    assert [len(slots) for _, _, slots in block_of.runs] == [1, 1, 2, 8, 2, 1]
+    bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in block_of.slots]
+    block_of.sample(seed, block, 1)
+    rng = ara._draw_rng(seed, block)
+    for target, base, slot in zip(block_of.targets, bases, block_of.slots):
+        alone = rules[target].sample(base, rng, ara.DRAW_BLOCK)
+        assert np.array_equal(slot[ara.DRAW_BLOCK:], alone), target
+
+
+def test_a_collapsed_row_inside_a_stacked_run_is_rejected():
+    # only the middle base can collapse (both entries jitter to <= 0)
+    bases = np.array([[0.5, 0.5], [0.005, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="zero mass"):
+        PerturbRule(0.01).sample(bases, np.random.default_rng(0), ara.DRAW_BLOCK)
 
 
 def test_dirichlet_rule_rejects_a_length_mismatch():
