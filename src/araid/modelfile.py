@@ -51,12 +51,11 @@ _WORD = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.+-]*$")
 class ParseDiagnostic:
     line: int
     column: int
-    severity: str  # "error" | "warning"
     message: str
     text: str = ""
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class ModelFormatError(ValueError):
@@ -71,14 +70,13 @@ class ModelFormatError(ValueError):
 class _NodeDraft:
     line: int
     id: str
-    kind: str | None = None
+    kind: NodeKind | None = None
     agent: str | None = None
     domain: tuple[str, ...] | None = None
     money: tuple[float, ...] | None = None
     parents: list[str] = field(default_factory=list)
-    cpt_rows: list[tuple[int, dict[str, str], dict[str, float]]] = field(default_factory=list)
-    det_rows: list[tuple[int, dict[str, str], str]] = field(default_factory=list)
-    value_rows: list[tuple[int, dict[str, str], float]] = field(default_factory=list)
+    # (keyword, line, conditions, outcome) of each cpt/det/value-table row
+    rows: list[tuple[str, int, dict[str, str], object]] = field(default_factory=list)
     row_lines: dict[tuple[str, ...], int] = field(default_factory=dict)  # key -> row's line
     value_params: dict[str, str] | None = None
     value_line: int = 0
@@ -87,7 +85,7 @@ class _NodeDraft:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
+        self.lines = text.split("\n")
         self.diags: list[ParseDiagnostic] = []
         self.agents: dict[str, tuple[int, Agent]] = {}
         self.nodes: dict[str, _NodeDraft] = {}
@@ -98,12 +96,10 @@ class _Parser:
 
     def error(self, line_no: int, message: str, token: str = "") -> None:
         col = 1
-        if token:
-            lines = self.text.split("\n")
-            if 1 <= line_no <= len(lines):
-                pos = lines[line_no - 1].find(token)
-                col = pos + 1 if pos >= 0 else 1
-        self.diags.append(ParseDiagnostic(line_no, col, "error", message, token))
+        if token and 1 <= line_no <= len(self.lines):
+            pos = self.lines[line_no - 1].find(token)
+            col = pos + 1 if pos >= 0 else 1
+        self.diags.append(ParseDiagnostic(line_no, col, message, token))
 
     def _word(self, line_no: int, token: str, what: str) -> str | None:
         if not _WORD.match(token):
@@ -115,33 +111,52 @@ class _Parser:
         try:
             value = float(token)
         except ValueError:
-            self.error(line_no, f"malformed number {token!r}", token)
-            return None
-        if value != value:  # NaN never belongs in a model file
+            value = float("nan")
+        if value != value:  # neither a number nor NaN belongs in a model file
             self.error(line_no, f"malformed number {token!r}", token)
             return None
         return value
 
-    def _kv_pairs(self, line_no: int, tokens: list[str]) -> dict[str, str] | None:
-        out: dict[str, str] = {}
-        for tok in tokens:
-            if "=" not in tok:
-                self.error(line_no, f"expected key=value, got {tok!r}", tok)
+    def _pairs(self, line_no: int, parts: list[str], malformed: str, repeated: str,
+               convert=None) -> dict | None:
+        """Stripped `key=value` parts as a dict, each value passed through
+        `convert` before the repeat check; None after reporting the first bad part."""
+        out = {}
+        for part in parts:
+            part = part.strip()
+            if "=" not in part:
+                self.error(line_no, f"{malformed}, got {part!r}", part)
                 return None
-            k, v = tok.split("=", 1)
-            if k in out:
-                self.error(line_no, f"duplicate key {k!r}", tok)
+            key, value = part.split("=", 1)
+            if convert is not None:
+                value = convert(line_no, value)
+                if value is None:
+                    return None
+            if key in out:
+                self.error(line_no, f"{repeated} {key!r}", part)
                 return None
-            out[k] = v
+            out[key] = value
         return out
+
+    def _kv_pairs(self, line_no: int, tokens: list[str]) -> dict[str, str] | None:
+        return self._pairs(line_no, tokens, "expected key=value", "duplicate key")
+
+    def _outcome(self, line_no: int, text: str) -> dict[str, float] | None:
+        """Parse `label=prob,...`; None after reporting a malformed one."""
+        return self._pairs(line_no, text.split(","), "outcome must be label=prob",
+                           "outcome repeats label", self._float)
 
     # -- statement dispatch ----------------------------------------------------
 
-    def parse(self) -> None:
-        for line_no, raw in enumerate(self.text.split("\n"), start=1):
+    def statements(self):
+        """`(line number, statement)` of every line with text outside its `#` comment."""
+        for line_no, raw in enumerate(self.lines, start=1):
             stmt = raw.split("#", 1)[0].strip()
-            if not stmt:
-                continue
+            if stmt:
+                yield line_no, stmt
+
+    def parse(self) -> None:
+        for line_no, stmt in self.statements():
             tokens = stmt.split()
             keyword = tokens[0]
             handler = getattr(self, f"_stmt_{keyword}", None)
@@ -180,16 +195,17 @@ class _Parser:
         if nid in self.nodes:
             return self.error(line_no, f"duplicate node {nid!r}", nid)
         draft = _NodeDraft(line=line_no, id=nid)
-        draft.kind = kv.pop("kind", None)
-        if draft.kind not in {k.value for k in NodeKind}:
+        kind_token = kv.pop("kind", None)
+        try:
+            draft.kind = NodeKind(kind_token)
+        except ValueError:
             return self.error(line_no, f"node kind must be one of decision/chance/"
-                                       f"deterministic/value/utility, got {draft.kind!r}")
+                                       f"deterministic/value/utility, got {kind_token!r}")
         draft.agent = kv.pop("agent", None)
         if "domain" in kv:
             labels = tuple(kv.pop("domain").split(","))
-            for lbl in labels:
-                if not _WORD.match(lbl):
-                    return self.error(line_no, f"malformed domain label {lbl!r}", lbl)
+            if not all(self._word(line_no, lbl, "domain label") for lbl in labels):
+                return
             draft.domain = labels
         if "money" in kv:
             tags = []
@@ -226,22 +242,6 @@ class _Parser:
         conds, outcome = rest.split(":", 1)
         return head.strip(), conds.strip(), outcome.strip()
 
-    def _parse_conditions(self, line_no: int, conds: str) -> dict[str, str] | None:
-        out: dict[str, str] = {}
-        if not conds:
-            return out
-        for part in conds.split(","):
-            part = part.strip()
-            if "=" not in part:
-                self.error(line_no, f"condition must be parent=label, got {part!r}", part)
-                return None
-            k, v = part.split("=", 1)
-            if k in out:
-                self.error(line_no, f"condition repeats parent {k!r}", part)
-                return None
-            out[k] = v
-        return out
-
     def _row_target(self, line_no: int, node: str) -> _NodeDraft | None:
         if node not in self.nodes:
             self.error(line_no, f"row for undeclared node {node!r} "
@@ -249,83 +249,57 @@ class _Parser:
             return None
         return self.nodes[node]
 
-    def _stmt_cpt(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _row(self, line_no: int, stmt: str, keyword: str) -> None:
+        """Add the table row `<keyword> <head> | <conditions> : <outcome>` to its
+        node's draft, unless it reports why the row is malformed."""
         parts = self._split_row(line_no, stmt)
         if parts is None:
             return
-        node, conds_text, outcome_text = parts
+        head, conds_text, outcome = parts
+        node = (head.split() or [""])[0] if keyword == "value" else head
         if not self._word(line_no, node, "node id"):
             return
         draft = self._row_target(line_no, node)
-        conds = self._parse_conditions(line_no, conds_text)
+        conds = self._pairs(line_no, conds_text.split(",") if conds_text else [],
+                            "condition must be parent=label", "condition repeats parent")
         if draft is None or conds is None:
             return
-        probs = self._outcome(line_no, outcome_text)
-        if probs is not None:
-            draft.cpt_rows.append((line_no, conds, probs))
+        if keyword == "cpt":
+            value = self._outcome(line_no, outcome)
+        elif keyword == "det":
+            value = self._word(line_no, outcome, "output label")
+        else:
+            value = self._table_score(line_no, draft, head, outcome)
+        if value is not None:
+            draft.rows.append((keyword, line_no, conds, value))
 
-    def _outcome(self, line_no: int, text: str) -> dict[str, float] | None:
-        """Parse `label=prob,...`; None after reporting a malformed one."""
-        probs: dict[str, float] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if "=" not in part:
-                self.error(line_no, f"outcome must be label=prob, got {part!r}", part)
-                return None
-            lbl, ptok = part.split("=", 1)
-            p = self._float(line_no, ptok)
-            if p is None:
-                return None
-            if lbl in probs:
-                self.error(line_no, f"outcome repeats label {lbl!r}", part)
-                return None
-            probs[lbl] = p
-        return probs
+    def _stmt_cpt(self, line_no: int, stmt: str, args: list[str]) -> None:
+        self._row(line_no, stmt, "cpt")
 
     def _stmt_det(self, line_no: int, stmt: str, args: list[str]) -> None:
-        parts = self._split_row(line_no, stmt)
-        if parts is None:
-            return
-        node, conds_text, outcome = parts
-        if not self._word(line_no, node, "node id"):
-            return
-        draft = self._row_target(line_no, node)
-        conds = self._parse_conditions(line_no, conds_text)
-        if draft is None or conds is None:
-            return
-        if not _WORD.match(outcome):
-            return self.error(line_no, f"malformed output label {outcome!r}", outcome)
-        draft.det_rows.append((line_no, conds, outcome))
+        self._row(line_no, stmt, "det")
+
+    def _table_score(self, line_no: int, draft: _NodeDraft, head: str, text: str
+                     ) -> float | None:
+        """The score of a `value <node> form=table | ... : <score>` row."""
+        head_kv = self._kv_pairs(line_no, head.split()[1:])
+        if head_kv is None or head_kv.get("form", "table") != "table":
+            return self.error(line_no, "row-style value statements must use form=table")
+        score = self._float(line_no, text)
+        if score is None:
+            return None
+        if draft.value_params is None:
+            draft.value_params = {"form": "table"}
+            draft.value_line = line_no
+        elif draft.value_params.get("form") != "table":
+            return self.error(line_no, f"conflicting value forms for {draft.id!r}")
+        return score
 
     def _stmt_value(self, line_no: int, stmt: str, args: list[str]) -> None:
         if not args:
             return self.error(line_no, "value statement needs a node id")
-        if "|" in stmt:  # table row form
-            parts = self._split_row(line_no, stmt)
-            if parts is None:
-                return
-            head, conds_text, outcome = parts
-            # head is `<node> form=table`
-            node = head.split()[0] if head.split() else ""
-            if not self._word(line_no, node, "node id"):
-                return
-            draft = self._row_target(line_no, node)
-            conds = self._parse_conditions(line_no, conds_text)
-            if draft is None or conds is None:
-                return
-            head_kv = self._kv_pairs(line_no, head.split()[1:])
-            if head_kv is None or head_kv.get("form", "table") != "table":
-                return self.error(line_no, "row-style value statements must use form=table")
-            score = self._float(line_no, outcome)
-            if score is None:
-                return
-            if draft.value_params is None:
-                draft.value_params = {"form": "table"}
-                draft.value_line = line_no
-            elif draft.value_params.get("form") != "table":
-                return self.error(line_no, f"conflicting value forms for {draft.id!r}")
-            draft.value_rows.append((line_no, conds, score))
-            return
+        if "|" in stmt:
+            return self._row(line_no, stmt, "value")
         nid = self._word(line_no, args[0], "node id")
         if nid is None:
             return
@@ -369,13 +343,8 @@ class _Parser:
             return
         if aid in self.orders:
             return self.error(line_no, f"duplicate order statement for {aid!r}", aid)
-        decisions = []
-        for tok in args[1:]:
-            w = self._word(line_no, tok, "node id")
-            if w is None:
-                return
-            decisions.append(w)
-        self.orders[aid] = (line_no, tuple(decisions))
+        if all(self._word(line_no, tok, "node id") for tok in args[1:]):
+            self.orders[aid] = (line_no, tuple(args[1:]))
 
     # -- assembly ---------------------------------------------------------------
 
@@ -409,11 +378,12 @@ class _Parser:
             return 1
         return draft.row_lines.get(violation.key, draft.line)
 
-    def _keyed_rows(self, draft: _NodeDraft, rows: list[tuple[int, dict[str, str], object]]
-                    ) -> dict[tuple[str, ...], object]:
-        """Table rows keyed by parent-value tuple, in declared-parent order."""
+    def _keyed_rows(self, draft: _NodeDraft, keyword: str) -> dict[tuple[str, ...], object]:
+        """The node's `keyword` rows keyed by parent-value tuple, in declared-parent order."""
         out = {}
-        for line_no, conds, value in rows:
+        for kw, line_no, conds, value in draft.rows:
+            if kw != keyword:
+                continue
             if set(conds) != set(draft.parents):
                 self.error(line_no, f"row conditions {sorted(conds)} must name exactly the "
                                     f"declared parents {draft.parents} of {draft.id!r}")
@@ -427,7 +397,7 @@ class _Parser:
         return out
 
     def _assemble_node(self, draft: _NodeDraft) -> Node:
-        kind = NodeKind(draft.kind)
+        kind = draft.kind
         domain = None
         if draft.domain is not None:
             domain = Domain(labels=draft.domain, numeric_tags=draft.money)
@@ -435,7 +405,7 @@ class _Parser:
 
         if kind == NodeKind.CHANCE:
             rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-            for key, probs in self._keyed_rows(draft, draft.cpt_rows).items():
+            for key, probs in self._keyed_rows(draft, "cpt").items():
                 if domain is None or set(probs) != set(domain.labels):
                     self.error(draft.row_lines[key], f"row must give one probability per "
                                                      f"domain label of {draft.id!r}")
@@ -443,7 +413,7 @@ class _Parser:
                 rows[key] = tuple(probs[lbl] for lbl in domain.labels)
             payload = Cpt(rows)
         elif kind == NodeKind.DETERMINISTIC:
-            payload = DetTable(self._keyed_rows(draft, draft.det_rows))
+            payload = DetTable(self._keyed_rows(draft, "det"))
         elif kind == NodeKind.VALUE:
             payload = self._assemble_value(draft)
         elif kind == NodeKind.UTILITY:
@@ -451,14 +421,15 @@ class _Parser:
             if draft.weights is None:
                 self.error(draft.line, f"utility node {draft.id!r} has no weights statement")
 
-        if draft.cpt_rows and kind != NodeKind.CHANCE:
-            self.error(draft.cpt_rows[0][0], f"cpt rows given for non-chance node {draft.id!r}")
-        if draft.det_rows and kind != NodeKind.DETERMINISTIC:
-            self.error(draft.det_rows[0][0],
-                       f"det rows given for non-deterministic node {draft.id!r}")
-        if (draft.value_params or draft.value_rows) and kind != NodeKind.VALUE:
-            self.error(draft.value_line or draft.line,
-                       f"value statement given for non-value node {draft.id!r}")
+        # the first line of each statement kind that only one node kind takes
+        given = {keyword: line_no for keyword, line_no, _, _ in reversed(draft.rows)}
+        given["value"] = draft.value_line
+        for keyword, needed, what in (
+                ("cpt", NodeKind.CHANCE, "cpt rows given for non-chance"),
+                ("det", NodeKind.DETERMINISTIC, "det rows given for non-deterministic"),
+                ("value", NodeKind.VALUE, "value statement given for non-value")):
+            if given.get(keyword) and kind != needed:
+                self.error(given[keyword], f"{what} node {draft.id!r}")
         if draft.weights is not None and kind != NodeKind.UTILITY:
             self.error(draft.line, f"weights given for non-utility node {draft.id!r}")
 
@@ -473,7 +444,7 @@ class _Parser:
         form = params.pop("form")
         line = draft.value_line
         if form == "table":
-            return ValueSpec("table", rows=self._keyed_rows(draft, draft.value_rows))
+            return ValueSpec("table", rows=self._keyed_rows(draft, "value"))
         if form == "indicator":
             one = frozenset(params.pop("one", "").split(",")) - {""}
             zero = frozenset(params.pop("zero", "").split(",")) - {""}
@@ -497,7 +468,8 @@ class _Parser:
 
 
 def try_parse_model(text: str | bytes) -> tuple[Diagram | None, list[ParseDiagnostic]]:
-    """Parse, reporting every diagnostic; never raises on malformed input."""
+    """Parse, reporting every diagnostic; never raises on malformed input.
+    The diagram is None exactly when there are diagnostics."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     parser = _Parser(text)
@@ -505,19 +477,17 @@ def try_parse_model(text: str | bytes) -> tuple[Diagram | None, list[ParseDiagno
         parser.parse()
         diagram = parser.assemble()
     except Exception as exc:  # containment: arbitrary input must not abort
-        parser.diags.append(ParseDiagnostic(1, 1, "error", f"internal parser error: {exc}"))
+        parser.diags.append(ParseDiagnostic(1, 1, f"internal parser error: {exc}"))
         diagram = None
     diags = sorted(parser.diags, key=lambda d: (d.line, d.column, d.message))
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    return diagram, diags
+    return (None if diags else diagram), diags
 
 
 def parse_model(text: str | bytes) -> Diagram:
     """Parse or raise ModelFormatError with the full diagnostic list."""
     diagram, diags = try_parse_model(text)
-    if diagram is None:
-        raise ModelFormatError([d for d in diags if d.severity == "error"])
+    if diags:
+        raise ModelFormatError(diags)
     return diagram
 
 
@@ -527,10 +497,7 @@ def parse_distribution_rows(text: str | bytes) -> dict[str, dict[str, float]]:
         text = text.decode("utf-8", errors="replace")
     out: dict[str, dict[str, float]] = {}
     parser = _Parser(text)
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
+    for line_no, stmt in parser.statements():
         if stmt.split()[0] != "cpt":
             parser.error(line_no, "belief files hold only cpt rows")
             continue

@@ -31,7 +31,7 @@ def test_row_sum_error_carries_line_number():
             "cpt UC | : riskier=0.3,normal=0.6\n")
     diagram, diags = try_parse_model(text)
     assert diagram is None
-    (diag,) = [d for d in diags if d.severity == "error"]
+    (diag,) = diags
     assert diag.line == 2
     assert "row sums to 0.9" in diag.message
 
