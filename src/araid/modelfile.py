@@ -448,23 +448,17 @@ class _Parser:
         if form == "indicator":
             one = frozenset(params.pop("one", "").split(",")) - {""}
             zero = frozenset(params.pop("zero", "").split(",")) - {""}
-            if params:
-                self.error(line, f"unknown value attribute(s) {sorted(params)}")
-            return ValueSpec("indicator", one_labels=one, zero_labels=zero)
-        scale = self._float(line, params.pop("scale", "nan"))
-        if form == "linear":
-            offset = self._float(line, params.pop("offset", "nan"))
-            if params:
-                self.error(line, f"unknown value attribute(s) {sorted(params)}")
-            if scale is None or offset is None:
-                return None
-            return ValueSpec("linear", scale=scale, offset=offset)
-        root = self._float(line, params.pop("root", "nan"))
+            spec = ValueSpec("indicator", one_labels=one, zero_labels=zero)
+        else:  # linear or power_root: a scale and one more number
+            numbers = {}
+            for key in ("scale", "offset" if form == "linear" else "root"):
+                numbers[key] = (self._float(line, params.pop(key)) if key in params else
+                                self.error(line, f"value node {draft.id!r}: form={form} "
+                                                 f"needs {key}="))
+            spec = None if None in numbers.values() else ValueSpec(form, **numbers)
         if params:
             self.error(line, f"unknown value attribute(s) {sorted(params)}")
-        if scale is None or root is None:
-            return None
-        return ValueSpec("power_root", scale=scale, root=root)
+        return spec
 
 
 def try_parse_model(text: str | bytes) -> tuple[Diagram | None, list[ParseDiagnostic]]:

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from araid.diagram import validate_diagram
 from araid.modelfile import (
@@ -148,25 +152,78 @@ def test_round_trip_preserves_table_bits(drilling):
             assert other.payload.rows == node.payload.rows  # bit-equal floats
 
 
+GARBAGE_WORDS = ["node", "cpt", "arc", "agent", "order", "value", "utility", "det",
+                 "|", ":", "=", ",", "->", "kind=chance", "domain=a,b", "x", "0.5",
+                 "\n", "#", "nan", "inf", "-", "1e309"]
+
+
+def assert_read_cleanly(text):
+    """Both readers either succeed or report diagnostics; neither fails inside.
+    try_parse_model contains any exception as an `internal parser error`
+    diagnostic, so such a diagnostic is a parser fault, not a clean report."""
+    diagram, diags = try_parse_model(text)
+    assert (diagram is None) == bool(diags)
+    assert not [d for d in diags if d.message.startswith("internal parser error")]
+    try:
+        parse_distribution_rows(text)
+    except ModelFormatError as exc:
+        assert exc.diagnostics
+
+
 def test_fuzz_random_bytes_never_raise():
     rng = np.random.default_rng(1234)
     for _ in range(1500):
         size = int(rng.integers(0, 200))
-        blob = bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
-        diagram, diags = try_parse_model(blob)  # must not raise
-        if diagram is None:
-            assert diags
+        assert_read_cleanly(bytes(rng.integers(0, 256, size=size, dtype=np.uint8)))
 
 
 def test_fuzz_structured_garbage_never_raises():
     rng = np.random.default_rng(4321)
-    words = ["node", "cpt", "arc", "agent", "order", "value", "utility", "det",
-             "|", ":", "=", ",", "->", "kind=chance", "domain=a,b", "x", "0.5",
-             "\n", "#", "nan", "inf", "-", "1e309"]
     for _ in range(1500):
         n = int(rng.integers(1, 40))
-        text = " ".join(words[int(i)] for i in rng.integers(0, len(words), size=n))
-        try_parse_model(text)  # must not raise
+        assert_read_cleanly(" ".join(GARBAGE_WORDS[int(i)] for i in
+                                     rng.integers(0, len(GARBAGE_WORDS), size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.binary(),
+                 st.lists(st.sampled_from(GARBAGE_WORDS)).map(" ".join)))
+def test_fuzz_any_text_or_bytes_reads_cleanly(text):
+    assert_read_cleanly(text)
+
+
+def test_malformed_text_reads_in_linear_time():
+    # every line is reported with a column, which once re-split the whole text
+    text = "\n".join(f"cpt N{i} | : a=zebra" for i in range(20_000))
+    start = time.perf_counter()
+    diagram, diags = try_parse_model(text)
+    assert time.perf_counter() - start < 2.0
+    assert diagram is None and len(diags) == 20_000
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError) as raised:
+        parse_distribution_rows(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(raised.value.diagnostics) == 20_000
+
+
+@pytest.mark.parametrize("form, given_param, missing", [
+    ("linear", "offset=1", "scale"),
+    ("linear", "scale=2", "offset"),
+    ("power_root", "root=2", "scale"),
+    ("power_root", "scale=2", "root"),
+])
+def test_a_missing_value_parameter_is_named(form, given_param, missing):
+    text = ("agent D kind=defender\n"
+            "node X kind=chance domain=a,b money=1,2\n"
+            "cpt X | : a=0.5,b=0.5\n"
+            "node V kind=value agent=D\n"
+            "arc X -> V\n"
+            f"value V form={form} {given_param}\n")
+    diagram, diags = try_parse_model(text)
+    assert diagram is None
+    assert [(d.line, d.message) for d in diags if d.line == 6] == [
+        (6, f"value node 'V': form={form} needs {missing}=")]
+    assert not [d for d in diags if "malformed number" in d.message]
 
 
 def test_parse_distribution_rows():

@@ -31,7 +31,7 @@ REPLACEMENTS = ["", "nan", "-1", "0", "1e309", "x", "zebra", "form=table", "|", 
                 "=", ",", "->", "#", "\n", "kind=chance", "a=1.0", "table", "linear",
                 "power_root", "indicator", "decision", "weights", "scale", "offset", "root"]
 
-DIGEST = "15636aa00be9367d7287a6aac7e505028e9b45eb8fc25509af9a7cb5cbad176c"
+DIGEST = "db92907a87817461d5e18704f9517c25e4c776ee4978b01f5789e1a7fbca0217"
 
 
 def garbage_texts(count=1500, seed=4321):
