@@ -44,6 +44,14 @@ DRAW_BLOCK = 128  # draws per generator; part of the random stream
 # has 96 cells per draw and keeps one block (96 KiB; two would take 192).
 FORECAST_CHUNK_BYTES = 128 * 1024
 
+# The most defender policies `solve_defender` ranks; above it the search is
+# refused before any rule is built. Every policy is materialised: under
+# tracemalloc the search peaked at 2-3 KB per policy (4 MiB for 2,187
+# policies, 7-10 MiB for 4,096), and a parentless decision with this many
+# alternatives also stacks that many one-hot rows of as many cells (66 MiB at
+# 2,048). The shipped model has 48 policies.
+MAX_POLICIES = 2048
+
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
 
 
@@ -560,6 +568,26 @@ def _all_rules(d: Diagram, decision: str):
         yield dict(zip(keys, combo))
 
 
+def _check_policy_count(d: Diagram, decisions: list[str]) -> None:
+    """Refuse more than MAX_POLICIES policies without enumerating any: each
+    decision has |alternatives| ** |information states| rules."""
+    count = 1
+    for dec in decisions:
+        node = d.nodes[dec]
+        alternatives = len(node.domain.labels)
+        states = math.prod(len(d.nodes[p].domain.labels) for p in node.parents)
+        if alternatives > 1 and states > MAX_POLICIES.bit_length():
+            shown = f"{alternatives}**{states}"  # above the cap; too large to build
+        else:
+            count *= alternatives ** states
+            if count <= MAX_POLICIES:
+                continue
+            shown = str(count)
+        raise ValueError(f"the defender's policy search needs at least {shown} policies, "
+                         f"more than MAX_POLICIES = {MAX_POLICIES}: decision {dec!r} has "
+                         f"{alternatives} alternatives over {states} information states")
+
+
 def solve_defender(d: Diagram, forecast: AttackForecast,
                    defender: str | None = None) -> DefenderSolution:
     """Best defender policy against a forecast attacker.
@@ -568,12 +596,14 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
     observed-information tuple to an alternative) and ranks them by
     expected utility; deterministic tie order by policy content. All
     policies are one contraction: each decision's 0/1 rule tables are
-    stacked along the batch axis, one row per policy.
+    stacked along the batch axis, one row per policy. More than MAX_POLICIES
+    policies raise ValueError before any is built.
     """
     defender = _agent(d, defender, AgentKind.DEFENDER)
     solved = apply_forecast(d, forecast)
-    m = CompiledModel.compile(solved)
     decisions = sorted(n.id for n in solved.decisions_of(defender))
+    _check_policy_count(solved, decisions)
+    m = CompiledModel.compile(solved)
     query = m.utility_query(defender, {}, {}, [], batched=decisions)
     # one 0/1 table per distinct rule, stacked per policy, policy axis first
     # in memory (a batch-last stack measured no faster and raised peak RSS)

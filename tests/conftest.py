@@ -125,3 +125,23 @@ def random_policy(rng: np.random.Generator, d: Diagram) -> dict:
             rule[key] = n.domain.labels[int(rng.integers(0, len(n.domain)))]
         policy[n.id] = rule
     return policy
+
+
+def wide_observer_model() -> str:
+    """A defender decision with 3 alternatives that observes five ternary
+    chance nodes: 243 information states and 3**243 policies. The attacker's
+    one decision needs a belief about the defender's (`cpt D | : ...`)."""
+    lines = ["agent def kind=defender", "agent att kind=attacker"]
+    for i in range(1, 6):
+        lines += [f"node C{i} kind=chance domain=a,b,c", f"cpt C{i} | : a=0.2,b=0.3,c=0.5",
+                  f"arc C{i} -> D"]
+    lines += ["node A kind=decision agent=att domain=go,stay",
+              "node D kind=decision agent=def domain=x,y,z",
+              "node V kind=value agent=def", "arc A -> V",
+              "value V form=indicator one=stay zero=go",
+              "node W kind=value agent=att", "arc D -> W",
+              "value W form=indicator one=x zero=y,z",
+              "node UD kind=utility agent=def", "arc V -> UD", "utility UD weights V=1",
+              "node UA kind=utility agent=att", "arc W -> UA", "utility UA weights W=1",
+              "order def D", "order att A"]
+    return "\n".join(lines) + "\n"

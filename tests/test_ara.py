@@ -29,7 +29,7 @@ from araid import inference
 from araid.inference import (CompiledModel, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
 
-from conftest import random_diagram
+from conftest import random_diagram, wide_observer_model
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -809,3 +809,23 @@ def test_apply_forecast_requires_matching_contexts(drilling):
                             probabilities=probabilities, draws=0, seed=0)
     with pytest.raises(ValueError, match="context missing from forecast"):
         apply_forecast(drilling, broken)
+
+
+def test_an_intractable_policy_search_is_refused_before_enumerating():
+    from araid.modelfile import parse_model
+    d = parse_model(wide_observer_model())
+    forecast = AttackForecast("A", (), ("go", "stay"), {(): (0.5, 0.5)}, draws=1, seed=0)
+    with mock.patch.object(ara, "_all_rules", side_effect=AssertionError) as spy:
+        with pytest.raises(ValueError, match=r"3\*\*243 policies.*decision 'D' has 3 "
+                                             r"alternatives over 243 information states"):
+            solve_defender(d, forecast)
+    spy.assert_not_called()
+
+
+def test_the_policy_cap_admits_the_shipped_model_and_refuses_one_more(drilling):
+    forecast = forecast_attack(drilling, default_beliefs(), ParameterUncertainty(),
+                               draws=1, seed=0)
+    assert len(solve_defender(drilling, forecast).ranking) == 48
+    with mock.patch.object(ara, "MAX_POLICIES", 47):
+        with pytest.raises(ValueError, match="at least 48 policies"):
+            solve_defender(drilling, forecast)

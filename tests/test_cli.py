@@ -10,6 +10,8 @@ import pytest
 
 from araid.resources import data_path, read_table
 
+from conftest import wide_observer_model
+
 DRILLING = str(data_path("drilling.maid"))
 
 
@@ -158,6 +160,16 @@ def test_evaluate_requires_total_policy():
 
 
 # -- solve ---------------------------------------------------------------------
+
+def test_solve_refuses_an_intractable_policy_search(tmp_path):
+    model = tmp_path / "wide.maid"
+    model.write_text(wide_observer_model())
+    beliefs = tmp_path / "beliefs.txt"
+    beliefs.write_text("cpt D | : x=0.3,y=0.3,z=0.4\n")
+    proc = run_cli("solve", str(model), "--beliefs", str(beliefs), "--draws", "10")
+    assert proc.returncode == 1
+    assert "3**243 policies" in proc.stderr and proc.stdout == ""
+
 
 def test_solve_point_beliefs_accept_continue(tmp_path):
     beliefs = tmp_path / "point_accept_continue.maid"
