@@ -18,8 +18,14 @@ One statement per line, `#` starts a comment, UTF-8. Statement kinds:
 Statement order is free except that cpt/det/value-table rows must follow
 their node declaration. Parent order (the key order of every table) is the
 order arcs are declared in. The parser reports *all* diagnostics, with
-1-based line and column; the serializer emits a canonical form that parses
-back to an identical diagram.
+1-based line and column; each is an error. The serializer emits a canonical
+form that parses back to an identical diagram.
+
+The text is split into lines once, and one loop yields its statements, for
+model and belief files alike. One reader takes the `| conditions : outcome`
+rows of every table, and one the `key=value` lists of attributes, conditions
+and outcomes; so reading, even of malformed text, takes time linear in its
+length.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from araid.modelfile import (
 from araid.resources import drilling_maid_text
 
 from conftest import random_diagram
+from test_parse_digest import GARBAGE_WORDS, byte_blobs, garbage_texts
 
 
 def test_minimal_chance_node_parses():
@@ -152,11 +153,6 @@ def test_round_trip_preserves_table_bits(drilling):
             assert other.payload.rows == node.payload.rows  # bit-equal floats
 
 
-GARBAGE_WORDS = ["node", "cpt", "arc", "agent", "order", "value", "utility", "det",
-                 "|", ":", "=", ",", "->", "kind=chance", "domain=a,b", "x", "0.5",
-                 "\n", "#", "nan", "inf", "-", "1e309"]
-
-
 def assert_read_cleanly(text):
     """Both readers either succeed or report diagnostics; neither fails inside.
     try_parse_model contains any exception as an `internal parser error`
@@ -171,18 +167,13 @@ def assert_read_cleanly(text):
 
 
 def test_fuzz_random_bytes_never_raise():
-    rng = np.random.default_rng(1234)
-    for _ in range(1500):
-        size = int(rng.integers(0, 200))
-        assert_read_cleanly(bytes(rng.integers(0, 256, size=size, dtype=np.uint8)))
+    for blob in byte_blobs():
+        assert_read_cleanly(blob)
 
 
 def test_fuzz_structured_garbage_never_raises():
-    rng = np.random.default_rng(4321)
-    for _ in range(1500):
-        n = int(rng.integers(1, 40))
-        assert_read_cleanly(" ".join(GARBAGE_WORDS[int(i)] for i in
-                                     rng.integers(0, len(GARBAGE_WORDS), size=n)))
+    for text in garbage_texts():
+        assert_read_cleanly(text)
 
 
 @settings(max_examples=300, deadline=None)
