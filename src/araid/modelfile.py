@@ -24,8 +24,9 @@ form that parses back to an identical diagram.
 The text is split into lines once, and one loop yields its statements, for
 model and belief files alike. One reader takes the `| conditions : outcome`
 rows of every table, and one the `key=value` lists of attributes, conditions
-and outcomes; so reading, even of malformed text, takes time linear in its
-length.
+and outcomes. Reading statements, however malformed, takes time linear in
+the text's length; validating the tables they declare does not (it visits
+every parent tuple).
 """
 from __future__ import annotations
 
@@ -262,6 +263,7 @@ class _Parser:
         if parts is None:
             return
         head, conds_text, outcome = parts
+        # a value row's head is `<node> form=table`
         node = (head.split() or [""])[0] if keyword == "value" else head
         if not self._word(line_no, node, "node id"):
             return

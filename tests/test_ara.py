@@ -25,6 +25,7 @@ from araid.ara import (
 from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, build_diagram,
                            validate_diagram)
 from araid.drilling import default_beliefs, default_uncertainty
+from araid.modelfile import parse_model
 from araid import inference
 from araid.inference import (CompiledModel, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
@@ -812,7 +813,6 @@ def test_apply_forecast_requires_matching_contexts(drilling):
 
 
 def test_an_intractable_policy_search_is_refused_before_enumerating():
-    from araid.modelfile import parse_model
     d = parse_model(wide_observer_model())
     forecast = AttackForecast("A", (), ("go", "stay"), {(): (0.5, 0.5)}, draws=1, seed=0)
     with mock.patch.object(ara, "_all_rules", side_effect=AssertionError) as spy:
