@@ -4,9 +4,11 @@ The model pits a rig operator (defender) against a business-motivated
 intruder (attacker): four defender decisions, one attacker decision, six
 uncertainties, deterministic cost roll-ups, and per-agent preferences.
 """
+from dataclasses import replace
+
 from araid import serialize_model, topological_order, validate_diagram
 from araid.diagram import Cpt, Node, NodeKind
-from araid.drilling import DrillingModelConfig, build_drilling_model
+from araid.drilling import build_drilling_model
 
 diagram = build_drilling_model()
 print(f"built diagram with {len(diagram.nodes)} nodes "
@@ -20,9 +22,10 @@ print("\ndecision schedules:")
 for agent_id, seq in sorted(diagram.decision_order.items()):
     print(f"  {agent_id}: {', '.join(seq)}")
 
-# The builder takes structural flags; dropping the context information arc
-# means the attacker no longer sees the riskier/normal state when moving.
-blind = build_drilling_model(DrillingModelConfig(include_uc_to_ap_arc=False))
+# Diagrams are values: swap in a variant of a node and the copy revalidates.
+# Dropping the context information arc means the attacker no longer sees
+# the riskier/normal state when moving.
+blind = diagram.replace_nodes([replace(diagram.nodes["AP"], parents=("DP", "DF"))])
 print("\nattacker information set with the context arc:",
       diagram.nodes["AP"].parents)
 print("attacker information set without it:          ",

@@ -183,6 +183,8 @@ class _Parser:
             return self.error(line_no, f"duplicate agent {aid!r}", aid)
         kind_token = kv.pop("kind", None)
         name = kv.pop("name", "")
+        if name and self._word(line_no, name, "display name") is None:
+            return
         if kv:
             return self.error(line_no, f"unknown agent attribute(s) {sorted(kv)}")
         try:
@@ -376,7 +378,10 @@ class _Parser:
             return build_diagram(agents, built, order)
         except DiagramError as exc:
             for violation in exc.violations:
-                self.error(self._line_of(violation), str(violation))
+                # the parser leaves a value node without a spec only after
+                # reporting why, and always gives a utility node one
+                if violation.code != "missing-spec":
+                    self.error(self._line_of(violation), str(violation))
             return None
 
     def _line_of(self, violation: Violation) -> int:

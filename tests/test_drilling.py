@@ -2,15 +2,9 @@ import itertools
 
 import pytest
 
-from araid.diagram import NodeKind, validate_diagram
-from araid.drilling import (
-    DrillingModelConfig,
-    attacker_monetary_value,
-    build_drilling_model,
-    defender_cost,
-    defender_cost_value,
-    is_drilling_model,
-)
+from araid import drilling as model
+from araid.diagram import Domain, NodeKind, validate_diagram
+from araid.drilling import defender_cost, is_drilling_model
 from araid.inference import constant_policy, decision_table, enumerate_expected_utility
 from araid.resources import read_table
 
@@ -104,39 +98,58 @@ def test_additive_cost_composition():
 
 def test_cost_components_match_shipped_transcription():
     t7 = {r["component"]: float(r["dollars"]) for r in read_table("tables/T7.csv")}
-    cfg = DrillingModelConfig()
-    assert cfg.avoid_cost == t7["avoid"]
-    assert cfg.share_cost == t7["share"]
-    assert cfg.accept_mapping == (t7["accept_loss_0"], t7["accept_loss_0_1m"],
-                                  t7["accept_loss_1_5m"])
-    assert cfg.protection_cost == t7["additional_protection"]
-    assert cfg.forensic_cost == t7["forensic_system"]
-    assert cfg.stop_cost == t7["stop_drilling"]
+    assert model.AVOID_COST == t7["avoid"]
+    assert model.SHARE_COST == t7["share"]
+    assert model.ACCEPT_LOSS == (t7["accept_loss_0"], t7["accept_loss_0_1m"],
+                                 t7["accept_loss_1_5m"])
+    assert model.PROTECTION_COST == t7["additional_protection"]
+    assert model.FORENSIC_COST == t7["forensic_system"]
+    assert model.STOP_COST == t7["stop_drilling"]
 
 
-def test_money_value_functions():
-    assert attacker_monetary_value(10_000_000) == 1.0
-    assert attacker_monetary_value(0) == 0.0
-    assert attacker_monetary_value(1_250_000) == pytest.approx(0.5, abs=1e-12)
+def test_shipped_cost_nodes_follow_the_cost_rule(drilling):
+    nodes = drilling.nodes
+    dc = nodes["DC"]
+    assert dc.parents == ("DP", "DF", "DT", "DR", "UM")
+    for key, label in dc.payload.rows.items():
+        assert dc.domain.tag(label) == defender_cost(*key), key
+
+    t7 = {r["component"]: float(r["dollars"]) for r in read_table("tables/T7.csv")}
+    assert nodes["UM"].domain.numeric_tags == tuple(
+        t7[f"accept_{lbl}"] for lbl in nodes["UM"].domain.labels)
+
+    assert nodes["AC"].parents == ("AP",)
+    assert dict(nodes["AC"].payload.rows) == {("perpetrate",): "cost",
+                                              ("no_perpetrate",): "no_cost"}
+
+
+def _score(spec, dollars):
+    return spec.score(("x",), [Domain(("x",), numeric_tags=(float(dollars),))])
+
+
+def test_money_value_functions(drilling):
+    nodes = drilling.nodes
+    # the attacker scores the defender's loss risk-averse, cube-root scaled
+    amv = nodes["AMV"].payload
+    assert nodes["AMV"].parents == ("DC",)
+    assert _score(amv, 10_000_000) == 1.0
+    assert _score(amv, 0) == 0.0
+    assert _score(amv, 1_250_000) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
-        attacker_monetary_value(10_000_001)
-    with pytest.raises(ValueError):
-        attacker_monetary_value(-1)
+        _score(amv, -1)
 
-    assert defender_cost_value(10_000_000) == 0.0
-    assert defender_cost_value(0) == 1.0
-    assert defender_cost_value(830_000) == pytest.approx(0.917, abs=1e-12)
+    # the defender scores its own loss risk-neutral, 1 at zero cost
+    dcv = nodes["DCV"].payload
+    assert nodes["DCV"].parents == ("DC",)
+    assert _score(dcv, 10_000_000) == 0.0
+    assert _score(dcv, 0) == 1.0
+    assert _score(dcv, 830_000) == pytest.approx(0.917, abs=1e-12)
 
-
-def test_config_flag_drops_context_information_arc():
-    d = build_drilling_model(DrillingModelConfig(include_uc_to_ap_arc=False))
-    assert d.nodes["AP"].parents == ("DP", "DF")
-    assert validate_diagram(d) == []
-
-
-def test_config_rejects_negative_costs():
-    with pytest.raises(ValueError):
-        DrillingModelConfig(share_cost=-1)
+    dhv = nodes["DHV"]
+    assert dhv.parents == ("URH",)
+    urh = [nodes["URH"].domain]
+    assert dhv.payload.score(("no_casualties",), urh) == 1.0
+    assert dhv.payload.score(("casualties",), urh) == 0.0
 
 
 # -- published table reproduction ---------------------------------------------

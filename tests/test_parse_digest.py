@@ -31,7 +31,7 @@ REPLACEMENTS = ["", "nan", "-1", "0", "1e309", "x", "zebra", "form=table", "|", 
                 "=", ",", "->", "#", "\n", "kind=chance", "a=1.0", "table", "linear",
                 "power_root", "indicator", "decision", "weights", "scale", "offset", "root"]
 
-DIGEST = "db92907a87817461d5e18704f9517c25e4c776ee4978b01f5789e1a7fbca0217"
+DIGEST = "e157ec920fe4b0487f355be8d2fab8d6cf21321df7def12b347ca4039702183c"
 
 
 def garbage_texts(count=1500, seed=4321):

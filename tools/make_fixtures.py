@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate the derived data files shipped with the package.
+"""Regenerate the derived data file shipped with the package.
 
-Writes:
-  src/araid/data/drilling.maid      canonical serialization of the builder's model
-  src/araid/data/T11_reference.csv  attacker expected utilities computed by the
-                                    brute-force oracle, next to the published
-                                    figures and their deltas
+Writes src/araid/data/T11_reference.csv: the attacker expected utilities
+that the brute-force oracle computes on the shipped model
+(src/araid/data/drilling.maid), next to the published figures and their
+deltas.
 
 The published attacker table is NOT reproducible from the published inputs
 (see docs/attacker-table-report.md); the delta column quantifies that, which
@@ -22,7 +21,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from araid.drilling import build_drilling_model
 from araid.inference import constant_policy, enumerate_expected_utility
-from araid.modelfile import serialize_model
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "araid" / "data"
 
@@ -70,12 +68,6 @@ _t11_block("no_additional", "no_forensic", {
 })
 
 
-def write_maid() -> None:
-    d = build_drilling_model()
-    (DATA / "drilling.maid").write_text(serialize_model(d), encoding="utf-8")
-    print("wrote drilling.maid")
-
-
 def write_t11_reference() -> None:
     d = build_drilling_model()
     axes = {"DP": ("additional", "no_additional"),
@@ -99,5 +91,4 @@ def write_t11_reference() -> None:
 
 
 if __name__ == "__main__":
-    write_maid()
     write_t11_reference()
