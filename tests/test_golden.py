@@ -14,6 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL = "src/araid/data/drilling.maid"   # relative: the path is echoed in JSON output
+# a point belief file, written per test; its path is not echoed, so any path will do
+BELIEFS = "cpt DT | : avoid=0.2,share=0.3,accept=0.5\ncpt DR | : continue=0.6,stop=0.4\n"
 
 GOLDEN = {
     "solve-json": (
@@ -27,12 +29,37 @@ GOLDEN = {
         ["tables", MODEL, "--agent", "attacker", "--axes", "AP,UC,DP,DF",
          "--fix", "DT=accept", "DR=continue", "--out", "csv"],
         "b68614d263779960aa630b208167395af4f4d65f7d14ef86cdfc7817d6e4b851"),
+    "validate": (
+        ["validate", MODEL],
+        "a12b7cb43c9d9134b5bb1b35e9096b66775d9e92e7611d1cc92b02edd6782a87"),
+    "tables-json": (
+        ["tables", MODEL, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA",
+         "--out", "json"],
+        "c7d5c03321a0e23775ed4a8d6fff0468d1c025580bf2f4d6a1c07382278e7c92"),
+    "evaluate": (
+        ["evaluate", MODEL, "--agent", "defender", "--policy", "DP=no_additional",
+         "DF=no_forensic", "DT=accept", "DR=continue", "AP=perpetrate",
+         "--evidence", "UC=riskier", "UA=attack"],
+        "84b23bc77eb6408e572022fce8e6634192154d4a661faa7d1c91897f4e6f12d0"),
+    "solve-text": (
+        ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "text"],
+        "0aa846bb9292565ab0e45881c2e145f278fb37e6fb28ed6ce46ddfc6d69622ae"),
+    "solve-csv": (
+        ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "csv"],
+        "1ddf794e3276a484a2286599508ec53ba57f71219f31d6d9fbe7727a1c46c06b"),
+    "solve-beliefs": (
+        ["solve", MODEL, "--beliefs", "{beliefs}", "--draws", "1", "--seed", "7",
+         "--out", "json"],
+        "38389b6538780fc8161128bcfcd4a2982a93e31777448f13c6a2e7453389560e"),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_stdout_digest_is_pinned(name):
+def test_stdout_digest_is_pinned(name, tmp_path):
     argv, digest = GOLDEN[name]
+    beliefs = tmp_path / "beliefs.maid"
+    beliefs.write_text(BELIEFS)
+    argv = [arg.format(beliefs=beliefs) for arg in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
