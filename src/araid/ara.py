@@ -68,11 +68,14 @@ def _agent(d: Diagram, agent: str | None, kind: AgentKind) -> str:
     return agent
 
 
-def _check_beliefs(d: Diagram, beliefs: AttackerBeliefs) -> None:
+def _check_beliefs(d: Diagram, beliefs: AttackerBeliefs, attacker: str) -> None:
     for nid, dist in beliefs.items():
         node = d.nodes.get(nid)
         if node is None or node.kind != NodeKind.DECISION:
             raise ValueError(f"belief target {nid!r} is not a decision node")
+        if node.owner == attacker:
+            raise ValueError(f"belief target {nid!r} is the attacker's own decision, "
+                             f"not an opponent's")
         if set(dist) != set(node.domain.labels):
             raise ValueError(f"belief for {nid!r} must cover exactly its alternatives")
 
@@ -88,7 +91,7 @@ def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
     and utility nodes, is retained.
     """
     attacker = _agent(d, attacker, AgentKind.ATTACKER)
-    _check_beliefs(d, beliefs)
+    _check_beliefs(d, beliefs, attacker)
     opponent_decisions = {n.id for n in d.nodes.values()
                           if n.kind == NodeKind.DECISION and n.owner != attacker}
     observed = set(observed)
@@ -448,9 +451,12 @@ class _DrawBlock:
 def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
                     uncertainty: ParameterUncertainty,
                     draws: int, seed: int,
-                    observed: set[str] | None = None,
                     attacker: str | None = None) -> AttackForecast:
     """Monte Carlo forecast of the attacker's optimal action per context.
+
+    The attacker observes the opponent decisions among the parents of the
+    attacker's one decision; `beliefs` must give a distribution for every
+    other opponent decision and for none of those (see `attacker_view`).
 
     Draws are sampled in blocks of DRAW_BLOCK along a leading draw axis,
     block b from its own substream `_draw_rng(seed, b)`; draw i is row
@@ -463,20 +469,16 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     if draws < 1:
         raise ValueError("draws must be >= 1")
     attacker = _agent(d, attacker, AgentKind.ATTACKER)
-    if observed is None:
-        observed = {n.id for n in d.nodes.values()
-                    if n.kind == NodeKind.DECISION and n.owner != attacker
-                    and n.id not in beliefs}
-    view = attacker_view(d, beliefs, observed, attacker=attacker)
-    uncertainty.validate(view)
-    compiled = CompiledModel.compile(view)
-
-    own = [n for n in view.nodes.values()
-           if n.kind == NodeKind.DECISION and n.owner == attacker]
+    own = [n for n in d.nodes.values() if n.kind == NodeKind.DECISION and n.owner == attacker]
     if len(own) != 1:
         raise ValueError(f"attacker must have exactly one decision, found "
                          f"{[n.id for n in own]}")
     decision = own[0]
+    observed = {p for p in decision.parents if d.nodes[p].kind == NodeKind.DECISION}
+    view = attacker_view(d, beliefs, observed, attacker=attacker)
+    uncertainty.validate(view)
+    compiled = CompiledModel.compile(view)
+
     context_nodes = decision.parents
     alternatives = decision.domain.labels
     # the query reduces nothing (no evidence, every decision a free axis), so

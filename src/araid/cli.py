@@ -1,9 +1,13 @@
 """Command-line front end: validate, tables, solve, evaluate.
 
 Exit codes: 0 success, 1 model/domain error, 2 I/O error. Everything
-printed to stdout is deterministic (fixed seed in, identical bytes out);
-the run report with wall-clock duration (and, for `solve`, per-phase
-timings) goes to stderr as one JSON line.
+printed to stdout is deterministic (fixed seed in, identical bytes out).
+On success the run report (wall-clock duration and, for `solve`, per-phase
+timings) goes to stderr as one JSON line. A failure prints no report, and
+its last stderr line is `error: <message>`. A model that does not parse is
+reported by its diagnostics: `validate` prints them to stdout and no
+`error:` line; the other commands print them to stderr, then
+`error: <path> is not a valid model`.
 """
 from __future__ import annotations
 
@@ -17,13 +21,7 @@ import time
 from . import drilling
 from .ara import ParameterUncertainty, block_count, forecast_attack, solve_defender
 from .diagram import Diagram, NodeKind
-from .inference import (
-    AmbiguousCellError,
-    ImpossibleEvidenceError,
-    constant_policy,
-    decision_table,
-    expected_utility,
-)
+from .inference import constant_policy, decision_table, expected_utility
 from .modelfile import ModelFormatError, parse_distribution_rows, try_parse_model
 
 SCHEMA_VERSION = 1
@@ -47,25 +45,8 @@ def _read_file(path: str) -> bytes:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", EXIT_IO)
 
 
-def _load_diagram(path: str) -> tuple[Diagram, str]:
-    raw = _read_file(path)
-    digest = hashlib.sha256(raw).hexdigest()
-    diagram, diags = try_parse_model(raw)
-    if diagram is None:
-        for d in diags:
-            print(f"{path}:{d}", file=sys.stderr)
-        raise _CliError(f"{path} is not a valid model", EXIT_MODEL)
-    return diagram, digest
-
-
-def _report(command: str, path: str, digest: str, started: float, **extra) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": {"path": path, "sha256": digest},
-        "duration_seconds": round(time.monotonic() - started, 6),
-    }
-    payload.update(extra)
+def _report(header: dict, started: float, fields: dict) -> None:
+    payload = {**header, "duration_seconds": round(time.monotonic() - started, 6), **fields}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
@@ -80,63 +61,31 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each prints its stdout and returns its run-report fields
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    raw = _read_file(args.file)
-    digest = hashlib.sha256(raw).hexdigest()
-    diagram, diags = try_parse_model(raw)
-    for d in diags:
-        print(f"{args.file}:{d}")
-    if diagram is None:
-        return EXIT_MODEL
+def cmd_validate(args: argparse.Namespace, diagram: Diagram, header: dict,
+                 started: float) -> dict:
     print("OK")
-    _report("validate", args.file, digest, started, result={"status": "ok"})
-    return EXIT_OK
+    return {"result": {"status": "ok"}}
 
 
-def _table_rows(diagram: Diagram, args: argparse.Namespace):
+def cmd_tables(args: argparse.Namespace, diagram: Diagram, header: dict,
+               started: float) -> dict:
     axes = [a for a in args.axes.split(",") if a]
     fixed = constant_policy(diagram, _parse_assignments(args.fix, "--fix"))
     table = decision_table(diagram, args.agent, axes, fixed=fixed)
-    rows = []
-    for key, eu, is_max in table.rows():
-        row = dict(zip(table.axes, key))
-        row["eu"] = eu
-        row["is_max_in_group"] = is_max
-        rows.append(row)
-    return table, rows
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    diagram, digest = _load_diagram(args.file)
-    try:
-        table, rows = _table_rows(diagram, args)
-    except (ValueError, KeyError) as exc:
-        raise _CliError(str(exc))
-    header = list(table.axes) + ["eu", "is_max_in_group"]
     if args.out == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[a] for a in table.axes]
-                            + [repr(row["eu"]), str(row["is_max_in_group"]).lower()])
+        writer.writerow(list(table.axes) + ["eu", "is_max_in_group"])
+        for key, eu, is_max in table.rows():
+            writer.writerow(list(key) + [repr(eu), str(is_max).lower()])
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "tables",
-            "input": {"path": args.file, "sha256": digest},
-            "agent": args.agent,
-            "axes": list(table.axes),
-            "rows": rows,
-        }
-        print(json.dumps(doc, sort_keys=True))
-    _report("tables", args.file, digest, started,
-            result={"rows": len(rows), "agent": args.agent})
-    return EXIT_OK
+        rows = [dict(zip(table.axes, key), eu=eu, is_max_in_group=is_max)
+                for key, eu, is_max in table.rows()]
+        print(json.dumps({**header, "agent": args.agent, "axes": list(table.axes),
+                          "rows": rows}, sort_keys=True))
+    return {"result": {"rows": len(table.cells), "agent": args.agent}}
 
 
 def _solve_inputs(diagram: Diagram, args: argparse.Namespace):
@@ -160,20 +109,15 @@ def _policy_json(policy) -> dict:
             for dec, rule in sorted(policy.items())}
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    diagram, digest = _load_diagram(args.file)
+def cmd_solve(args: argparse.Namespace, diagram: Diagram, header: dict,
+              started: float) -> dict:
     beliefs, uncertainty = _solve_inputs(diagram, args)
     loaded = time.monotonic()
-    try:
-        forecast = forecast_attack(diagram, beliefs, uncertainty,
-                                   draws=args.draws, seed=args.seed)
-        forecasted = time.monotonic()
-        solution = solve_defender(diagram, forecast)
-        solved = time.monotonic()
-    except (ValueError, KeyError) as exc:
-        raise _CliError(str(exc))
-    attack_alt = forecast.alternatives[0]
+    forecast = forecast_attack(diagram, beliefs, uncertainty,
+                               draws=args.draws, seed=args.seed)
+    forecasted = time.monotonic()
+    solution = solve_defender(diagram, forecast)
+    solved = time.monotonic()
 
     if args.out == "text":
         print(f"forecast over {forecast.decision} (draws={forecast.draws} "
@@ -200,23 +144,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
             writer.writerow(["forecast"] + list(ctx)
                             + [repr(p) for p in forecast.probabilities[ctx]])
         writer.writerow([])
-        decisions = sorted(solution.optimal.policy)
-        rule_cols: list[str] = []
-        for dec in decisions:
-            for key in sorted(solution.optimal.policy[dec]):
-                rule_cols.append(f"{dec}[{','.join(key)}]")
-        writer.writerow(["section"] + rule_cols + ["eu"])
+        # every ranked policy has a rule over the same observed tuples
+        cols = [(dec, key) for dec, rule in sorted(solution.optimal.policy.items())
+                for key in sorted(rule)]
+        writer.writerow(["section"] + [f"{dec}[{','.join(key)}]" for dec, key in cols]
+                        + ["eu"])
         for ranked in solution.ranking:
-            cells = []
-            for dec in decisions:
-                for key in sorted(ranked.policy[dec]):
-                    cells.append(ranked.policy[dec][key])
-            writer.writerow(["policy"] + cells + [repr(ranked.expected_utility)])
+            writer.writerow(["policy"] + [ranked.policy[dec][key] for dec, key in cols]
+                            + [repr(ranked.expected_utility)])
     else:
         doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "solve",
-            "input": {"path": args.file, "sha256": digest},
+            **header,
             "seed": args.seed,
             "draws": args.draws,
             "forecast": json.loads(forecast.to_json()),
@@ -232,39 +170,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
             },
         }
         print(json.dumps(doc, sort_keys=True))
-    _report("solve", args.file, digest, started, seed=args.seed, draws=args.draws,
-            timings_s={"load": round(loaded - started, 6),
-                       "forecast": round(forecasted - loaded, 6),
-                       "solve": round(solved - forecasted, 6)},
-            forecast_blocks=block_count(forecast.draws), forecast_chunks=forecast.chunks,
-            result={"expected_utility": solution.optimal.expected_utility,
-                    "p_attack_range": [
-                        min(p[0] for p in forecast.probabilities.values()),
-                        max(p[0] for p in forecast.probabilities.values())],
-                    "attack_alternative": attack_alt})
-    return EXIT_OK
+    p_attack = [p[0] for p in forecast.probabilities.values()]
+    return {"seed": args.seed, "draws": args.draws,
+            "timings_s": {"load": round(loaded - started, 6),
+                          "forecast": round(forecasted - loaded, 6),
+                          "solve": round(solved - forecasted, 6)},
+            "forecast_blocks": block_count(forecast.draws),
+            "forecast_chunks": forecast.chunks,
+            "result": {"expected_utility": solution.optimal.expected_utility,
+                       "p_attack_range": [min(p_attack), max(p_attack)],
+                       "attack_alternative": forecast.alternatives[0]}}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    diagram, digest = _load_diagram(args.file)
+def cmd_evaluate(args: argparse.Namespace, diagram: Diagram, header: dict,
+                 started: float) -> dict:
     choices = _parse_assignments(args.policy, "--policy")
     evidence = _parse_assignments(args.evidence, "--evidence")
     decisions = {n.id for n in diagram.nodes.values() if n.kind == NodeKind.DECISION}
     missing = sorted(decisions - set(choices))
     if missing:
         raise _CliError(f"--policy must cover every decision; missing {missing}")
-    try:
-        policy = constant_policy(diagram, choices)
-        eu = expected_utility(diagram, args.agent, policy, evidence)
-    except ImpossibleEvidenceError:
-        raise _CliError("impossible evidence")
-    except (ValueError, KeyError) as exc:
-        raise _CliError(str(exc))
+    eu = expected_utility(diagram, args.agent, constant_policy(diagram, choices), evidence)
     print(f"{eu:.6f}")
-    _report("evaluate", args.file, digest, started,
-            result={"agent": args.agent, "expected_utility": eu})
-    return EXIT_OK
+    return {"result": {"agent": args.agent, "expected_utility": eu}}
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        raw = _read_file(args.file)
+        diagram, diags = try_parse_model(raw)
+        if diagram is None:
+            validating = args.func is cmd_validate
+            for d in diags:
+                print(f"{args.file}:{d}", file=sys.stdout if validating else sys.stderr)
+            if validating:
+                return EXIT_MODEL
+            raise _CliError(f"{args.file} is not a valid model")
+        header = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "input": {"path": args.file, "sha256": hashlib.sha256(raw).hexdigest()}}
+        fields = args.func(args, diagram, header, started)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ModelFormatError, ImpossibleEvidenceError, AmbiguousCellError) as exc:
+    except (ValueError, KeyError) as exc:  # the library's model and domain errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    _report(header, started, fields)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -784,6 +784,9 @@ def enumerate_marginal(d: Diagram, policy: Policy, evidence: Evidence,
     evidence = evidence or {}
     _check_evidence(d, evidence)
     node = d.nodes[target]
+    if node.domain is None:
+        raise ValueError(f"{target!r} has no outcome domain")
+    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
     mass = {lbl: 0.0 for lbl in node.domain.labels}
     den = 0.0
     for assignment, prob in _iter_joint(d, policy):
@@ -800,7 +803,12 @@ def enumerate_expected_value(d: Diagram, value_node: str, policy: Policy,
                              evidence: Evidence | None = None) -> float:
     """Reference conditional expectation of one value node's score."""
     evidence = evidence or {}
+    _check_evidence(d, evidence)
+    # the walk needs every decision's rule, where the engine needs only relevant ones
+    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
     node = d.nodes[value_node]
+    if node.kind != NodeKind.VALUE:
+        raise ValueError(f"{value_node!r} is not a value node")
     vspec: ValueSpec = node.payload
     domains = [d.nodes[p].domain for p in node.parents]
     num = 0.0

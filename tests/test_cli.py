@@ -49,6 +49,44 @@ def test_validate_missing_file_is_io_error(tmp_path):
     assert proc.returncode == 2
 
 
+BROKEN_MODEL = ("node UC kind=chance domain=riskier,normal\n"
+                "cpt UC | : riskier=0.3,normal=0.6\n")
+COMMAND_ARGS = {
+    "validate": [],
+    "tables": ["--agent", "defender", "--axes", "DP"],
+    "solve": ["--draws", "1"],
+    "evaluate": ["--agent", "defender", "--policy", "DP=no_additional"],
+}
+
+
+def assert_no_run_report(stderr: str) -> None:
+    assert not [line for line in stderr.splitlines() if line.startswith("{")]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_each_command_keeps_the_failure_contract(tmp_path, command):
+    bad = tmp_path / "broken.maid"
+    bad.write_text(BROKEN_MODEL)
+    proc = run_cli(command, str(bad), *COMMAND_ARGS[command])
+    assert proc.returncode == 1
+    diagnostic = f"{bad}:2:1: error: non-stochastic row"
+    if command == "validate":   # the diagnostics are validate's output
+        assert proc.stdout.startswith(diagnostic)
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith(diagnostic)
+        assert lines[-1] == f"error: {bad} is not a valid model"
+        assert_no_run_report(proc.stderr)
+
+    proc = run_cli(command, str(tmp_path / "missing.maid"), *COMMAND_ARGS[command])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read ")
+    assert_no_run_report(proc.stderr)
+
+
 # -- tables -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -140,7 +178,9 @@ def test_evaluate_impossible_evidence():
                    "DP=no_additional", "DF=no_forensic", "DT=accept", "DR=continue",
                    "AP=no_perpetrate", "--evidence", "UA=attack")
     assert proc.returncode == 1
-    assert "impossible evidence" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: impossible evidence: {'UA': 'attack'")
+    assert_no_run_report(proc.stderr)
 
 
 def test_evaluate_policy_rejects_a_non_decision():
@@ -283,6 +323,23 @@ def test_solve_rejects_repeats_in_a_belief_file(tmp_path, rows, diagnostic):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert diagnostic in proc.stderr
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "no belief given for unobserved decision(s) ['DR']"),
+    ("cpt DR | : continue=0.6,stop=0.4\ncpt DP | : additional=1.0,no_additional=0.0\n",
+     "a decision cannot be both observed and belief-distributed"),
+    ("cpt DR | : continue=0.6,stop=0.4\ncpt AP | : perpetrate=0.5,no_perpetrate=0.5\n",
+     "belief target 'AP' is the attacker's own decision"),
+], ids=["omits-unobserved", "on-observed", "on-own-decision"])
+def test_solve_names_what_a_belief_file_gets_wrong(tmp_path, rows, message):
+    beliefs = tmp_path / "beliefs.maid"
+    beliefs.write_text("cpt DT | : avoid=0.2,share=0.3,accept=0.5\n" + rows)
+    proc = run_cli("solve", DRILLING, "--draws", "1", "--beliefs", str(beliefs))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}")
+    assert_no_run_report(proc.stderr)
 
 
 def count_validations(argv: list[str]) -> int:

@@ -17,6 +17,7 @@ from araid.inference import (
     constant_policy,
     decision_table,
     enumerate_expected_utility,
+    enumerate_expected_value,
     enumerate_marginal,
     expected_utility,
     expected_value,
@@ -128,6 +129,30 @@ def test_policy_entries_must_name_decision_nodes(drilling, extra):
         expected_value(drilling, "DM", policy)
     with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
         decision_table(drilling, "defender", axes, fixed={extra: {(): "riskier"}})
+
+
+ENGINE_AND_ORACLE = {
+    "utility": (expected_utility, enumerate_expected_utility),
+    "value": (expected_value, enumerate_expected_value),
+    "marginal": (marginal_distribution, enumerate_marginal),
+}
+
+
+@pytest.mark.parametrize("pair, call, message", [
+    ("utility", lambda f, d, p: f(d, "defender", p, {"ZZ": "x"}), "unknown node 'ZZ'"),
+    ("value", lambda f, d, p: f(d, "DCV", p, {"ZZ": "x"}), "unknown node 'ZZ'"),
+    ("value", lambda f, d, p: f(d, "DCV", {}), "decision '"),
+    ("value", lambda f, d, p: f(d, "UC", p), "'UC' is not a value node"),
+    ("marginal", lambda f, d, p: f(d, p, {"ZZ": "x"}, "UH"), "unknown node 'ZZ'"),
+    ("marginal", lambda f, d, p: f(d, {}, {}, "UH"), "policy missing a rule for decision"),
+    ("marginal", lambda f, d, p: f(d, p, {}, "DCV"), "'DCV' has no outcome domain"),
+], ids=["utility-evidence", "value-evidence", "value-empty-policy", "value-not-a-value",
+        "marginal-evidence", "marginal-empty-policy", "marginal-value-node"])
+def test_oracle_checks_its_inputs_as_the_engine_does(drilling, pair, call, message):
+    for fn in ENGINE_AND_ORACLE[pair]:
+        with pytest.raises(ValueError, match=message) as raised:
+            call(fn, drilling, drilling_policy(drilling))
+        assert not isinstance(raised.value, ImpossibleEvidenceError), fn.__name__
 
 
 # -- expected utility --------------------------------------------------------
