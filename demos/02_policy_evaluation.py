@@ -30,7 +30,7 @@ for label, p in dist.items():
 # context/attack events, with the per-column maximum marked.
 table = decision_table(diagram, "defender", ["DP", "DF", "DT", "DR", "UC", "UA"])
 print(f"\nfull defender table: {len(table.cells)} cells, "
-      f"grouped per {table.group_axes}")
+      f"grouped per {table.axes[4:]}")
 print("column maxima (the published boldface):")
 for key in sorted(table.argmax, key=lambda k: (k[-2:], k)):
     dp, df, dt, dr, uc, ua = key

@@ -34,7 +34,6 @@ from .inference import (
     enumerate_marginal,
     expected_utility,
     expected_value,
-    joint_probability,
     marginal_distribution,
 )
 from .ara import (
@@ -70,7 +69,7 @@ __all__ = [
     "AmbiguousCellError", "EuTable", "ImpossibleEvidenceError",
     "constant_policy", "constant_rule", "decision_table",
     "enumerate_expected_utility", "enumerate_expected_value", "enumerate_marginal",
-    "expected_utility", "expected_value", "joint_probability", "marginal_distribution",
+    "expected_utility", "expected_value", "marginal_distribution",
     "AttackForecast", "BestResponse", "DefenderSolution", "DirichletRule",
     "ParameterUncertainty", "PerturbRule", "PointRule", "RankedPolicy", "UniformRule",
     "apply_forecast", "attacker_view", "best_response", "forecast_attack",

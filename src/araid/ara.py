@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -134,7 +134,9 @@ def best_response(d_view: Diagram, agent: str,
     policy_part: dict[str, str] = {}
     evidence: dict[str, str] = {}
     for nid, label in context.items():
-        node = d_view.nodes[nid]
+        node = d_view.nodes.get(nid)
+        if node is None:
+            raise ValueError(f"unknown context node {nid!r}")
         if nid == decision.id:
             continue  # the decision itself stays the free axis
         if node.kind == NodeKind.DECISION:
@@ -346,7 +348,9 @@ class AttackForecast:
     @staticmethod
     def constant(d: Diagram, decision: str, probabilities: Mapping[str, float]) -> "AttackForecast":
         """Same action distribution in every observable context."""
-        node = d.nodes[decision]
+        node = d.nodes.get(decision)
+        if node is None or node.kind != NodeKind.DECISION:
+            raise ValueError(f"{decision!r} is not a decision node")
         contexts = list(parent_tuples_of(d, decision))
         row = tuple(float(probabilities[lbl]) for lbl in node.domain.labels)
         if abs(sum(row) - 1.0) > 1e-9 or any(p < 0 for p in row):
@@ -437,11 +441,8 @@ class _DrawBlock:
             node = self.view.nodes[vid]
             domain = self.view.nodes[node.parents[0]].domain
             # built [parent, draw] and handed out draw first, like the tables
-            ratio = np.array([domain.tag(lbl) for lbl in domain.labels])[:, None] / pair[:n, 0]
-            if node.payload.form == "linear":
-                tables[vid] = np.moveaxis(node.payload.offset - ratio, -1, 0)
-            else:
-                tables[vid] = np.moveaxis(ratio ** (1.0 / pair[:n, 1]), -1, 0)
+            spec = replace(node.payload, scale=pair[:n, 0], root=pair[:n, 1])
+            tables[vid] = np.moveaxis(spec.of_tag(np.array(domain.numeric_tags)[:, None]), -1, 0)
         if self.weights is None:
             return tables, None
         parents = self.utility.parents
@@ -545,8 +546,8 @@ def _policy_sort_key(policy: Mapping[str, Mapping[tuple[str, ...], str]]) -> tup
 
 def apply_forecast(d: Diagram, forecast: AttackForecast) -> Diagram:
     """Replace the forecast decision with a chance node driven by it."""
-    node = d.nodes[forecast.decision]
-    if node.kind != NodeKind.DECISION:
+    node = d.nodes.get(forecast.decision)
+    if node is None or node.kind != NodeKind.DECISION:
         raise ValueError(f"{forecast.decision!r} is not a decision node")
     if tuple(forecast.context_nodes) != node.parents:
         raise ValueError(f"forecast contexts {forecast.context_nodes} do not match the "

@@ -117,11 +117,16 @@ class ValueSpec:
             return 1.0 if label in self.one_labels else 0.0
         (label,) = parent_values
         x = parent_domains[0].tag(label)
+        if self.form == "power_root" and x < 0:
+            raise ValueError(f"power_root value function needs x >= 0, got {x}")
+        return self.of_tag(x)
+
+    def of_tag(self, x):
+        """The linear or power_root form at numeric tag x; works elementwise
+        on arrays, with array scale and root too."""
         if self.form == "linear":
             return self.offset - x / self.scale
         if self.form == "power_root":
-            if x < 0:
-                raise ValueError(f"power_root value function needs x >= 0, got {x}")
             return (x / self.scale) ** (1.0 / self.root)
         raise ValueError(f"unknown value form {self.form!r}")
 
@@ -343,19 +348,33 @@ def _check_domain(n: Node) -> list[Violation]:
 
 def _check_rows(d: Diagram, n: Node, rows: Mapping[tuple[str, ...], object],
                 what: str = "node") -> tuple[set[tuple[str, ...]], list[Violation]]:
-    """Expected parent tuples of a table, and its missing and extra rows."""
-    expected = set(parent_tuples(d.nodes, n))
-    v = [Violation("incomplete-table", f"incomplete table: {what} {n.id!r} missing row {key}",
-                   node=n.id, key=key) for key in sorted(expected - rows.keys())]
+    """The keys of a table that are parent tuples, and its missing and extra
+    rows. Missing rows are counted, not listed, so the cost follows the rows
+    given: no scan of the parent-tuple product goes past len(rows) + 1."""
+    # a parent without a domain is reported elsewhere; here it has no labels
+    labels = [dict.fromkeys(() if d.nodes[p].domain is None else d.nodes[p].domain.labels)
+              for p in n.parents]
+    # a complete table's keys are all among the first len(rows) parent
+    # tuples; only a key outside them is checked label by label
+    head = set(itertools.islice(itertools.product(*labels), len(rows)))
+    valid = {key for key in rows if key in head or (
+        isinstance(key, tuple) and len(key) == len(labels)
+        and all(lbl in ls for lbl, ls in zip(key, labels)))}
+    v = []
+    missing = math.prod(map(len, labels)) - len(valid)
+    if missing:
+        first = next(key for key in itertools.product(*labels) if key not in valid)
+        v.append(Violation("incomplete-table", f"incomplete table: {what} {n.id!r} missing "
+                           f"{missing} row(s), the first {first}", node=n.id, key=first))
     v += [Violation("extra-row", f"{what} {n.id!r} has a row for unknown parent tuple {key}",
-                    node=n.id, key=key) for key in sorted(rows.keys() - expected)]
-    return expected, v
+                    node=n.id, key=key) for key in sorted(rows.keys() - valid)]
+    return valid, v
 
 
 def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
-    expected, v = _check_rows(d, n, n.payload.rows)
+    valid, v = _check_rows(d, n, n.payload.rows)
     for key, row in n.payload.rows.items():
-        if key not in expected:
+        if key not in valid:
             continue
         if len(row) != len(n.domain):
             v.append(Violation("row-arity",
@@ -376,9 +395,9 @@ def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
 
 
 def _check_det(d: Diagram, n: Node) -> list[Violation]:
-    expected, v = _check_rows(d, n, n.payload.rows)
+    valid, v = _check_rows(d, n, n.payload.rows)
     for key, label in n.payload.rows.items():
-        if key in expected and label not in n.domain.labels:
+        if key in valid and label not in n.domain.labels:
             v.append(Violation("unknown-output",
                                f"node {n.id!r} row {key} outputs {label!r}, not in domain",
                                node=n.id, key=key))

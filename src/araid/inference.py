@@ -1,11 +1,17 @@
 """Exact inference and expected utility over influence diagrams.
 
-Two independent evaluation routes live here on purpose:
+Two independent evaluation routes live here on purpose, and each public
+query takes one checked path on each:
 
 * a variable-elimination engine on numpy factors (the production path, used
-  by tables and the adversarial solver), and
+  by tables and the adversarial solver). `expected_utility`,
+  `expected_value` and `marginal_distribution` check their evidence, policy
+  and target with one helper, then contract factors from `_assemble`; and
 * a brute-force enumerator over joint assignments (the reference oracle the
-  tests hold the engine against).
+  tests hold the engine against). `enumerate_expected_utility`,
+  `enumerate_expected_value` and `enumerate_marginal` run the same checks,
+  then one loop that averages a score over every joint assignment that
+  agrees with the evidence.
 
 Expected utility is multilinear in every probability, rule and score
 table, so one planned contraction (`CompiledModel.utility_query`) serves a
@@ -26,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +40,6 @@ from .diagram import (
     Diagram,
     Node,
     NodeKind,
-    UtilitySpec,
     ValueSpec,
     parent_tuples,
     topological_order,
@@ -78,26 +83,14 @@ def constant_policy(d: Diagram, choices: Mapping[str, str]) -> dict[str, dict[tu
     return {dec: constant_rule(d, dec, alt) for dec, alt in choices.items()}
 
 
-def _check_policy(d: Diagram, policy: Policy, covered: Iterable[str]) -> None:
-    """Every key of `policy` is a decision node, and each `covered` decision
-    has a complete, in-domain rule."""
-    for dec in policy:
-        node = d.nodes.get(dec)
-        if node is None or node.kind != NodeKind.DECISION:
-            raise ValueError(f"policy entry {dec!r} is not a decision node")
-    for dec in covered:
-        node = d.nodes[dec]
-        if dec not in policy:
-            raise ValueError(f"policy missing a rule for decision {dec!r}")
-        rule = policy[dec]
-        for key in parent_tuples(d.nodes, node):
-            if key not in rule:
-                raise ValueError(f"rule for {dec!r} missing observed tuple {key}")
-            if rule[key] not in node.domain.labels:
-                raise ValueError(f"rule for {dec!r} picks {rule[key]!r}, not in its domain")
+def _checked(d: Diagram, policy: Policy, evidence: Evidence, *, every_decision: bool = True,
+             target: str | None = None, scored: bool = False) -> Node | None:
+    """Check a query's evidence and policy, and look up its target.
 
-
-def _check_evidence(d: Diagram, evidence: Evidence) -> None:
+    Every policy key must be a decision node, and with `every_decision`
+    every decision needs a complete, in-domain rule. The target is a value
+    node when `scored`, else a node with an outcome domain.
+    """
     for nid, label in evidence.items():
         node = d.nodes.get(nid)
         if node is None:
@@ -106,6 +99,29 @@ def _check_evidence(d: Diagram, evidence: Evidence) -> None:
             raise ValueError(f"evidence keys must be chance/deterministic nodes, got {nid!r}")
         if label not in node.domain.labels:
             raise ValueError(f"evidence label {label!r} not in domain of {nid!r}")
+    for dec in policy:
+        node = d.nodes.get(dec)
+        if node is None or node.kind != NodeKind.DECISION:
+            raise ValueError(f"policy entry {dec!r} is not a decision node")
+    for node in (n for n in d.nodes.values() if every_decision and n.kind == NodeKind.DECISION):
+        if node.id not in policy:
+            raise ValueError(f"policy missing a rule for decision {node.id!r}")
+        rule = policy[node.id]
+        for key in parent_tuples(d.nodes, node):
+            if key not in rule:
+                raise ValueError(f"rule for {node.id!r} missing observed tuple {key}")
+            if rule[key] not in node.domain.labels:
+                raise ValueError(f"rule for {node.id!r} picks {rule[key]!r}, not in its domain")
+    if target is None:
+        return None
+    node = d.nodes.get(target)
+    if node is None:
+        raise ValueError(f"unknown target node {target!r}")
+    if scored and node.kind != NodeKind.VALUE:
+        raise ValueError(f"{target!r} is not a value node")
+    if not scored and node.domain is None:
+        raise ValueError(f"{target!r} has no outcome domain")
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +269,6 @@ class ContractionTape:
         return result
 
 
-def _contract(factors: Sequence[Factor], keep: Sequence[str],
-              elim_priority: Mapping[str, tuple], sizes: Mapping[str, int]) -> np.ndarray:
-    tape = ContractionTape([f.vars for f in factors], keep, elim_priority, sizes)
-    return tape.execute([f.table for f in factors])
-
-
 # ---------------------------------------------------------------------------
 # compiled model
 # ---------------------------------------------------------------------------
@@ -384,13 +394,6 @@ class CompiledModel:
             if nid in f.vars:
                 f = f.reduce(nid, self.diagram.nodes[nid].domain.index(label))
         return f
-
-    def probability_table(self, policy: Policy, evidence: Evidence,
-                          keep: Sequence[str]) -> np.ndarray:
-        """P(evidence) as a table over `keep` (free decision/chance axes)."""
-        factors, _ = self._assemble(policy, evidence, keep, set(keep) | set(evidence))
-        result = _contract([f for _, f in factors], keep, self.elim_priority, self.sizes)
-        return np.broadcast_to(result, [self.sizes[v] for v in keep]).copy() if keep else result
 
     def utility_query(self, agent: str, policy: Policy, evidence: Evidence,
                       keep: Sequence[str], weights: Mapping[str, float] | None = None,
@@ -555,50 +558,24 @@ class UtilityQuery:
 # public operations (variable-elimination route)
 # ---------------------------------------------------------------------------
 
-def joint_probability(d: Diagram, policy: Policy, assignment: Mapping[str, str]) -> float:
-    """Chain-rule probability of one full assignment.
-
-    The assignment must cover every decision, chance and deterministic
-    node; it has probability zero as soon as any decision or deterministic
-    node disagrees with its rule/table output.
-    """
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
-    prob = 1.0
-    for n in d.nodes.values():
-        if n.kind in (NodeKind.VALUE, NodeKind.UTILITY):
-            continue
-        if n.id not in assignment:
-            raise ValueError(f"assignment missing node {n.id!r}")
-        label = assignment[n.id]
-        if label not in n.domain.labels:
-            raise ValueError(f"label {label!r} not in domain of {n.id!r}")
-        key = tuple(assignment[p] for p in n.parents)
-        if n.kind == NodeKind.CHANCE:
-            prob *= n.payload.rows[key][n.domain.index(label)]
-        elif n.kind == NodeKind.DETERMINISTIC:
-            if n.payload.rows[key] != label:
-                return 0.0
-        else:  # decision
-            if policy[n.id][key] != label:
-                return 0.0
-    return prob
-
-
 def marginal_distribution(d: Diagram, policy: Policy, evidence: Evidence,
                           target: str) -> dict[str, float]:
-    """Conditional distribution of `target` given evidence, via elimination."""
-    _check_evidence(d, evidence)
-    node = d.nodes[target]
-    if node.domain is None:
-        raise ValueError(f"{target!r} has no outcome domain")
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
+    """Conditional distribution of `target` given evidence, via elimination.
+
+    A target bound by the evidence or by a constant rule keeps a singleton
+    axis, so P(evidence) is checked before its point mass is returned.
+    """
+    node = _checked(d, policy, evidence, target=target)
     m = CompiledModel.compile(d)
-    if target in evidence:
-        return {lbl: 1.0 if lbl == evidence[target] else 0.0 for lbl in node.domain.labels}
-    table = m.probability_table(policy, evidence, [target])
+    tagged, reductions = m._assemble(policy, evidence, [target], {target, *evidence})
+    factors = [f for _, f in tagged]
+    table = ContractionTape([f.vars for f in factors], [target], m.elim_priority,
+                            m.sizes).execute([f.table for f in factors])
     total = float(table.sum())
     if total <= 0.0:
         raise ImpossibleEvidenceError(f"impossible evidence: {dict(evidence)!r}")
+    if target in reductions:
+        return {lbl: 1.0 if lbl == reductions[target] else 0.0 for lbl in node.domain.labels}
     return {lbl: float(table[i] / total) for i, lbl in enumerate(node.domain.labels)}
 
 
@@ -606,25 +583,17 @@ def expected_utility(d: Diagram, agent: str, policy: Policy,
                      evidence: Evidence | None = None) -> float:
     """Agent's conditional expected utility under a full policy."""
     evidence = evidence or {}
-    _check_evidence(d, evidence)
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
-    m = CompiledModel.compile(d)
-    return float(m.utility_query(agent, policy, evidence, []).evaluate())
+    _checked(d, policy, evidence)
+    return float(CompiledModel.compile(d).utility_query(agent, policy, evidence, []).evaluate())
 
 
 def expected_value(d: Diagram, value_node: str, policy: Policy,
                    evidence: Evidence | None = None) -> float:
     """Conditional expectation of a single value node's score."""
     evidence = evidence or {}
-    _check_evidence(d, evidence)
-    _check_policy(d, policy, ())
-    node = d.nodes[value_node]
-    if node.kind != NodeKind.VALUE:
-        raise ValueError(f"{value_node!r} is not a value node")
-    m = CompiledModel.compile(d)
-    agent = node.owner
-    return float(m.utility_query(agent, policy, evidence, [],
-                                 weights={value_node: 1.0}).evaluate())
+    node = _checked(d, policy, evidence, every_decision=False, target=value_node, scored=True)
+    return float(CompiledModel.compile(d).utility_query(
+        node.owner, policy, evidence, [], weights={value_node: 1.0}).evaluate())
 
 
 @dataclass(frozen=True)
@@ -640,7 +609,6 @@ class EuTable:
     axes: tuple[str, ...]
     labels: Mapping[str, tuple[str, ...]]
     cells: Mapping[tuple[str, ...], float]
-    group_axes: tuple[str, ...]
     argmax: frozenset[tuple[str, ...]]
 
     def rows(self) -> Iterable[tuple[tuple[str, ...], float, bool]]:
@@ -669,7 +637,7 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
         if n.kind not in (NodeKind.DECISION, NodeKind.CHANCE, NodeKind.DETERMINISTIC):
             raise ValueError(f"axis {a!r} must be a decision or chance node")
         axis_nodes.append(n)
-    _check_policy(d, fixed or {}, ())
+    _checked(d, fixed or {}, {}, every_decision=False)
     labels = {n.id: n.domain.labels for n in axis_nodes}
     decision_axes = [n.id for n in axis_nodes if n.kind == NodeKind.DECISION]
     policy = {dec: rule for dec, rule in (fixed or {}).items() if dec not in decision_axes}
@@ -700,7 +668,6 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
     marked = values >= values.max(axis=own, keepdims=True) - TIE_TOL
     return EuTable(agent=agent, axes=tuple(axes), labels=labels,
                    cells=dict(zip(keys, values.ravel().tolist())),
-                   group_axes=tuple(a for i, a in enumerate(axes) if i not in own),
                    argmax=frozenset(k for k, m in zip(keys, marked.ravel()) if m))
 
 
@@ -743,82 +710,49 @@ def _iter_joint(d: Diagram, policy: Policy):
     yield from walk(0, {}, 1.0)
 
 
-def _matches(assignment: Mapping[str, str], evidence: Evidence) -> bool:
-    return all(assignment.get(k) == v for k, v in evidence.items())
+def _enumerate(d: Diagram, policy: Policy, evidence: Evidence,
+               score: Callable[[Mapping[str, str]], float]) -> float:
+    """E[score(assignment) | evidence] over every joint assignment."""
+    num = 0.0
+    den = 0.0
+    for assignment, prob in _iter_joint(d, policy):
+        if all(assignment[k] == v for k, v in evidence.items()):
+            den += prob
+            num += prob * score(assignment)
+    if den <= 0.0:
+        raise ImpossibleEvidenceError(f"impossible evidence: {dict(evidence)!r}")
+    return num / den
 
 
-def _utility_of(d: Diagram, agent: str, assignment: Mapping[str, str]) -> float:
-    util = d.utility_node_of(agent)
-    spec: UtilitySpec = util.payload
-    total = 0.0
-    for vid, weight in spec.weights.items():
-        vnode = d.nodes[vid]
-        vspec: ValueSpec = vnode.payload
-        key = tuple(assignment[p] for p in vnode.parents)
-        domains = [d.nodes[p].domain for p in vnode.parents]
-        total += weight * vspec.score(key, domains)
-    return total
+def _scorer(d: Diagram, weights: Mapping[str, float]) -> Callable[[Mapping[str, str]], float]:
+    """The weighted sum of the value nodes' scores of one joint assignment."""
+    values = [(weight, d.nodes[vid]) for vid, weight in weights.items()]
+    return lambda a: sum(weight * v.payload.score(tuple(a[p] for p in v.parents),
+                                                  [d.nodes[p].domain for p in v.parents])
+                         for weight, v in values)
 
 
 def enumerate_expected_utility(d: Diagram, agent: str, policy: Policy,
                                evidence: Evidence | None = None) -> float:
     """Reference expected utility by exhaustive enumeration."""
     evidence = evidence or {}
-    _check_evidence(d, evidence)
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
-    num = 0.0
-    den = 0.0
-    for assignment, prob in _iter_joint(d, policy):
-        if not _matches(assignment, evidence):
-            continue
-        den += prob
-        num += prob * _utility_of(d, agent, assignment)
-    if den <= 0.0:
-        raise ImpossibleEvidenceError(f"impossible evidence: {dict(evidence)!r}")
-    return num / den
+    _checked(d, policy, evidence)
+    return _enumerate(d, policy, evidence, _scorer(d, d.utility_node_of(agent).payload.weights))
 
 
 def enumerate_marginal(d: Diagram, policy: Policy, evidence: Evidence,
                        target: str) -> dict[str, float]:
     """Reference conditional marginal by exhaustive enumeration."""
     evidence = evidence or {}
-    _check_evidence(d, evidence)
-    node = d.nodes[target]
-    if node.domain is None:
-        raise ValueError(f"{target!r} has no outcome domain")
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
-    mass = {lbl: 0.0 for lbl in node.domain.labels}
-    den = 0.0
-    for assignment, prob in _iter_joint(d, policy):
-        if not _matches(assignment, evidence):
-            continue
-        den += prob
-        mass[assignment[target]] += prob
-    if den <= 0.0:
-        raise ImpossibleEvidenceError(f"impossible evidence: {dict(evidence)!r}")
-    return {lbl: p / den for lbl, p in mass.items()}
+    node = _checked(d, policy, evidence, target=target)
+    return {lbl: _enumerate(d, policy, evidence, lambda a: float(a[target] == lbl))
+            for lbl in node.domain.labels}
 
 
 def enumerate_expected_value(d: Diagram, value_node: str, policy: Policy,
                              evidence: Evidence | None = None) -> float:
     """Reference conditional expectation of one value node's score."""
     evidence = evidence or {}
-    _check_evidence(d, evidence)
     # the walk needs every decision's rule, where the engine needs only relevant ones
-    _check_policy(d, policy, (n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION))
-    node = d.nodes[value_node]
-    if node.kind != NodeKind.VALUE:
-        raise ValueError(f"{value_node!r} is not a value node")
-    vspec: ValueSpec = node.payload
-    domains = [d.nodes[p].domain for p in node.parents]
-    num = 0.0
-    den = 0.0
-    for assignment, prob in _iter_joint(d, policy):
-        if not _matches(assignment, evidence):
-            continue
-        den += prob
-        key = tuple(assignment[p] for p in node.parents)
-        num += prob * vspec.score(key, domains)
-    if den <= 0.0:
-        raise ImpossibleEvidenceError(f"impossible evidence: {dict(evidence)!r}")
-    return num / den
+    _checked(d, policy, evidence, target=value_node, scored=True)
+    return _enumerate(d, policy, evidence, _scorer(d, {value_node: 1.0}))

@@ -812,6 +812,21 @@ def test_apply_forecast_requires_matching_contexts(drilling):
         apply_forecast(drilling, broken)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: best_response(attacker_view(d, default_beliefs(), observed={"DP", "DF"}),
+                             "attacker", {"DP": "additional", "DF": "forensic", "ZZ": "x"}),
+     "unknown context node 'ZZ'"),
+    (lambda d: AttackForecast.constant(d, "ZZ", {"perpetrate": 1.0}),
+     "'ZZ' is not a decision node"),
+    (lambda d: apply_forecast(d, AttackForecast("ZZ", (), ("perpetrate",), {(): (1.0,)},
+                                                draws=0, seed=0)),
+     "'ZZ' is not a decision node"),
+], ids=["best_response", "constant_forecast", "apply_forecast"])
+def test_an_unknown_node_id_is_named(drilling, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(drilling)
+
+
 def test_an_intractable_policy_search_is_refused_before_enumerating():
     d = parse_model(wide_observer_model())
     forecast = AttackForecast("A", (), ("go", "stay"), {(): (0.5, 0.5)}, draws=1, seed=0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -43,11 +45,29 @@ def test_non_stochastic_row_reported_with_node_and_row():
 
 
 def test_missing_row_is_incomplete_table():
-    parent = chance("p", ["a", "b"], {(): (0.5, 0.5)})
-    child = chance("x", ["a", "b"], {("a",): (1.0, 0.0)}, parents=["p"])
+    # the missing rows are counted in one violation that names the first,
+    # in parent-domain product order; ('b', 'c') lies past the first
+    # len(rows) parent tuples, so it is checked label by label
+    p = chance("p", ["a", "b"], {(): (0.5, 0.5)})
+    q = chance("q", ["a", "b", "c"], {(): (0.2, 0.3, 0.5)})
+    rows = {("a", "a"): (1.0, 0.0), ("b", "a"): (1.0, 0.0), ("b", "c"): (1.0, 0.0),
+            ("z", "a"): (1.0, 0.0), ("a",): (1.0, 0.0)}
+    child = chance("x", ["a", "b"], rows, parents=["p", "q"])
     with pytest.raises(DiagramError) as err:
-        build_diagram([], [parent, child])
-    assert any("incomplete table" in str(v) for v in err.value.violations)
+        build_diagram([], [p, q, child])
+    assert [(v.code, v.key, str(v)) for v in err.value.violations] == [
+        ("incomplete-table", ("a", "b"),
+         "incomplete table: node 'x' missing 3 row(s), the first ('a', 'b')"),
+        ("extra-row", ("a",), "node 'x' has a row for unknown parent tuple ('a',)"),
+        ("extra-row", ("z", "a"), "node 'x' has a row for unknown parent tuple ('z', 'a')"),
+    ]
+    # a key that is not a tuple is no parent tuple, even if it spells labels
+    rows = {key: (1.0, 0.0) for key in itertools.product("ab", "ab")} | {"ac": (1.0, 0.0)}
+    child = chance("x", ["a", "b"], rows, parents=["p", "q"])
+    with pytest.raises(DiagramError) as err:
+        build_diagram([], [p, q, child])
+    assert [(v.code, v.key) for v in err.value.violations] == [
+        ("incomplete-table", ("a", "c")), ("extra-row", "ac")]
 
 
 def test_unknown_parent_and_duplicate_id():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,27 @@ def test_malformed_text_reads_in_linear_time():
         parse_distribution_rows(text)
     assert time.perf_counter() - start < 2.0
     assert len(raised.value.diagnostics) == 20_000
+
+
+def test_an_incomplete_table_is_checked_from_its_rows():
+    # 2**30 parent tuples: the check must count the missing rows, not list them
+    parents = [f"P{i}" for i in range(30)]
+    text = "".join(f"node {p} kind=chance domain=a,b\ncpt {p} | : a=0.5,b=0.5\n" for p in parents)
+    text += "node X kind=chance domain=a,b\n" + "".join(f"arc {p} -> X\n" for p in parents)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        diagram, diags = try_parse_model(text)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diagram is None
+    (diag,) = diags
+    assert diag.message == (f"incomplete table: node 'X' missing {2**30} row(s), "
+                            f"the first {('a',) * 30}")
+    assert elapsed < 0.5
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("form, given_param, missing", [

@@ -21,7 +21,6 @@ from araid.inference import (
     enumerate_marginal,
     expected_utility,
     expected_value,
-    joint_probability,
     marginal_distribution,
 )
 
@@ -31,51 +30,6 @@ from conftest import random_diagram, random_policy
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
                     dr="continue", ap="perpetrate"):
     return constant_policy(d, {"DP": dp, "DF": df, "DT": dt, "DR": dr, "AP": ap})
-
-
-# -- joint probability -------------------------------------------------------
-
-def test_joint_single_chance_node():
-    from araid.diagram import Cpt, Domain
-    d = build_diagram([], [Node("x", NodeKind.CHANCE, domain=Domain(("a", "b")),
-                                payload=Cpt({(): (0.3, 0.7)}))])
-    assert joint_probability(d, {}, {"x": "a"}) == pytest.approx(0.3)
-
-
-def test_joint_probability_drilling_full_assignment(drilling):
-    policy = drilling_policy(drilling)
-    assignment = {
-        "DP": "no_additional", "DF": "no_forensic", "DT": "accept", "DR": "continue",
-        "AP": "perpetrate", "UC": "riskier", "UA": "attack", "UM": "loss_1_5m",
-        "UH": "no_casualties", "URH": "no_casualties", "UCA": "no_identification",
-        "DC": "2500000", "AC": "cost",
-    }
-    # chain-rule product: P(UC) * P(UA|perp,no_add) * P(UM|...) * P(UH|...)
-    #                   * P(URH|...) * P(UCA|...), decisions/deterministic match
-    expected = 0.3 * 0.40 * 0.85 * 0.96 * 1.0 * 0.9
-    assert joint_probability(drilling, policy, assignment) == pytest.approx(expected)
-
-
-def test_joint_zero_on_deterministic_mismatch(drilling):
-    policy = drilling_policy(drilling)
-    assignment = {
-        "DP": "no_additional", "DF": "no_forensic", "DT": "accept", "DR": "continue",
-        "AP": "perpetrate", "UC": "riskier", "UA": "attack", "UM": "loss_1_5m",
-        "UH": "no_casualties", "URH": "no_casualties", "UCA": "no_identification",
-        "DC": "0", "AC": "cost",  # DC contradicts its table
-    }
-    assert joint_probability(drilling, policy, assignment) == 0.0
-
-
-def test_joint_zero_on_policy_mismatch(drilling):
-    policy = drilling_policy(drilling, dr="stop")
-    assignment = {
-        "DP": "no_additional", "DF": "no_forensic", "DT": "accept", "DR": "continue",
-        "AP": "perpetrate", "UC": "riskier", "UA": "attack", "UM": "loss_1_5m",
-        "UH": "no_casualties", "URH": "no_casualties", "UCA": "no_identification",
-        "DC": "2500000", "AC": "cost",
-    }
-    assert joint_probability(drilling, policy, assignment) == 0.0
 
 
 # -- marginals ---------------------------------------------------------------
@@ -92,6 +46,11 @@ def test_marginal_point_mass_on_evidence(drilling):
     policy = drilling_policy(drilling)
     dist = marginal_distribution(drilling, policy, {"UA": "attack"}, "UA")
     assert dist == {"attack": 1.0, "no_attack": 0.0}
+    # a decision under a constant rule is bound like evidence: a point mass,
+    # not an even split over the axis its binding removed
+    policy = drilling_policy(drilling, dp="additional")
+    for fn in (marginal_distribution, enumerate_marginal):
+        assert fn(drilling, policy, {}, "DP") == {"additional": 1.0, "no_additional": 0.0}
 
 
 def test_residual_risk_marginal_matches_oracle(drilling):
@@ -114,6 +73,9 @@ def test_impossible_evidence_raises(drilling):
     policy = drilling_policy(drilling, ap="no_perpetrate")
     with pytest.raises(ImpossibleEvidenceError):
         marginal_distribution(drilling, policy, {"UA": "attack"}, "UH")
+    for fn in (marginal_distribution, enumerate_marginal):  # a target that is evidence too
+        with pytest.raises(ImpossibleEvidenceError):
+            fn(drilling, policy, {"UA": "attack"}, "UA")
     with pytest.raises(ImpossibleEvidenceError):
         expected_utility(drilling, "defender", policy, {"UA": "attack"})
 
@@ -126,7 +88,7 @@ def test_policy_entries_must_name_decision_nodes(drilling, extra):
     with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
         expected_utility(drilling, "defender", policy)
     with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
-        expected_value(drilling, "DM", policy)
+        expected_value(drilling, "DCV", policy)
     with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
         decision_table(drilling, "defender", axes, fixed={extra: {(): "riskier"}})
 
@@ -146,8 +108,14 @@ ENGINE_AND_ORACLE = {
     ("marginal", lambda f, d, p: f(d, p, {"ZZ": "x"}, "UH"), "unknown node 'ZZ'"),
     ("marginal", lambda f, d, p: f(d, {}, {}, "UH"), "policy missing a rule for decision"),
     ("marginal", lambda f, d, p: f(d, p, {}, "DCV"), "'DCV' has no outcome domain"),
+    ("value", lambda f, d, p: f(d, "DM", p), "unknown target node 'DM'"),
+    ("value", lambda f, d, p: f(d, "DM", p, {"UC": "normal"}), "unknown target node 'DM'"),
+    ("marginal", lambda f, d, p: f(d, p, {}, "ZZ"), "unknown target node 'ZZ'"),
+    ("marginal", lambda f, d, p: f(d, p, {"UC": "normal"}, "ZZ"), "unknown target node 'ZZ'"),
 ], ids=["utility-evidence", "value-evidence", "value-empty-policy", "value-not-a-value",
-        "marginal-evidence", "marginal-empty-policy", "marginal-value-node"])
+        "marginal-evidence", "marginal-empty-policy", "marginal-value-node",
+        "value-unknown-target", "value-unknown-target-with-evidence",
+        "marginal-unknown-target", "marginal-unknown-target-with-evidence"])
 def test_oracle_checks_its_inputs_as_the_engine_does(drilling, pair, call, message):
     for fn in ENGINE_AND_ORACLE[pair]:
         with pytest.raises(ValueError, match=message) as raised:
@@ -276,15 +244,35 @@ def test_pruned_tapes_match_enumeration_on_random_diagrams(seed, n_evidence):
 
 
 def test_marginal_matches_enumeration_on_random_diagrams():
-    rng = np.random.default_rng(99)
-    for _ in range(30):
+    """Every node with a domain as the target (chance, deterministic and
+    decision, so also one bound by a constant rule), with no evidence and
+    with evidence on a chance or deterministic node (sometimes the target
+    itself; a deterministic output can be impossible)."""
+    rng = np.random.default_rng(98)
+    compared = impossible = 0
+    for _ in range(40):
         d = random_diagram(rng)
         policy = random_policy(rng, d)
-        target = next(n.id for n in d.nodes.values() if n.kind == NodeKind.CHANCE)
-        fast = marginal_distribution(d, policy, {}, target)
-        slow = enumerate_marginal(d, policy, {}, target)
-        for lbl in fast:
-            assert fast[lbl] == pytest.approx(slow[lbl], abs=1e-12)
+        conditions = [n.id for n in d.nodes.values()
+                      if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+        ev_node = conditions[int(rng.integers(0, len(conditions)))]
+        ev_label = d.nodes[ev_node].domain.labels[
+            int(rng.integers(0, len(d.nodes[ev_node].domain)))]
+        for target in (n.id for n in d.nodes.values() if n.domain is not None):
+            for evidence in ({}, {ev_node: ev_label}):
+                try:
+                    slow = enumerate_marginal(d, policy, evidence, target)
+                except ImpossibleEvidenceError:
+                    with pytest.raises(ImpossibleEvidenceError):
+                        marginal_distribution(d, policy, evidence, target)
+                    impossible += 1
+                    continue
+                fast = marginal_distribution(d, policy, evidence, target)
+                assert fast.keys() == slow.keys()
+                for lbl in fast:
+                    assert fast[lbl] == pytest.approx(slow[lbl], abs=1e-12)
+                compared += 1
+    assert compared > 300 and impossible > 5
 
 
 def batch_case(rng, d, m, kind):
@@ -464,7 +452,6 @@ def test_decision_table_matches_enumeration_on_random_diagrams():
 def test_defender_table_has_96_cells_and_correct_argmax(drilling):
     table = decision_table(drilling, "defender", ["DP", "DF", "DT", "DR", "UC", "UA"])
     assert len(table.cells) == 96
-    assert table.group_axes == ("UC", "UA")
     best = {key[-2:]: key[:4] for key in table.argmax}
     assert best[("riskier", "attack")] == ("no_additional", "no_forensic", "share", "stop")
     assert best[("normal", "attack")] == ("no_additional", "no_forensic", "share", "stop")

@@ -31,7 +31,7 @@ REPLACEMENTS = ["", "nan", "-1", "0", "1e309", "x", "zebra", "form=table", "|", 
                 "=", ",", "->", "#", "\n", "kind=chance", "a=1.0", "table", "linear",
                 "power_root", "indicator", "decision", "weights", "scale", "offset", "root"]
 
-DIGEST = "e157ec920fe4b0487f355be8d2fab8d6cf21321df7def12b347ca4039702183c"
+DIGEST = "fcc03d1d46e9ee616264d6aefb7d5e41306309165633b7ec47e1875860282279"
 
 
 def garbage_texts(count=1500, seed=4321):
