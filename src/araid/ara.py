@@ -125,8 +125,7 @@ def best_response(d_view: Diagram, agent: str,
     condition on chance nodes (the information the agent sees when
     moving, e.g. contextual threat state).
     """
-    own = [n for n in d_view.nodes.values()
-           if n.kind == NodeKind.DECISION and n.owner == agent]
+    own = d_view.decisions_of(agent)
     if len(own) != 1:
         raise ValueError(f"expected exactly one free decision for {agent!r}, "
                          f"found {[n.id for n in own]}")
@@ -470,7 +469,7 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     if draws < 1:
         raise ValueError("draws must be >= 1")
     attacker = _agent(d, attacker, AgentKind.ATTACKER)
-    own = [n for n in d.nodes.values() if n.kind == NodeKind.DECISION and n.owner == attacker]
+    own = d.decisions_of(attacker)
     if len(own) != 1:
         raise ValueError(f"attacker must have exactly one decision, found "
                          f"{[n.id for n in own]}")

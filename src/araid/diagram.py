@@ -8,7 +8,9 @@ domains, and parent order is the key order for every table lookup.
 
 Diagrams are immutable after construction. `build_diagram` refuses to hand
 out anything that fails validation; `validate_diagram` reports every
-violation it can find instead of stopping at the first.
+violation it can find instead of stopping at the first, and each one once:
+an information arc that breaks temporal order gives one `temporal-order`
+violation, and a repeated agent id one `duplicate-id`.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 ROW_SUM_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -250,9 +252,8 @@ def validate_diagram(d: Diagram) -> list[Violation]:
     """Exhaustive structural check; returns every violation found."""
     v: list[Violation] = []
     agent_ids = [a.id for a in d.agents]
-    for a_id in agent_ids:
-        if agent_ids.count(a_id) > 1:
-            v.append(Violation("duplicate-id", f"duplicate agent id {a_id!r}"))
+    for a_id in dict.fromkeys(a for a in agent_ids if agent_ids.count(a) > 1):
+        v.append(Violation("duplicate-id", f"duplicate agent id {a_id!r}"))
     nature = [a for a in d.agents if a.kind == AgentKind.NATURE]
     if len(nature) > 1:
         v.append(Violation("multiple-nature", "more than one nature agent declared"))
@@ -479,16 +480,45 @@ def _check_utility(d: Diagram, n: Node) -> list[Violation]:
     return v
 
 
-def _ancestors(d: Diagram, start: str) -> set[str]:
+def ancestors(d: Diagram, targets: Iterable[str], stop: Collection[str] = ()) -> set[str]:
+    """The targets plus every node they depend on, not expanding past the
+    nodes in `stop`; undeclared ids are skipped."""
     seen: set[str] = set()
-    stack = [p for p in d.nodes[start].parents if p in d.nodes]
+    stack = list(targets)
     while stack:
         cur = stack.pop()
-        if cur in seen:
+        node = d.nodes.get(cur)
+        if node is None or cur in seen:
             continue
         seen.add(cur)
-        stack.extend(p for p in d.nodes[cur].parents if p in d.nodes)
+        if cur not in stop:
+            stack.extend(node.parents)
     return seen
+
+
+def _kahn(d: Diagram, causal: bool) -> tuple[list[str], list[str]]:
+    """Parents-before-children order, ties broken by ascending node id, and
+    the sorted ids a cycle leaves unordered. Arcs from undeclared nodes are
+    skipped; with `causal`, so are arcs into decisions (information arcs)."""
+    indeg = {i: 0 for i in d.nodes}
+    children: dict[str, list[str]] = {i: [] for i in d.nodes}
+    for n in d.nodes.values():
+        if causal and n.kind == NodeKind.DECISION:
+            continue
+        for p in n.parents:
+            if p in d.nodes:
+                children[p].append(n.id)
+                indeg[n.id] += 1
+    heap = sorted(i for i in d.nodes if indeg[i] == 0)  # a sorted list is a heap
+    out: list[str] = []
+    while heap:
+        cur = heapq.heappop(heap)
+        out.append(cur)
+        for c in children[cur]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(heap, c)
+    return out, sorted(i for i in d.nodes if indeg[i] > 0)
 
 
 def _check_graph(d: Diagram) -> list[Violation]:
@@ -498,43 +528,23 @@ def _check_graph(d: Diagram) -> list[Violation]:
     directed cycle that never enters a decision node is a structural cycle;
     a parent of a decision that (transitively) depends on the decision
     itself, or on a later decision of the same agent, is an information arc
-    that cannot be resolved in time.
+    that cannot be resolved in time. Each such arc is reported once.
     """
     v: list[Violation] = []
-    ids = set(d.nodes)
-
-    # causal subgraph: drop arcs into decision nodes
-    indeg = {i: 0 for i in ids}
-    children: dict[str, list[str]] = {i: [] for i in ids}
-    for n in d.nodes.values():
-        if n.kind == NodeKind.DECISION:
-            continue
-        for p in n.parents:
-            if p in ids:
-                children[p].append(n.id)
-                indeg[n.id] += 1
-    queue = [i for i in sorted(ids) if indeg[i] == 0]
-    done = 0
-    while queue:
-        cur = queue.pop()
-        done += 1
-        for c in children[cur]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if done != len(ids):
-        cyclic = sorted(i for i in ids if indeg[i] > 0)
+    _, cyclic = _kahn(d, causal=True)
+    if cyclic:
         v.append(Violation("cycle", f"cycle detected among nodes {cyclic}"))
 
     # information arcs must be resolvable before the decision is taken
     for n in d.nodes.values():
         if n.kind != NodeKind.DECISION:
             continue
-        later = _later_decisions(d, n)
+        seq = d.decision_order.get(n.owner or "", ())
+        later = set(seq[seq.index(n.id) + 1:]) if n.id in seq else set()
         for p in n.parents:
-            if p not in ids:
+            if p not in d.nodes:
                 continue
-            upstream = _ancestors(d, p) | {p}
+            upstream = ancestors(d, [p])
             if n.id in upstream:
                 v.append(Violation(
                     "temporal-order",
@@ -549,55 +559,25 @@ def _check_graph(d: Diagram) -> list[Violation]:
     return v
 
 
-def _later_decisions(d: Diagram, n: Node) -> set[str]:
-    seq = d.decision_order.get(n.owner or "", ())
-    if n.id not in seq:
-        return set()
-    return set(seq[seq.index(n.id) + 1:])
-
-
 def _check_decision_orders(d: Diagram) -> list[Violation]:
+    """Each player's declared order lists exactly its decisions, once each."""
     v = []
     for a in d.agents:
         if a.kind == AgentKind.NATURE:
             continue
         decisions = {n.id for n in d.decisions_of(a.id)}
         declared = d.decision_order.get(a.id, ())
-        if set(declared) != decisions or len(set(declared)) != len(declared):
-            if declared or decisions:
-                v.append(Violation("order-coverage",
-                                   f"decision order for agent {a.id!r} must list exactly its "
-                                   f"decision nodes {sorted(decisions)}, got {list(declared)}"))
-            continue
-        for i, dec in enumerate(declared):
-            node = d.nodes[dec]
-            for p in node.parents:
-                if p in declared and declared.index(p) >= i:
-                    v.append(Violation(
-                        "temporal-order",
-                        f"information arc violates temporal order: decision {p!r} is observed "
-                        f"by {dec!r} but is not declared earlier", node=dec))
+        if (set(declared) != decisions or len(set(declared)) != len(declared)) and (
+                declared or decisions):
+            v.append(Violation("order-coverage",
+                               f"decision order for agent {a.id!r} must list exactly its "
+                               f"decision nodes {sorted(decisions)}, got {list(declared)}"))
     return v
 
 
 def topological_order(d: Diagram) -> list[str]:
     """Parents-before-children order; ties broken by ascending node id."""
-    indeg = {i: 0 for i in d.nodes}
-    children: dict[str, list[str]] = {i: [] for i in d.nodes}
-    for n in d.nodes.values():
-        for p in n.parents:
-            children[p].append(n.id)
-            indeg[n.id] += 1
-    heap = [i for i in d.nodes if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[str] = []
-    while heap:
-        cur = heapq.heappop(heap)
-        out.append(cur)
-        for c in children[cur]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
-    if len(out) != len(d.nodes):
+    order, cyclic = _kahn(d, causal=False)
+    if cyclic:
         raise ValueError("diagram has a cycle; validate before ordering")
-    return out
+    return order

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,6 +42,7 @@ from .diagram import (
     Node,
     NodeKind,
     ValueSpec,
+    ancestors,
     parent_tuples,
     topological_order,
 )
@@ -139,12 +141,6 @@ class Factor:
                       None if self.table is None else np.take(self.table, index, axis=axis))
 
 
-def _letters(order: Mapping[str, int]):
-    import string
-    alphabet = string.ascii_letters
-    return {v: alphabet[i] for v, i in order.items()}
-
-
 class ContractionTape:
     """Planned sum-product: the elimination schedule, replayable on new tables.
 
@@ -164,6 +160,9 @@ class ContractionTape:
     reads (or the whole result, when no step is left). A last kept step
     that only reorders axes is not run as an einsum: `relabel` holds its
     operand and permutation, and `execute` returns a transposed view.
+    Einsum letters are reused once their variable is eliminated, so a tape
+    may span any number of variables; one that needs more than 52 letters
+    at once raises ValueError.
 
     `row_cells` is the cost of one execution per batch row: the largest
     batched operand or output of the kept steps, in cells without the
@@ -175,78 +174,88 @@ class ContractionTape:
                  elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
                  fixed: Mapping[int, np.ndarray] | None = None):
         self.keep = tuple(keep)
-        all_vars: dict[str, int] = {}
-        for vs in var_lists:
-            for v in vs:
-                all_vars.setdefault(v, len(all_vars))
-        letters = _letters(all_vars)
+        all_vars = list(dict.fromkeys(v for vs in var_lists for v in vs))
         keep_set = set(keep)
         elim = [v for v in all_vars if v not in keep_set]
         elim.sort(key=lambda v: (elim_priority.get(v, (0,)),
                                  sum(v in vs for vs in var_lists), v))
 
-        # slots: initial factors first, step results appended after
+        # slots: initial factors first, step results appended after; a step
+        # is (spec, operand var lists, output vars, operand slots). A variable
+        # not in `keep` stays in some live factor until it is eliminated.
+        # Each variable holds one einsum letter from the first step that reads
+        # it to the step that eliminates it, so a letter names one variable in
+        # every step that mentions it, and an eliminated variable's letter is
+        # free for reuse.
+        plan: list[tuple[str, tuple[tuple[str, ...], ...], tuple[str, ...], tuple[int, ...]]] = []
+        letters: dict[str, str] = {}
+        spare = list(reversed(string.ascii_letters))
+
+        def step(group: list[tuple[int, tuple[str, ...]]], out: tuple[str, ...]) -> None:
+            ins = tuple(vs for _, vs in group)
+            for w in itertools.chain(*ins):
+                if w not in letters:
+                    if not spare:
+                        needed = len(letters.keys() | set(itertools.chain(*ins)))
+                        raise ValueError(f"a contraction needs {needed} einsum letters at once, "
+                                         f"more than the {len(string.ascii_letters)} there are")
+                    letters[w] = spare.pop()
+            spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
+            plan.append((spec + "->" + "".join([letters[w] for w in out]), ins, out,
+                         tuple(s for s, _ in group)))
+
         live: list[tuple[int, tuple[str, ...]]] = list(enumerate(var_lists))
         next_slot = len(var_lists)
-        steps: list[tuple[str, tuple[int, ...]]] = []
         for v in elim:
             group = [(s, vs) for s, vs in live if v in vs]
-            if not group:
-                continue
-            rest = [(s, vs) for s, vs in live if v not in vs]
             out_vars = tuple(dict.fromkeys(w for _, vs in group for w in vs if w != v))
             if BATCH in out_vars:
                 out_vars = tuple(w for w in out_vars if w != BATCH) + (BATCH,)
-            spec = ",".join("".join(letters[w] for w in vs) for _, vs in group)
-            spec += "->" + "".join(letters[w] for w in out_vars)
-            steps.append((spec, tuple(s for s, _ in group)))
-            live = rest + [(next_slot, out_vars)]
+            step(group, out_vars)
+            spare.append(letters.pop(v))
+            live = [(s, vs) for s, vs in live if v not in vs] + [(next_slot, out_vars)]
             next_slot += 1
 
         self.present = [v for v in keep if any(v in vs for _, vs in live)]
         if live:
-            spec = ",".join("".join(letters[w] for w in vs) for _, vs in live)
-            spec += "->" + "".join(letters[w] for w in self.present)
-            steps.append((spec, tuple(s for s, _ in live)))
+            step(live, tuple(self.present))
         self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
-        self._hoist(len(var_lists), steps, fixed or {})
+        kept = self._hoist(len(var_lists), plan, fixed or {})
 
-        extent = {letters[v]: sizes[v] for v in all_vars if v != BATCH}
-        batch = letters.get(BATCH, "")  # "" is in every term: with no batch, all count
-        terms = [t for spec, _ in self.steps for t in spec.replace("->", ",").split(",")]
-        self.row_cells = max((math.prod(extent[c] for c in t if c != batch)
-                              for t in terms if batch in t), default=1)
+        batched = BATCH in all_vars  # with no batch axis, every term counts
+        self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH)
+                              for ins, out in kept for t in (*ins, out)
+                              if BATCH in t or not batched), default=1)
         self.relabel: tuple[int, tuple[int, ...]] | None = None
-        if self.steps:
-            spec, operands = self.steps[-1]
-            ins, out = spec.split("->")
-            if len(operands) == 1 and len(set(ins)) == len(ins) and sorted(ins) == sorted(out):
-                self.steps.pop()
-                self.relabel = (operands[0], tuple(ins.index(c) for c in out))
+        if kept and len(kept[-1][0]) == 1:
+            (ins,), out = kept[-1]
+            if sorted(ins) == sorted(out):
+                self.relabel = (self.steps.pop()[1][0], tuple(ins.index(w) for w in out))
 
-    def _hoist(self, n_inputs: int, steps: list[tuple[str, tuple[int, ...]]],
-               fixed: Mapping[int, np.ndarray]) -> None:
-        """Run the steps that read fixed slots alone; renumber the rest."""
+    def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray]) -> list:
+        """Run the steps that read fixed slots alone; renumber the rest.
+        Returns the kept steps' operand var lists and output vars."""
         values = dict(fixed)
         kept = []
-        for slot, (spec, operands) in enumerate(steps, start=n_inputs):
+        for slot, (spec, ins, out, operands) in enumerate(plan, start=n_inputs):
             if all(i in values for i in operands):
                 values[slot] = np.einsum(spec, *(values[i] for i in operands))
             else:
-                kept.append((slot, spec, operands))
+                kept.append((slot, spec, operands, ins, out))
         if kept:
-            read = sorted({i for _, _, operands in kept for i in operands if i in values})
+            read = sorted({i for _, _, operands, _, _ in kept for i in operands if i in values})
         else:  # everything was fixed: the result is one more constant
-            read = [n_inputs + len(steps) - 1] if steps else []
+            read = [n_inputs + len(plan) - 1] if plan else []
         order = [i for i in range(n_inputs) if i not in values] + read
         index = {slot: i for i, slot in enumerate(order)}
         self.steps: list[tuple[str, tuple[int, ...]]] = []
-        for slot, spec, operands in kept:
+        for slot, spec, operands, _, _ in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
             index[slot] = len(index)
         # C-contiguous copies: a hoisted result can come out in any layout,
         # and an einsum reads a contiguous operand faster
         self.constants = [np.array(values[i], order="C") for i in read]
+        return [(ins, out) for *_, ins, out in kept]
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """Run the steps on the varying inputs followed by `constants`."""
@@ -339,23 +348,6 @@ class CompiledModel:
         return {n.id for n in self.diagram.nodes.values() if n.kind == NodeKind.DECISION
                 and n.id not in policy and n.id not in batched}
 
-    def _relevant(self, targets: Iterable[str], free: set[str]) -> set[str]:
-        """Targets plus every ancestor (barren nodes drop out).
-
-        A free decision has no factor, so its parents are not reached
-        through it.
-        """
-        seen: set[str] = set()
-        stack = list(targets)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur not in free:
-                stack.extend(self.diagram.nodes[cur].parents)
-        return seen
-
     def _assemble(self, policy: Policy, evidence: Evidence, keep: Sequence[str],
                   targets: Iterable[str], batched: set[str] = frozenset()
                   ) -> tuple[list[tuple[str, Factor]], dict[str, str]]:
@@ -372,7 +364,9 @@ class CompiledModel:
         reductions = dict(evidence)
         raw: list[tuple[str, Factor]] = []
         rules: list[tuple[str, Factor]] = []
-        for nid in sorted(self._relevant(targets, free)):
+        # barren nodes drop out; a free decision has no factor, so its
+        # parents are not reached through it
+        for nid in sorted(ancestors(self.diagram, targets, stop=free)):
             n = self.diagram.nodes[nid]
             if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC):
                 raw.append((nid, self.prob_factors[nid]))
@@ -446,10 +440,11 @@ class CompiledModel:
             return (tuple(nid for nid, _ in picked if nid in batched),
                     ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed))
 
-        norm_inputs, norm_tape = plan(self._relevant(targets, free), [])
+        norm_inputs, norm_tape = plan(ancestors(self.diagram, targets, stop=free), [])
         value_inputs, value_tapes = {}, {}
         for vid in weights:
-            nodes = self._relevant(targets | set(self.diagram.nodes[vid].parents), free)
+            nodes = ancestors(self.diagram, targets | set(self.diagram.nodes[vid].parents),
+                              stop=free)
             value_inputs[vid], value_tapes[vid] = plan(
                 nodes, [(vid, self._reduce(self.value_factors[vid], reductions))])
         return UtilityQuery(

@@ -145,3 +145,24 @@ def wide_observer_model() -> str:
               "node UA kind=utility agent=att", "arc W -> UA", "utility UA weights W=1",
               "order def D", "order att A"]
     return "\n".join(lines) + "\n"
+
+
+CHAIN_PRIOR = (0.6, 0.4)
+CHAIN_STEP = ((0.99, 0.01), (0.02, 0.98))  # row: current label a/b; column: next
+
+
+def chain_model(n: int) -> str:
+    """A chain of `n` binary chance nodes c00 -> c01 -> ... whose last node
+    the defender scores 1 on `b`: its expected utility is P(last = b),
+    CHAIN_PRIOR times the (n - 1)-th power of CHAIN_STEP."""
+    ids = [f"c{i:02d}" for i in range(n)]
+    lines = ["agent def kind=defender", f"node {ids[0]} kind=chance domain=a,b",
+             f"cpt {ids[0]} | : a={CHAIN_PRIOR[0]},b={CHAIN_PRIOR[1]}"]
+    for prev, cur in zip(ids, ids[1:]):
+        lines += [f"node {cur} kind=chance domain=a,b", f"arc {prev} -> {cur}"]
+        lines += [f"cpt {cur} | {prev}={label} : a={row[0]},b={row[1]}"
+                  for label, row in zip("ab", CHAIN_STEP)]
+    lines += ["node V kind=value agent=def", f"arc {ids[-1]} -> V",
+              "value V form=indicator one=b zero=a",
+              "node U kind=utility agent=def", "arc V -> U", "utility U weights V=1"]
+    return "\n".join(lines) + "\n"

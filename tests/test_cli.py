@@ -6,11 +6,12 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from araid.resources import data_path, read_table
 
-from conftest import wide_observer_model
+from conftest import CHAIN_PRIOR, CHAIN_STEP, chain_model, wide_observer_model
 
 DRILLING = str(data_path("drilling.maid"))
 
@@ -47,6 +48,16 @@ def test_validate_broken_model(tmp_path):
 def test_validate_missing_file_is_io_error(tmp_path):
     proc = run_cli("validate", str(tmp_path / "missing.maid"))
     assert proc.returncode == 2
+
+
+def test_evaluate_contracts_a_chain_wider_than_the_einsum_alphabet(tmp_path):
+    # 60 chance nodes on one tape, which reuses einsum letters
+    path = tmp_path / "chain.maid"
+    path.write_text(chain_model(60))
+    proc = run_cli("evaluate", str(path), "--agent", "def")
+    assert proc.returncode == 0, proc.stderr
+    exact = (np.array(CHAIN_PRIOR) @ np.linalg.matrix_power(np.array(CHAIN_STEP), 59))[1]
+    assert proc.stdout == f"{exact:.6f}\n"
 
 
 BROKEN_MODEL = ("node UC kind=chance domain=riskier,normal\n"

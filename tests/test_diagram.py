@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from araid.diagram import (
+    Agent,
+    AgentKind,
     Cpt,
     Diagram,
     DiagramError,
@@ -121,6 +123,28 @@ def test_same_agent_decision_parent_must_precede(drilling):
     d = Diagram(agents=drilling.agents, nodes=nodes,
                 decision_order=drilling.decision_order)
     assert any(v.code == "temporal-order" for v in validate_diagram(d))
+
+
+@pytest.mark.parametrize("observed, on", [
+    ("DT", "later decision(s) ['DT']"),
+    ("DP", "the decision itself"),
+])
+def test_each_broken_information_arc_is_reported_once(drilling, observed, on):
+    # DP observing the later DT, and DP observing itself: one arc, one report
+    nodes = dict(drilling.nodes)
+    dp = nodes["DP"]
+    nodes["DP"] = Node("DP", dp.kind, dp.owner, dp.domain, parents=(observed,))
+    d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+    assert [(v.code, str(v)) for v in validate_diagram(d)] == [
+        ("temporal-order", f"information arc violates temporal order: {observed!r} -> 'DP' "
+                           f"(observed node depends on {on})")]
+
+
+def test_a_repeated_agent_id_is_reported_once():
+    x = Agent("X", AgentKind.DEFENDER)
+    d = Diagram(agents=(x, x, x, Agent("Y", AgentKind.ATTACKER)), nodes={})
+    assert [(v.code, str(v)) for v in validate_diagram(d)] == [
+        ("duplicate-id", "duplicate agent id 'X'")]
 
 
 def test_weights_must_sum_to_one(drilling):

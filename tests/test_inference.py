@@ -24,7 +24,9 @@ from araid.inference import (
     marginal_distribution,
 )
 
-from conftest import random_diagram, random_policy
+from araid.modelfile import try_parse_model
+
+from conftest import CHAIN_PRIOR, CHAIN_STEP, chain_model, random_diagram, random_policy
 
 
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
@@ -177,7 +179,7 @@ def test_law_of_total_expectation(drilling):
 
 def test_elimination_matches_enumeration_on_random_diagrams():
     rng = np.random.default_rng(2024)
-    checked_evidence = 0
+    checked_evidence = impossible = 0
     for _ in range(60):
         d = random_diagram(rng)
         policy = random_policy(rng, d)
@@ -185,19 +187,24 @@ def test_elimination_matches_enumeration_on_random_diagrams():
         slow = enumerate_expected_utility(d, "player", policy)
         assert fast == pytest.approx(slow, abs=1e-12)
 
-        chance_ids = [n.id for n in d.nodes.values() if n.kind == NodeKind.CHANCE]
-        ev_node = chance_ids[int(rng.integers(0, len(chance_ids)))]
-        label = d.nodes[ev_node].domain.labels[0]
+        # a random CPT row has no zero, but a deterministic node misses
+        # labels, so some evidence is impossible
+        ev_ids = [n.id for n in d.nodes.values()
+                  if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+        ev_node = ev_ids[int(rng.integers(0, len(ev_ids)))]
+        labels = d.nodes[ev_node].domain.labels
+        label = labels[int(rng.integers(0, len(labels)))]
         try:
             slow_ev = enumerate_expected_utility(d, "player", policy, {ev_node: label})
         except ImpossibleEvidenceError:
             with pytest.raises(ImpossibleEvidenceError):
                 expected_utility(d, "player", policy, {ev_node: label})
+            impossible += 1
             continue
         fast_ev = expected_utility(d, "player", policy, {ev_node: label})
         assert fast_ev == pytest.approx(slow_ev, abs=1e-12)
         checked_evidence += 1
-    assert checked_evidence > 20
+    assert checked_evidence > 20 and impossible > 0, (checked_evidence, impossible)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,6 +408,18 @@ def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     z = rng.random((2, 5))
     assert np.shares_memory(alone.execute([z]), z)
     assert np.array_equal(alone.execute([z]), z.T)
+
+
+def test_a_tape_wider_than_the_einsum_alphabet_is_contracted():
+    # 60 variables on one tape, at most 3 at once: letters are reused
+    d, diags = try_parse_model(chain_model(60))
+    assert diags == []
+    exact = (np.array(CHAIN_PRIOR) @ np.linalg.matrix_power(np.array(CHAIN_STEP), 59))[1]
+    assert abs(expected_utility(d, "def", {}) - exact) <= 1e-12
+    # a step over more variables than einsum has letters is refused by count
+    wide = tuple(f"v{i}" for i in range(53))
+    with pytest.raises(ValueError, match="a contraction needs 53 einsum letters at once"):
+        ContractionTape([wide], wide, {}, dict.fromkeys(wide, 2))
 
 
 # -- decision tables -----------------------------------------------------------

@@ -31,7 +31,7 @@ REPLACEMENTS = ["", "nan", "-1", "0", "1e309", "x", "zebra", "form=table", "|", 
                 "=", ",", "->", "#", "\n", "kind=chance", "a=1.0", "table", "linear",
                 "power_root", "indicator", "decision", "weights", "scale", "offset", "root"]
 
-DIGEST = "fcc03d1d46e9ee616264d6aefb7d5e41306309165633b7ec47e1875860282279"
+DIGEST = "332b1877503c47a04686edce75315dd996c7538a24f896cca198a4a8fa255785"
 
 
 def garbage_texts(count=1500, seed=4321):
