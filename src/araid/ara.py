@@ -33,15 +33,20 @@ from .inference import (
     parent_tuples_of,
 )
 
-DRAW_BLOCK = 128  # draws per generator; part of the random stream
+# Draws per generator, and so part of the random stream. One SeedSequence
+# generator and one call per rule run serve a block: 10 of each per 10,000
+# draws, against 79 at 128 draws per block, where sampling took about two
+# thirds of a 10,000-draw forecast. 2,048 measured no faster than 1,024.
+DRAW_BLOCK = 1024
 
 # The most memory the largest batched array of one forecast contraction may
-# take. The forecast contracts as many whole 128-draw blocks at once as fit,
-# which spreads each contraction's fixed cost over more draws. 128 KiB gives
-# the shipped plan (32 cells per draw) 512-draw chunks, 20 contractions per
-# 10,000 draws instead of 79, for about 0.3 MB more peak RSS; 8- and 16-block
-# chunks measured +0.5 and +1.8 MB. The plan that samples every rule kind
-# has 96 cells per draw and keeps one block (96 KiB; two would take 192).
+# take. Each block is contracted in slices of as many draws as fit, at most
+# the whole block and at least one draw, which spreads each contraction's
+# fixed cost over many draws without tying memory to the block: the shipped
+# plan (32 cells per draw) takes 512-draw slices, 20 contractions per 10,000
+# draws, and the plan that samples every rule kind (96 cells) 170-draw ones.
+# Contracting whole blocks instead raised that plan's peak RSS in the
+# benchmark from 40 to 42 MB.
 FORECAST_CHUNK_BYTES = 128 * 1024
 
 # The most defender policies `solve_defender` ranks; above it the search is
@@ -290,11 +295,11 @@ def block_count(draws: int) -> int:
 
 
 def chunk_draws(query: UtilityQuery) -> int:
-    """Draws per forecast contraction: the most whole blocks of DRAW_BLOCK
-    whose largest batched array (`query.row_cells` float64 cells per draw)
-    fits in FORECAST_CHUNK_BYTES, and never less than one block."""
-    block_bytes = query.row_cells * np.dtype(float).itemsize * DRAW_BLOCK
-    return DRAW_BLOCK * max(1, FORECAST_CHUNK_BYTES // block_bytes)
+    """Draws per forecast contraction: the most, at least 1 and at most one
+    block, whose largest batched array (`query.row_cells` float64 cells per
+    draw) fits in FORECAST_CHUNK_BYTES."""
+    draw_bytes = query.row_cells * np.dtype(float).itemsize
+    return max(1, min(DRAW_BLOCK, FORECAST_CHUNK_BYTES // draw_bytes))
 
 
 def _draw_rng(seed: int, block: int) -> np.random.Generator:
@@ -366,18 +371,19 @@ def _draw_first(table: np.ndarray, rows: int) -> np.ndarray:
 
 
 class _DrawBlock:
-    """Arrays with a draw axis that a chunk of draw blocks is sampled into.
+    """Arrays with a draw axis that one block of draws is sampled into.
 
     A sampled probability node gets a [rows, *family] copy of its table, a
     value node with a scalar target a [rows, (scale, root)] array, and the
     attacker's utility weights a [rows, parent] array, all starting at the
-    stated values; `rows` is a whole number of blocks of DRAW_BLOCK. Each is
-    allocated draw axis last and handed out as a `np.moveaxis` view, so the
-    draw axis comes first in the shape but sits at stride 1, where the
-    contraction streams along it. Each target draws, in a fixed order, a
-    whole block column into its own view (`slots`) of these arrays, so draw
-    i depends on (seed, i) alone. A run of consecutive targets under one
-    drawing rule (`runs`) draws in one call, which gives the same numbers.
+    stated values; `rows` is at most DRAW_BLOCK. Each is allocated draw axis
+    last and handed out as a `np.moveaxis` view, so the draw axis comes
+    first in the shape but sits at stride 1, where the contraction streams
+    along it. Each target draws, in a fixed order, a whole block of
+    DRAW_BLOCK values and keeps the first `rows` in its own view (`slots`)
+    of these arrays, so draw i depends on (seed, i) alone. A run of
+    consecutive targets under one drawing rule (`runs`) draws in one call,
+    which gives the same numbers.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
@@ -423,29 +429,28 @@ class _DrawBlock:
         self.runs = [(rule, run[0] if len(run) == 1 else np.stack(run), slots)
                      for rule, run, slots in runs]
 
-    def sample(self, seed: int, block: int, j: int) -> None:
-        """Block `block` (draws block*DRAW_BLOCK onwards) into rows
-        [j*DRAW_BLOCK, (j+1)*DRAW_BLOCK)."""
+    def sample(self, seed: int, block: int) -> None:
+        """Block `block`, draws block*DRAW_BLOCK onwards, into the rows."""
         rng = _draw_rng(seed, block)
-        rows = slice(j * DRAW_BLOCK, (j + 1) * DRAW_BLOCK)
         for rule, base, slots in self.runs:
             drawn = rule.sample(base, rng, DRAW_BLOCK)
             for slot, values in zip(slots, drawn if len(slots) > 1 else (drawn,)):
-                slot[rows] = values
+                slot[:] = values[:len(slot)]
 
-    def inputs(self, n: int) -> tuple[dict, dict | None]:
-        """Tables and weights of the first n draws, for UtilityQuery.evaluate."""
-        tables = {nid: table[:n] for nid, table in self.tables.items()}
+    def inputs(self, lo: int, hi: int) -> tuple[dict, dict | None]:
+        """Tables and weights of rows [lo, hi), for UtilityQuery.evaluate."""
+        rows = slice(lo, hi)
+        tables = {nid: table[rows] for nid, table in self.tables.items()}
         for vid, pair in self.scalars.items():
             node = self.view.nodes[vid]
             domain = self.view.nodes[node.parents[0]].domain
             # built [parent, draw] and handed out draw first, like the tables
-            spec = replace(node.payload, scale=pair[:n, 0], root=pair[:n, 1])
+            spec = replace(node.payload, scale=pair[rows, 0], root=pair[rows, 1])
             tables[vid] = np.moveaxis(spec.of_tag(np.array(domain.numeric_tags)[:, None]), -1, 0)
         if self.weights is None:
             return tables, None
         parents = self.utility.parents
-        return tables, {vid: self.weights[:n, parents.index(vid)] for vid in parents}
+        return tables, {vid: self.weights[rows, parents.index(vid)] for vid in parents}
 
 
 def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
@@ -461,10 +466,10 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     Draws are sampled in blocks of DRAW_BLOCK along a leading draw axis,
     block b from its own substream `_draw_rng(seed, b)`; draw i is row
     i % DRAW_BLOCK of block i // DRAW_BLOCK and depends on (seed, i) alone,
-    whatever `draws` is. Consecutive blocks fill a chunk of `chunk_draws`
-    rows, sized from the plan, and one planned contraction per chunk gives
-    the attacker's expected utility in every observable context for all its
-    draws. Alternatives within TIE_TOL of a draw's best split it.
+    whatever `draws` is. Each block is contracted in slices of `chunk_draws`
+    rows, sized from the plan: one planned contraction per slice gives the
+    attacker's expected utility in every observable context for its draws.
+    Alternatives within TIE_TOL of a draw's best split it.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -487,8 +492,9 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     keep = list(context_nodes) + [decision.id]
     query = compiled.utility_query(attacker, {}, {}, keep, batched={
         target[1] for target in uncertainty.rules if target[0] != "weights"})
-    chunk = min(chunk_draws(query), block_count(draws) * DRAW_BLOCK)
-    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker), chunk)
+    chunk = chunk_draws(query)
+    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker),
+                       min(DRAW_BLOCK, draws))
 
     # a draw with k tied winners gives each lcm(1..m)/k, m alternatives: the
     # tally stays exact in integers
@@ -497,14 +503,22 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
         raise ValueError(f"draws must be <= {np.iinfo(np.int64).max // lcm} to tally "
                          f"{len(alternatives)} alternatives exactly")
     counts = np.zeros(query.shape[-len(keep):], dtype=np.int64)
-    starts = range(0, draws, chunk)
-    for start in starts:
-        n = min(chunk, draws - start)
-        for j in range(block_count(n)):
-            block.sample(seed, start // DRAW_BLOCK + j, j)
-        eu = np.broadcast_to(query.evaluate(*block.inputs(n)), (n,) + counts.shape)
-        winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
-        counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
+    chunks = 0
+    for b in range(block_count(draws)):
+        block.sample(seed, b)
+        rows = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            tables, weights = block.inputs(lo, hi)
+            eu = query.evaluate(tables, weights)
+            if not query.batched and weights is None:  # point rules: one EU for every draw
+                eu = np.broadcast_to(eu, (hi - lo,) + counts.shape)
+            elif eu.shape[0] != hi - lo:
+                raise RuntimeError(f"the contraction of draws [{lo}, {hi}) of block {b} "
+                                   f"gave {eu.shape[0]} rows, not {hi - lo}")
+            winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
+            counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
+            chunks += 1
 
     probabilities = {}
     for ctx in itertools.product(*(view.nodes[p].domain.labels for p in context_nodes)):
@@ -512,7 +526,7 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
         probabilities[ctx] = tuple(int(c) / (draws * lcm) for c in counts[idx])
     return AttackForecast(decision=decision.id, context_nodes=context_nodes,
                           alternatives=alternatives, probabilities=probabilities,
-                          draws=draws, seed=seed, chunks=len(starts))
+                          draws=draws, seed=seed, chunks=chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,9 @@ def _policy_json(policy) -> dict:
 def cmd_solve(args: argparse.Namespace, diagram: Diagram, header: dict,
               started: float) -> dict:
     beliefs, uncertainty = _solve_inputs(diagram, args)
+    # numpy loads numpy.random, which the forecast's generators need, on first
+    # use (about 15 ms): count it as loading, not forecasting
+    import numpy.random  # noqa: F401
     loaded = time.monotonic()
     forecast = forecast_attack(diagram, beliefs, uncertainty,
                                draws=args.draws, seed=args.seed)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from araid import ara
@@ -324,9 +324,9 @@ def traced_forecast(d, beliefs, rules, draws, seed):
         queries.append(plan(self, *args, **kwargs))
         return queries[-1]
 
-    def spy_inputs(self, n):
-        tables, weights = inputs(self, n)
-        batches.append((n, {k: t.copy() for k, t in tables.items()},
+    def spy_inputs(self, lo, hi):
+        tables, weights = inputs(self, lo, hi)
+        batches.append((hi - lo, {k: t.copy() for k, t in tables.items()},
                         None if weights is None else {k: w.copy() for k, w in weights.items()}))
         return tables, weights
 
@@ -353,8 +353,11 @@ def same_row(a, b) -> bool:
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 @settings(max_examples=8, deadline=None)
-@given(draws=st.integers(1, 300), other=st.integers(1, 300),
+@given(draws=st.integers(1, 1100), other=st.integers(1, 2100),
        seed=st.integers(0, 2**32 - 1))
+@example(draws=1024, other=1025, seed=1)   # one block, and one draw into the next
+@example(draws=1025, other=1023, seed=2)
+@example(draws=1, other=2049, seed=3)      # a third block
 def test_draw_depends_on_seed_and_index_alone(drilling, case, draws, other, seed):
     d, beliefs, rules = BLOCK_CASES[case](drilling)
     fc, rows, eus = traced_forecast(d, beliefs, rules, draws, seed)
@@ -415,9 +418,10 @@ def oracle_forecast(view):
 def test_single_draw_forecast_matches_the_oracle(drilling, seed):
     rules = wide_uncertainty(drilling)
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    # a one-draw forecast samples a one-row block
     block = ara._DrawBlock(view, CompiledModel.compile(view), rules,
-                           view.utility_node_of("attacker"), ara.DRAW_BLOCK)
-    block.sample(seed, 0, 0)
+                           view.utility_node_of("attacker"), 1)
+    block.sample(seed, 0)
     expected = oracle_forecast(rebuilt_view(
         view, [(target, slot[0]) for target, slot in zip(block.targets, block.slots)]))
     fc = forecast_attack(drilling, default_beliefs(), rules, draws=1, seed=seed)
@@ -542,8 +546,8 @@ def spy_on(owner, name):
 def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
     # a structural stand-in for a timing test: on the shipped defaults, the
     # steps that read no sampled table run once, when the query is planned,
-    # and the 2 einsum steps that do run once per 512-draw chunk of four
-    # 128-draw blocks. They are AMV's: the normaliser and ACV's numerator
+    # and the 2 einsum steps that do run once per 512-draw slice of a
+    # 1,024-draw block. They are AMV's: the normaliser and ACV's numerator
     # depend on no sampled table, and the tape's last step, a pure axis
     # relabel, is a transposed view
     calls, spy = spy_on(inference.np, "einsum")
@@ -555,9 +559,11 @@ def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
         return len(calls) - before, fc.chunks
 
     with spy:
-        block, one, two = (einsums(n) for n in (ara.DRAW_BLOCK, 512, 1024))
-    assert block[0] == one[0] and block[1] == one[1] == 1
+        single, one, two, three = (einsums(n) for n in (1, 512, ara.DRAW_BLOCK, 1025))
+    assert single[0] == one[0] and single[1] == one[1] == 1
     assert two[0] - one[0] == 2 and two[1] == 2
+    # the second block's one draw is a third slice
+    assert three[0] - two[0] == 2 and three[1] == 3
 
 
 FORECAST_RULES = {"default": lambda d: default_uncertainty(), "wide": wide_uncertainty}
@@ -582,15 +588,18 @@ def forecast_query(d, rules):
     return planned_query(lambda: forecast_attack(d, default_beliefs(), rules, draws=1, seed=0))
 
 
-@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 96, 128)])
-def test_forecast_chunk_is_whole_blocks_within_the_cap(drilling, case, cells, chunk):
+@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 96, 170)])
+def test_forecast_chunk_is_the_most_draws_within_the_cap(drilling, case, cells, chunk):
     query = forecast_query(drilling, FORECAST_RULES[case](drilling))
     assert query.row_cells == cells
     got = ara.chunk_draws(query)
-    assert got == chunk and got % ara.DRAW_BLOCK == 0 and got >= ara.DRAW_BLOCK
-    # the largest such chunk within the cap, or one block when none fits
-    assert got == ara.DRAW_BLOCK or cells * got * 8 <= ara.FORECAST_CHUNK_BYTES
-    assert cells * (got + ara.DRAW_BLOCK) * 8 > ara.FORECAST_CHUNK_BYTES
+    assert got == chunk and 1 <= got <= ara.DRAW_BLOCK
+    # the most draws within the cap: one more would not fit
+    assert cells * got * 8 <= ara.FORECAST_CHUNK_BYTES < cells * (got + 1) * 8
+    # at least one draw when none fits, and at most one block when all do
+    for cap, bound in ((0, 1), (2**40, ara.DRAW_BLOCK)):
+        with mock.patch.object(ara, "FORECAST_CHUNK_BYTES", cap):
+            assert ara.chunk_draws(query) == bound
 
 
 def test_no_evidence_plans_the_normaliser_away(drilling):
@@ -636,9 +645,10 @@ def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):
 
 
 @pytest.mark.parametrize("case", list(FORECAST_RULES))
-@pytest.mark.parametrize("draws", [1, 300, 1000, 1337])
+@pytest.mark.parametrize("draws", [1, 300, 1000, 1023, 1024, 1025, 1337, 2000])
 def test_forecast_is_the_same_whatever_the_chunk(drilling, case, draws):
-    # draw counts that are multiples neither of a block nor of a chunk
+    # draw counts on both sides of the first block's end, most of which no
+    # chunk divides
     rules = FORECAST_RULES[case](drilling)
 
     def run(cap):
@@ -646,11 +656,29 @@ def test_forecast_is_the_same_whatever_the_chunk(drilling, case, draws):
             return forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
 
     derived = forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
-    one_block, one_chunk = run(0), run(2**40)
-    assert one_block.chunks == ara.block_count(draws) and one_chunk.chunks == 1
-    assert derived.chunks == math.ceil(draws / ara.chunk_draws(forecast_query(drilling, rules)))
-    for other in (one_block, one_chunk):
+    one_draw, whole_blocks = run(0), run(2**40)
+    assert one_draw.chunks == draws and whole_blocks.chunks == ara.block_count(draws)
+    # each block is sliced on its own: the last one holds the rest of the draws
+    chunk = ara.chunk_draws(forecast_query(drilling, rules))
+    full, rest = divmod(draws, ara.DRAW_BLOCK)
+    assert derived.chunks == full * math.ceil(ara.DRAW_BLOCK / chunk) + math.ceil(rest / chunk)
+    for other in (one_draw, whole_blocks):
         assert other == derived and other.to_json() == derived.to_json()
+
+
+@pytest.mark.parametrize("case", list(FORECAST_RULES))
+def test_a_contraction_of_the_wrong_number_of_draws_is_refused(drilling, case):
+    # a slice that runs past the end of its block comes back short; its one
+    # row must not be broadcast over the draws it stands for
+    inputs = ara._DrawBlock.inputs
+
+    def short(self, lo, hi):
+        return inputs(self, lo, lo + 1)
+
+    with mock.patch.object(ara._DrawBlock, "inputs", short), \
+            pytest.raises(RuntimeError, match=r"draws \[0, 100\) of block 0 gave 1 rows"):
+        forecast_attack(drilling, default_beliefs(), FORECAST_RULES[case](drilling),
+                        draws=100, seed=7)
 
 
 def test_a_table_for_a_node_the_query_did_not_batch_is_rejected(drilling):
@@ -695,12 +723,15 @@ def test_perturb_rule_rejects_a_block_with_a_collapsed_row():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), block=st.integers(0, 2**20),
+       rows=st.integers(1, ara.DRAW_BLOCK),
        half_width=st.floats(0.0, 0.05), alpha=st.floats(0.05, 20.0))
-def test_batched_sampling_equals_one_target_at_a_time(drilling, seed, block, half_width, alpha):
+def test_batched_sampling_equals_one_target_at_a_time(drilling, seed, block, rows,
+                                                      half_width, alpha):
     # the 8 UM rows share one perturb rule, both UCA rows one Dirichlet rule
     # and AMV's two scalars one uniform rule, so each run draws in one call;
-    # the sequential loop draws every target on its own, in the same order,
-    # from one generator
+    # the sequential loop draws every target's whole block on its own, in
+    # the same order, from one generator, and a block of fewer rows keeps
+    # the first of them
     rules = {**wide_uncertainty(drilling).rules,
              ("value_scale", "AMV"): UniformRule(2.0, 3.0),
              ("value_root", "AMV"): UniformRule(2.0, 3.0)}
@@ -710,14 +741,14 @@ def test_batched_sampling_equals_one_target_at_a_time(drilling, seed, block, hal
         rules[("cpt_row", "UCA", row)] = DirichletRule((alpha, alpha))
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
     block_of = ara._DrawBlock(view, CompiledModel.compile(view), ParameterUncertainty(rules),
-                              view.utility_node_of("attacker"), 2 * ara.DRAW_BLOCK)
+                              view.utility_node_of("attacker"), rows)
     assert [len(slots) for _, _, slots in block_of.runs] == [1, 1, 2, 8, 2, 1]
     bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in block_of.slots]
-    block_of.sample(seed, block, 1)
+    block_of.sample(seed, block)
     rng = ara._draw_rng(seed, block)
     for target, base, slot in zip(block_of.targets, bases, block_of.slots):
         alone = rules[target].sample(base, rng, ara.DRAW_BLOCK)
-        assert np.array_equal(slot[ara.DRAW_BLOCK:], alone), target
+        assert len(slot) == rows and np.array_equal(slot, alone[:rows]), target
 
 
 def test_a_collapsed_row_inside_a_stacked_run_is_rejected():

@@ -411,7 +411,34 @@ def test_solve_run_report_has_phase_timings_and_blocks():
     assert set(report["timings_s"]) == {"load", "forecast", "solve"}
     assert all(t >= 0 for t in report["timings_s"].values())
     assert sum(report["timings_s"].values()) <= report["duration_seconds"] + 3e-6
-    assert report["forecast_blocks"] == 3   # ceil(300 / 128)
-    assert report["forecast_chunks"] == 1   # the three blocks fit one 512-draw chunk
+    assert report["forecast_blocks"] == 1   # ceil(300 / 1024)
+    assert report["forecast_chunks"] == 1   # the block's 300 draws fit one 512-draw slice
     # the report goes to stderr only: stdout is the same without it
     assert solve(lambda *args, **kwargs: None) == (stdout, "")
+
+
+SPY_ON_NUMPY_RANDOM = """
+import sys
+from araid import cli
+print("on import", "numpy.random" in sys.modules)
+forecast = cli.forecast_attack
+def spy(*args, **kwargs):
+    print("on forecast", "numpy.random" in sys.modules)
+    return forecast(*args, **kwargs)
+cli.forecast_attack = spy
+cli.main(sys.argv[1:])
+print("on exit", "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [(["validate", DRILLING], False),
+                                         (["solve", DRILLING, "--draws", "1"], True)])
+def test_solve_imports_numpy_random_as_part_of_loading(argv, loads):
+    # its import takes about 15 ms: no command but `solve` pays for it, and
+    # `solve` pays before the forecast, inside the run report's `load` time
+    proc = subprocess.run([sys.executable, "-c", SPY_ON_NUMPY_RANDOM, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("on ")]
+    expected = ["on import False"] + (["on forecast True"] if loads else [])
+    assert lines == expected + [f"on exit {loads}"]

@@ -133,14 +133,14 @@ def test_shipped_model_file_is_canonical():
     assert serialize_model(parse_model(text)) == text
 
 
-def test_round_trip_on_random_diagrams():
-    rng = np.random.default_rng(64)
-    for i in range(40):
-        d = random_diagram(rng, with_money=bool(i % 3 == 0))
-        text = serialize_model(d)
-        again = parse_model(text)
-        assert again == d, f"diagram {i} not identical after round trip"
-        assert serialize_model(again) == text
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_money=st.booleans())
+def test_round_trip_on_random_diagrams(seed, with_money):
+    d = random_diagram(np.random.default_rng(seed), with_money=with_money)
+    text = serialize_model(d)
+    again = parse_model(text)
+    assert again == d
+    assert serialize_model(again) == text
 
 
 def test_round_trip_preserves_table_bits(drilling):

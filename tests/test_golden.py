@@ -20,7 +20,7 @@ BELIEFS = "cpt DT | : avoid=0.2,share=0.3,accept=0.5\ncpt DR | : continue=0.6,st
 GOLDEN = {
     "solve-json": (
         ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "json"],
-        "366690a8108e6850b5376ad077faec006d609c664690522f9f43d2e403578604"),
+        "31eeb57f877541aeb44a2c40a199895a491c82690c094adfecd7bdbc1a6d1c9e"),
     "tables-defender": (
         ["tables", MODEL, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA",
          "--out", "csv"],
@@ -43,10 +43,10 @@ GOLDEN = {
         "84b23bc77eb6408e572022fce8e6634192154d4a661faa7d1c91897f4e6f12d0"),
     "solve-text": (
         ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "text"],
-        "0aa846bb9292565ab0e45881c2e145f278fb37e6fb28ed6ce46ddfc6d69622ae"),
+        "e2e505c4a19f445e7aaaa08e86677466aed68ec3e881a82f42a894943ef984ef"),
     "solve-csv": (
         ["solve", MODEL, "--seed", "1", "--draws", "10000", "--out", "csv"],
-        "1ddf794e3276a484a2286599508ec53ba57f71219f31d6d9fbe7727a1c46c06b"),
+        "bd3127ce5f670c37fb2a4e926cd28a4a1a86977a464b8f1e3056b3e2663b8d0b"),
     "solve-beliefs": (
         ["solve", MODEL, "--beliefs", "{beliefs}", "--draws", "1", "--seed", "7",
          "--out", "json"],
