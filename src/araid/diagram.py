@@ -357,10 +357,9 @@ def _check_rows(d: Diagram, n: Node, rows: Mapping[tuple[str, ...], object],
               for p in n.parents]
     # a complete table's keys are all among the first len(rows) parent
     # tuples; only a key outside them is checked label by label
-    head = set(itertools.islice(itertools.product(*labels), len(rows)))
-    valid = {key for key in rows if key in head or (
-        isinstance(key, tuple) and len(key) == len(labels)
-        and all(lbl in ls for lbl, ls in zip(key, labels)))}
+    valid = rows.keys() & set(itertools.islice(itertools.product(*labels), len(rows)))
+    valid.update(key for key in rows.keys() - valid if isinstance(key, tuple)
+                 and len(key) == len(labels) and all(lbl in ls for lbl, ls in zip(key, labels)))
     v = []
     missing = math.prod(map(len, labels)) - len(valid)
     if missing:
@@ -374,13 +373,14 @@ def _check_rows(d: Diagram, n: Node, rows: Mapping[tuple[str, ...], object],
 
 def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
     valid, v = _check_rows(d, n, n.payload.rows)
+    size = len(n.domain)
     for key, row in n.payload.rows.items():
         if key not in valid:
             continue
-        if len(row) != len(n.domain):
+        if len(row) != size:
             v.append(Violation("row-arity",
                                f"node {n.id!r} row {key}: {len(row)} entries for "
-                               f"{len(n.domain)} labels", node=n.id, key=key))
+                               f"{size} labels", node=n.id, key=key))
             continue
         total = sum(row)
         if any(p < 0.0 or p > 1.0 for p in row):
@@ -397,8 +397,9 @@ def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
 
 def _check_det(d: Diagram, n: Node) -> list[Violation]:
     valid, v = _check_rows(d, n, n.payload.rows)
+    labels = set(n.domain.labels)
     for key, label in n.payload.rows.items():
-        if key in valid and label not in n.domain.labels:
+        if key in valid and label not in labels:
             v.append(Violation("unknown-output",
                                f"node {n.id!r} row {key} outputs {label!r}, not in domain",
                                node=n.id, key=key))

@@ -89,9 +89,9 @@ def _checked(d: Diagram, policy: Policy, evidence: Evidence, *, every_decision: 
              target: str | None = None, scored: bool = False) -> Node | None:
     """Check a query's evidence and policy, and look up its target.
 
-    Every policy key must be a decision node, and with `every_decision`
-    every decision needs a complete, in-domain rule. The target is a value
-    node when `scored`, else a node with an outcome domain.
+    Every policy key must be a decision node with a complete, in-domain
+    rule, and with `every_decision` every decision needs one. The target is
+    a value node when `scored`, else a node with an outcome domain.
     """
     for nid, label in evidence.items():
         node = d.nodes.get(nid)
@@ -105,9 +105,11 @@ def _checked(d: Diagram, policy: Policy, evidence: Evidence, *, every_decision: 
         node = d.nodes.get(dec)
         if node is None or node.kind != NodeKind.DECISION:
             raise ValueError(f"policy entry {dec!r} is not a decision node")
-    for node in (n for n in d.nodes.values() if every_decision and n.kind == NodeKind.DECISION):
+    for node in (n for n in d.nodes.values() if n.kind == NodeKind.DECISION):
         if node.id not in policy:
-            raise ValueError(f"policy missing a rule for decision {node.id!r}")
+            if every_decision:
+                raise ValueError(f"policy missing a rule for decision {node.id!r}")
+            continue
         rule = policy[node.id]
         for key in parent_tuples(d.nodes, node):
             if key not in rule:
@@ -310,36 +312,28 @@ class CompiledModel:
                 m.value_factors[n.id] = m._value_factor(n)
         return m
 
+    def _family(self, n: Node, cell: Callable[[tuple[str, ...]], object],
+                dtype: type = float) -> np.ndarray:
+        """`cell(key)` of every parent tuple of `n`, filled in parent-product
+        order: an array over n's parents followed by the axes of one cell."""
+        cells = np.array([cell(key) for key in parent_tuples(self.diagram.nodes, n)], dtype)
+        return cells.reshape([self.sizes[p] for p in n.parents] + list(cells.shape[1:]))
+
     def _cpt_factor(self, n: Node) -> Factor:
-        vars_ = n.parents + (n.id,)
-        shape = [self.sizes[v] for v in vars_]
-        table = np.zeros(shape)
-        parents = [self.diagram.nodes[p] for p in n.parents]
-        for key, row in n.payload.rows.items():
-            idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
-            table[idx] = row
-        return Factor(vars_, table)
+        return Factor(n.parents + (n.id,), self._family(n, n.payload.rows.__getitem__))
 
     def _value_factor(self, n: Node) -> Factor:
         spec: ValueSpec = n.payload
-        parents = [self.diagram.nodes[p] for p in n.parents]
-        table = np.zeros([self.sizes[p.id] for p in parents])
-        domains = [p.domain for p in parents]
-        for key in parent_tuples(self.diagram.nodes, n):
-            idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
-            table[idx] = spec.score(key, domains)
-        return Factor(tuple(n.parents), table)
+        domains = [self.diagram.nodes[p].domain for p in n.parents]
+        return Factor(n.parents, self._family(n, lambda key: spec.score(key, domains)))
 
     def rule_factor(self, nid: str, rule: DecisionRule) -> Factor:
-        """0/1 table over a node's family: 1 where it takes rule[parent tuple]."""
+        """0/1 table over a node's family: 1 where it takes rule[parent tuple].
+        The rule must cover every parent tuple."""
         n = self.diagram.nodes[nid]
-        vars_ = n.parents + (nid,)
-        table = np.zeros([self.sizes[v] for v in vars_])
-        parents = [self.diagram.nodes[p] for p in n.parents]
-        for key, alt in rule.items():
-            idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
-            table[idx + (n.domain.index(alt),)] = 1.0
-        return Factor(vars_, table)
+        index = {label: i for i, label in enumerate(n.domain.labels)}
+        picks = self._family(n, lambda key: index[rule[key]], int)
+        return Factor(n.parents + (nid,), np.eye(len(index))[picks])
 
     # -- query plumbing ----------------------------------------------------
 

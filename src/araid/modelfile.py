@@ -21,12 +21,13 @@ order arcs are declared in. The parser reports *all* diagnostics, with
 1-based line and column; each is an error. The serializer emits a canonical
 form that parses back to an identical diagram.
 
-The text is split into lines once, and one loop yields its statements, for
-model and belief files alike. One reader takes the `| conditions : outcome`
-rows of every table, and one the `key=value` lists of attributes, conditions
-and outcomes. Reading statements, however malformed, takes time linear in
-the text's length; validating the tables they declare does not (it visits
-every parent tuple).
+The text is split into lines once, and one loop yields each statement's
+keyword and the rest of its line, for model and belief files alike. A table
+row is not split into words: one reader splits the `| conditions : outcome`
+of every row once, and one reads the `key=value` lists of attributes,
+conditions and outcomes. Reading statements, however malformed, takes time
+linear in the text's length; validating the tables they declare does not
+(it visits every parent tuple).
 """
 from __future__ import annotations
 
@@ -114,6 +115,10 @@ class _Parser:
             return None
         return token
 
+    def _node_id(self, line_no: int, token: str) -> str | None:
+        # a declared id was read as a word already
+        return token if token in self.nodes else self._word(line_no, token, "node id")
+
     def _float(self, line_no: int, token: str) -> float | None:
         try:
             value = float(token)
@@ -131,10 +136,10 @@ class _Parser:
         out = {}
         for part in parts:
             part = part.strip()
-            if "=" not in part:
+            key, eq, value = part.partition("=")
+            if not eq:
                 self.error(line_no, f"{malformed}, got {part!r}", part)
                 return None
-            key, value = part.split("=", 1)
             if convert is not None:
                 value = convert(line_no, value)
                 if value is None:
@@ -156,23 +161,26 @@ class _Parser:
     # -- statement dispatch ----------------------------------------------------
 
     def statements(self):
-        """`(line number, statement)` of every line with text outside its `#` comment."""
+        """`(line number, keyword, rest)` of every line with text outside its
+        `#` comment: its first word and the text after it."""
         for line_no, raw in enumerate(self.lines, start=1):
-            stmt = raw.split("#", 1)[0].strip()
-            if stmt:
-                yield line_no, stmt
+            words = raw.partition("#")[0].split(None, 1)
+            if words:
+                yield line_no, words[0], words[1] if len(words) > 1 else ""
 
     def parse(self) -> None:
-        for line_no, stmt in self.statements():
-            tokens = stmt.split()
-            keyword = tokens[0]
+        for line_no, keyword, body in self.statements():
+            # a table row is read whole, without splitting it into words
+            if keyword in ("cpt", "det") or (keyword == "value" and "|" in body):
+                self._row(line_no, keyword, body)
+                continue
             handler = getattr(self, f"_stmt_{keyword}", None)
             if handler is None:
                 self.error(line_no, f"unknown keyword {keyword!r}", keyword)
                 continue
-            handler(line_no, stmt, tokens[1:])
+            handler(line_no, body.split())
 
-    def _stmt_agent(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_agent(self, line_no: int, args: list[str]) -> None:
         if not args:
             return self.error(line_no, "agent statement needs an id")
         aid = self._word(line_no, args[0], "agent id")
@@ -194,10 +202,10 @@ class _Parser:
                                        f"got {kind_token!r}", kind_token or "")
         self.agents[aid] = (line_no, Agent(aid, kind, name))
 
-    def _stmt_node(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_node(self, line_no: int, args: list[str]) -> None:
         if not args:
             return self.error(line_no, "node statement needs an id")
-        nid = self._word(line_no, args[0], "node id")
+        nid = self._node_id(line_no, args[0])
         kv = self._kv_pairs(line_no, args[1:])
         if nid is None or kv is None:
             return
@@ -213,7 +221,9 @@ class _Parser:
         draft.agent = kv.pop("agent", None)
         if "domain" in kv:
             labels = tuple(kv.pop("domain").split(","))
-            if not all(self._word(line_no, lbl, "domain label") for lbl in labels):
+            malformed = [lbl for lbl in labels if not _WORD.match(lbl)]
+            if malformed:
+                self._word(line_no, malformed[0], "domain label")  # reports the first
                 return
             draft.domain = labels
         if "money" in kv:
@@ -230,25 +240,24 @@ class _Parser:
             return self.error(line_no, f"unknown node attribute(s) {sorted(kv)}")
         self.nodes[nid] = draft
 
-    def _stmt_arc(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_arc(self, line_no: int, args: list[str]) -> None:
         if len(args) != 3 or args[1] != "->":
             return self.error(line_no, "arc statement must be `arc <src> -> <dst>`")
-        src = self._word(line_no, args[0], "node id")
-        dst = self._word(line_no, args[2], "node id")
+        src = self._node_id(line_no, args[0])
+        dst = self._node_id(line_no, args[2])
         if src and dst:
             self.arcs.append((line_no, src, dst))
 
-    def _split_row(self, line_no: int, stmt: str) -> tuple[str, str, str] | None:
-        """Split `<kw> <head...> | conds : outcome` into (head, conds, outcome)."""
-        body = stmt.split(None, 1)[1] if len(stmt.split(None, 1)) > 1 else ""
-        if "|" not in body:
+    def _split_row(self, line_no: int, body: str) -> tuple[str, str, str] | None:
+        """Split a row's `<head...> | conds : outcome` into (head, conds, outcome)."""
+        head, bar, rest = body.partition("|")
+        if not bar:
             self.error(line_no, "row statement needs `| <conditions> : <outcome>`")
             return None
-        head, rest = body.split("|", 1)
-        if ":" not in rest:
+        conds, colon, outcome = rest.partition(":")
+        if not colon:
             self.error(line_no, "row statement needs `:` before the outcome")
             return None
-        conds, outcome = rest.split(":", 1)
         return head.strip(), conds.strip(), outcome.strip()
 
     def _row_target(self, line_no: int, node: str) -> _NodeDraft | None:
@@ -258,16 +267,16 @@ class _Parser:
             return None
         return self.nodes[node]
 
-    def _row(self, line_no: int, stmt: str, keyword: str) -> None:
+    def _row(self, line_no: int, keyword: str, body: str) -> None:
         """Add the table row `<keyword> <head> | <conditions> : <outcome>` to its
         node's draft, unless it reports why the row is malformed."""
-        parts = self._split_row(line_no, stmt)
+        parts = self._split_row(line_no, body)
         if parts is None:
             return
         head, conds_text, outcome = parts
         # a value row's head is `<node> form=table`
         node = (head.split() or [""])[0] if keyword == "value" else head
-        if not self._word(line_no, node, "node id"):
+        if not self._node_id(line_no, node):
             return
         draft = self._row_target(line_no, node)
         conds = self._pairs(line_no, conds_text.split(",") if conds_text else [],
@@ -282,12 +291,6 @@ class _Parser:
             value = self._table_score(line_no, draft, head, outcome)
         if value is not None:
             draft.rows.append((keyword, line_no, conds, value))
-
-    def _stmt_cpt(self, line_no: int, stmt: str, args: list[str]) -> None:
-        self._row(line_no, stmt, "cpt")
-
-    def _stmt_det(self, line_no: int, stmt: str, args: list[str]) -> None:
-        self._row(line_no, stmt, "det")
 
     def _table_score(self, line_no: int, draft: _NodeDraft, head: str, text: str
                      ) -> float | None:
@@ -305,12 +308,10 @@ class _Parser:
             return self.error(line_no, f"conflicting value forms for {draft.id!r}")
         return score
 
-    def _stmt_value(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_value(self, line_no: int, args: list[str]) -> None:
         if not args:
             return self.error(line_no, "value statement needs a node id")
-        if "|" in stmt:
-            return self._row(line_no, stmt, "value")
-        nid = self._word(line_no, args[0], "node id")
+        nid = self._node_id(line_no, args[0])
         if nid is None:
             return
         draft = self._row_target(line_no, nid)
@@ -324,11 +325,11 @@ class _Parser:
         draft.value_params = kv
         draft.value_line = line_no
 
-    def _stmt_utility(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_utility(self, line_no: int, args: list[str]) -> None:
         if len(args) < 2 or args[1] != "weights":
             return self.error(line_no, "utility statement must be "
                                        "`utility <node> weights <value>=<w> ...`")
-        nid = self._word(line_no, args[0], "node id")
+        nid = self._node_id(line_no, args[0])
         if nid is None:
             return
         draft = self._row_target(line_no, nid)
@@ -345,7 +346,7 @@ class _Parser:
             weights[k] = w
         draft.weights = weights
 
-    def _stmt_order(self, line_no: int, stmt: str, args: list[str]) -> None:
+    def _stmt_order(self, line_no: int, args: list[str]) -> None:
         if not args:
             return self.error(line_no, "order statement needs an agent id")
         aid = self._word(line_no, args[0], "agent id")
@@ -353,7 +354,7 @@ class _Parser:
             return
         if aid in self.orders:
             return self.error(line_no, f"duplicate order statement for {aid!r}", aid)
-        if all(self._word(line_no, tok, "node id") for tok in args[1:]):
+        if all(self._node_id(line_no, tok) for tok in args[1:]):
             self.orders[aid] = (line_no, tuple(args[1:]))
 
     # -- assembly ---------------------------------------------------------------
@@ -394,19 +395,21 @@ class _Parser:
     def _keyed_rows(self, draft: _NodeDraft, keyword: str) -> dict[tuple[str, ...], object]:
         """The node's `keyword` rows keyed by parent-value tuple, in declared-parent order."""
         out = {}
+        parents, row_lines = draft.parents, draft.row_lines
+        wanted = set(parents)
         for kw, line_no, conds, value in draft.rows:
             if kw != keyword:
                 continue
-            if set(conds) != set(draft.parents):
+            if conds.keys() != wanted:
                 self.error(line_no, f"row conditions {sorted(conds)} must name exactly the "
-                                    f"declared parents {draft.parents} of {draft.id!r}")
+                                    f"declared parents {parents} of {draft.id!r}")
                 continue
-            key = tuple(conds[p] for p in draft.parents)
+            key = tuple([conds[p] for p in parents])
             if key in out:
                 self.error(line_no, f"duplicate row {key} for node {draft.id!r}")
                 continue
             out[key] = value
-            draft.row_lines[key] = line_no
+            row_lines[key] = line_no
         return out
 
     def _assemble_node(self, draft: _NodeDraft) -> Node:
@@ -418,12 +421,13 @@ class _Parser:
 
         if kind == NodeKind.CHANCE:
             rows: dict[tuple[str, ...], tuple[float, ...]] = {}
+            labels = set(domain.labels) if domain is not None else None
             for key, probs in self._keyed_rows(draft, "cpt").items():
-                if domain is None or set(probs) != set(domain.labels):
+                if probs.keys() != labels:
                     self.error(draft.row_lines[key], f"row must give one probability per "
                                                      f"domain label of {draft.id!r}")
                     continue
-                rows[key] = tuple(probs[lbl] for lbl in domain.labels)
+                rows[key] = tuple([probs[lbl] for lbl in domain.labels])
             payload = Cpt(rows)
         elif kind == NodeKind.DETERMINISTIC:
             payload = DetTable(self._keyed_rows(draft, "det"))
@@ -504,11 +508,11 @@ def parse_distribution_rows(text: str | bytes) -> dict[str, dict[str, float]]:
         text = text.decode("utf-8", errors="replace")
     out: dict[str, dict[str, float]] = {}
     parser = _Parser(text)
-    for line_no, stmt in parser.statements():
-        if stmt.split()[0] != "cpt":
+    for line_no, keyword, body in parser.statements():
+        if keyword != "cpt":
             parser.error(line_no, "belief files hold only cpt rows")
             continue
-        parts = parser._split_row(line_no, stmt)
+        parts = parser._split_row(line_no, body)
         if parts is None:
             continue
         node, conds, outcome = parts

@@ -24,6 +24,7 @@ from araid.inference import (
     marginal_distribution,
 )
 
+from araid.ara import _all_rules
 from araid.modelfile import try_parse_model
 
 from conftest import CHAIN_PRIOR, CHAIN_STEP, chain_model, random_diagram, random_policy
@@ -93,6 +94,25 @@ def test_policy_entries_must_name_decision_nodes(drilling, extra):
         expected_value(drilling, "DCV", policy)
     with pytest.raises(ValueError, match=f"'{extra}' is not a decision node"):
         decision_table(drilling, "defender", axes, fixed={extra: {(): "riskier"}})
+
+
+def test_a_partial_rule_is_refused_where_not_every_decision_needs_one(drilling):
+    # a rule that skipped an observed tuple used to contribute nothing
+    # there, as if that tuple had probability 0
+    policy = drilling_policy(drilling, "additional", "forensic", "accept")
+    policy["DR"] = {("attack",): "stop", ("no_attack",): "continue"}
+    assert expected_value(drilling, "DCV", policy) == pytest.approx(0.98881, abs=1e-12)
+    for fn in (expected_value, enumerate_expected_value):
+        with pytest.raises(ValueError, match=r"rule for 'DR' missing observed tuple \('no_attack',\)"):
+            fn(drilling, "DCV", {**policy, "DR": {("attack",): "stop"}})
+        with pytest.raises(ValueError, match="rule for 'DR' picks 'wait', not in its domain"):
+            fn(drilling, "DCV", {**policy, "DR": {("attack",): "wait", ("no_attack",): "stop"}})
+
+
+def test_an_empty_fixed_rule_is_refused_by_a_decision_table(drilling):
+    # it used to fill every cell with 0.0
+    with pytest.raises(ValueError, match=r"rule for 'AP' missing observed tuple"):
+        decision_table(drilling, "defender", ["DP", "DF"], fixed={"AP": {}})
 
 
 ENGINE_AND_ORACLE = {
@@ -173,6 +193,56 @@ def test_law_of_total_expectation(drilling):
         p = marginal_distribution(drilling, policy, {}, "UA")[ua]
         mixed += p * expected_utility(drilling, "defender", policy, {"UA": ua})
     assert mixed == pytest.approx(total, abs=1e-12)
+
+
+# -- factor tables -------------------------------------------------------------
+
+def row_by_row(d, nid, cell, with_node):
+    """The slow reference: a table filled one parent tuple at a time, each
+    label placed through Domain.index. `cell(key)` is a score, or, with an
+    axis for the node itself (`with_node`), a probability row or the one
+    label the node takes there."""
+    n = d.nodes[nid]
+    parents = [d.nodes[p] for p in n.parents]
+    table = np.zeros([len(p.domain) for p in parents] + ([len(n.domain)] if with_node else []))
+    for key in itertools.product(*(p.domain.labels for p in parents)):
+        idx = tuple(p.domain.index(lbl) for p, lbl in zip(parents, key))
+        value = cell(key)
+        if isinstance(value, str):
+            table[idx + (n.domain.index(value),)] = 1.0
+        else:
+            table[idx] = value
+    return table
+
+
+def test_factor_tables_equal_a_row_by_row_fill(drilling):
+    """Every table is filled in parent-product order in one array; it must
+    equal, bit for bit, the same table filled row by row."""
+    diagrams = [drilling] + [random_diagram(np.random.default_rng(seed), with_money=seed % 2 == 1)
+                             for seed in range(40)]
+    rules = 0
+    for d in diagrams:
+        m = CompiledModel.compile(d)
+        for nid, f in m.prob_factors.items():
+            n = d.nodes[nid]
+            cell = n.payload.rows.__getitem__
+            assert f.vars == n.parents + (nid,)
+            assert np.array_equal(f.table, row_by_row(d, nid, cell, with_node=True)), nid
+        for nid, f in m.value_factors.items():
+            n = d.nodes[nid]
+            domains = [d.nodes[p].domain for p in n.parents]
+            cell = lambda key: n.payload.score(key, domains)
+            assert f.vars == n.parents
+            assert np.array_equal(f.table, row_by_row(d, nid, cell, with_node=False)), nid
+        for n in d.nodes.values():
+            if n.kind != NodeKind.DECISION:
+                continue
+            for rule in _all_rules(d, n.id):
+                f = m.rule_factor(n.id, rule)
+                assert f.vars == n.parents + (n.id,)
+                assert np.array_equal(f.table, row_by_row(d, n.id, rule.__getitem__, True))
+                rules += 1
+    assert rules > 500, rules
 
 
 # -- oracle equivalence on random diagrams ------------------------------------
