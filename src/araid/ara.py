@@ -28,7 +28,6 @@ from .diagram import (
 from .inference import (
     TIE_TOL,
     CompiledModel,
-    UtilityQuery,
     constant_policy,
     parent_tuples_of,
 )
@@ -39,22 +38,11 @@ from .inference import (
 # thirds of a 10,000-draw forecast. 2,048 measured no faster than 1,024.
 DRAW_BLOCK = 1024
 
-# The most memory the largest batched array of one forecast contraction may
-# take. Each block is contracted in slices of as many draws as fit, at most
-# the whole block and at least one draw, which spreads each contraction's
-# fixed cost over many draws without tying memory to the block: the shipped
-# plan (32 cells per draw) takes 512-draw slices, 20 contractions per 10,000
-# draws, and the plan that samples every rule kind (96 cells) 170-draw ones.
-# Contracting whole blocks instead raised that plan's peak RSS in the
-# benchmark from 40 to 42 MB.
-FORECAST_CHUNK_BYTES = 128 * 1024
-
 # The most defender policies `solve_defender` ranks; above it the search is
-# refused before any rule is built. Every policy is materialised: under
-# tracemalloc the search peaked at 2-3 KB per policy (4 MiB for 2,187
-# policies, 7-10 MiB for 4,096), and a parentless decision with this many
-# alternatives also stacks that many one-hot rows of as many cells (66 MiB at
-# 2,048). The shipped model has 48 policies.
+# refused before any rule is built. The search's memory is bounded by one
+# chunk of `UtilityQuery.evaluate_chunks`, so the cap bounds its time: a
+# parentless decision with this many alternatives ranks them in 0.05-0.08 s
+# on a 2-vCPU VM. The shipped model has 48 policies.
 MAX_POLICIES = 2048
 
 AttackerBeliefs = Mapping[str, Mapping[str, float]]
@@ -239,67 +227,22 @@ class ParameterUncertainty:
 
     rules: Mapping[Target, SamplingRule] = field(default_factory=dict)
 
-    def validate(self, view: Diagram) -> None:
-        for target, rule in self.rules.items():
-            kind = target[0]
-            node = view.nodes.get(target[1]) if len(target) > 1 else None
-            if node is None:
-                raise ValueError(f"uncertainty target {target!r}: unknown node")
-            if kind == "belief":
-                if node.kind != NodeKind.CHANCE or node.parents:
-                    raise ValueError(f"{target!r}: belief targets must be parentless "
-                                     f"chance nodes in the attacker view")
-                self._check_vector_rule(rule, len(node.domain), target)
-            elif kind == "cpt_row":
-                if node.kind != NodeKind.CHANCE or target[2] not in node.payload.rows:
-                    raise ValueError(f"{target!r}: no such CPT row")
-                self._check_vector_rule(rule, len(node.domain), target)
-            elif kind == "weights":
-                if node.kind != NodeKind.UTILITY:
-                    raise ValueError(f"{target!r}: weights target must be a utility node")
-                self._check_vector_rule(rule, len(node.parents), target)
-            elif kind in ("value_scale", "value_root"):
-                if node.kind != NodeKind.VALUE or node.payload.form not in (
-                        "linear", "power_root"):
-                    raise ValueError(f"{target!r}: scalar targets need an analytic value node")
-                if not isinstance(rule, (UniformRule, PointRule)):
-                    raise ValueError(f"{target!r}: scalar targets take uniform/point rules")
-                if isinstance(rule, UniformRule):
-                    if not (rule.low <= rule.high):
-                        raise ValueError(f"{target!r}: empty interval")
-                    if rule.low <= 0:
-                        raise ValueError(f"{target!r}: bounds must stay positive")
-            else:
-                raise ValueError(f"unknown uncertainty target kind {kind!r}")
 
-    @staticmethod
-    def _check_vector_rule(rule: SamplingRule, length: int, target: Target) -> None:
-        if isinstance(rule, UniformRule):
-            raise ValueError(f"{target!r}: vector targets take point/dirichlet/perturb rules")
-        if isinstance(rule, DirichletRule):
-            if len(rule.concentration) != length:
-                raise ValueError(f"{target!r}: concentration needs {length} entries")
-            if any(a <= 0 for a in rule.concentration):
-                raise ValueError(f"{target!r}: concentration must be positive")
-        if isinstance(rule, PerturbRule) and rule.half_width < 0:
-            raise ValueError(f"{target!r}: half_width must be nonnegative")
-
-
-def _target_sort_key(target: Target) -> tuple:
-    return tuple(str(x) for x in target)
+def _check_vector_rule(rule: SamplingRule, length: int, target: Target) -> None:
+    if isinstance(rule, UniformRule):
+        raise ValueError(f"{target!r}: vector targets take point/dirichlet/perturb rules")
+    if isinstance(rule, DirichletRule):
+        if len(rule.concentration) != length:
+            raise ValueError(f"{target!r}: concentration needs {length} entries")
+        if not all(a > 0 for a in rule.concentration):
+            raise ValueError(f"{target!r}: concentration must be positive")
+    if isinstance(rule, PerturbRule) and not rule.half_width >= 0:
+        raise ValueError(f"{target!r}: half_width must be nonnegative")
 
 
 def block_count(draws: int) -> int:
     """Blocks of DRAW_BLOCK draws that a forecast of `draws` samples."""
     return -(-draws // DRAW_BLOCK)
-
-
-def chunk_draws(query: UtilityQuery) -> int:
-    """Draws per forecast contraction: the most, at least 1 and at most one
-    block, whose largest batched array (`query.row_cells` float64 cells per
-    draw) fits in FORECAST_CHUNK_BYTES."""
-    draw_bytes = query.row_cells * np.dtype(float).itemsize
-    return max(1, min(DRAW_BLOCK, FORECAST_CHUNK_BYTES // draw_bytes))
 
 
 def _draw_rng(seed: int, block: int) -> np.random.Generator:
@@ -357,7 +300,7 @@ class AttackForecast:
             raise ValueError(f"{decision!r} is not a decision node")
         contexts = list(parent_tuples_of(d, decision))
         row = tuple(float(probabilities[lbl]) for lbl in node.domain.labels)
-        if abs(sum(row) - 1.0) > 1e-9 or any(p < 0 for p in row):
+        if not (abs(sum(row) - 1.0) <= 1e-9 and all(p >= 0 for p in row)):
             raise ValueError("forecast probabilities must form a distribution")
         return AttackForecast(decision=decision, context_nodes=node.parents,
                               alternatives=node.domain.labels,
@@ -383,7 +326,8 @@ class _DrawBlock:
     DRAW_BLOCK values and keeps the first `rows` in its own view (`slots`)
     of these arrays, so draw i depends on (seed, i) alone. A run of
     consecutive targets under one drawing rule (`runs`) draws in one call,
-    which gives the same numbers.
+    which gives the same numbers. The pass that gives each target its slot
+    checks it and its rule; `tables` and `scalars` hold the batched nodes.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
@@ -392,27 +336,51 @@ class _DrawBlock:
         self.tables: dict[str, np.ndarray] = {}
         self.scalars: dict[str, np.ndarray] = {}
         self.weights: np.ndarray | None = None
-        self.targets = sorted(uncertainty.rules, key=_target_sort_key)
+        self.targets = sorted(uncertainty.rules, key=lambda t: tuple(map(str, t)))
         self.slots: list[np.ndarray] = []
         for target in self.targets:
-            kind, node = target[0], view.nodes[target[1]]
+            kind, rule = target[0], uncertainty.rules[target]
+            node = view.nodes.get(target[1]) if len(target) > 1 else None
+            if node is None:
+                raise ValueError(f"uncertainty target {target!r}: unknown node")
             if kind in ("belief", "cpt_row"):
+                if kind == "belief" and (node.kind != NodeKind.CHANCE or node.parents):
+                    raise ValueError(f"{target!r}: belief targets must be parentless "
+                                     f"chance nodes in the attacker view")
+                key = () if kind == "belief" else target[2]
+                if node.kind != NodeKind.CHANCE or key not in node.payload.rows:
+                    raise ValueError(f"{target!r}: no such CPT row")
+                _check_vector_rule(rule, len(node.domain), target)
                 table = self.tables.setdefault(node.id, _draw_first(
                     compiled.prob_factors[node.id].table, rows))
-                key = () if kind == "belief" else target[2]
                 self.slots.append(table[(slice(None),) + tuple(
                     view.nodes[p].domain.index(lbl) for p, lbl in zip(node.parents, key))])
             elif kind == "weights":
+                if node.kind != NodeKind.UTILITY:
+                    raise ValueError(f"{target!r}: weights target must be a utility node")
+                _check_vector_rule(rule, len(node.parents), target)
                 if node.id != utility.id:
                     raise ValueError(f"{target!r}: only the attacker's utility weights "
                                      f"can be sampled")
                 self.weights = _draw_first(np.array(
                     [node.payload.weights[p] for p in node.parents]), rows)
                 self.slots.append(self.weights)
-            else:
+            elif kind in ("value_scale", "value_root"):
+                if node.kind != NodeKind.VALUE or node.payload.form not in (
+                        "linear", "power_root"):
+                    raise ValueError(f"{target!r}: scalar targets need an analytic value node")
+                if not isinstance(rule, (UniformRule, PointRule)):
+                    raise ValueError(f"{target!r}: scalar targets take uniform/point rules")
+                if isinstance(rule, UniformRule):
+                    if not rule.low <= rule.high:
+                        raise ValueError(f"{target!r}: empty interval")
+                    if not rule.low > 0:
+                        raise ValueError(f"{target!r}: bounds must stay positive")
                 pair = self.scalars.setdefault(node.id, _draw_first(np.array(
                     [node.payload.scale, node.payload.root], dtype=float), rows))
                 self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
+            else:
+                raise ValueError(f"unknown uncertainty target kind {kind!r}")
         # the stated values, copied before any draw overwrites them
         bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in self.slots]
         # consecutive targets under one drawing rule with bases of one shape
@@ -466,10 +434,10 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     Draws are sampled in blocks of DRAW_BLOCK along a leading draw axis,
     block b from its own substream `_draw_rng(seed, b)`; draw i is row
     i % DRAW_BLOCK of block i // DRAW_BLOCK and depends on (seed, i) alone,
-    whatever `draws` is. Each block is contracted in slices of `chunk_draws`
-    rows, sized from the plan: one planned contraction per slice gives the
-    attacker's expected utility in every observable context for its draws.
-    Alternatives within TIE_TOL of a draw's best split it.
+    whatever `draws` is. Each block is contracted in chunks
+    (`UtilityQuery.evaluate_chunks`): one planned contraction per chunk
+    gives the attacker's expected utility in every observable context for
+    its draws. Alternatives within TIE_TOL of a draw's best split it.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -481,8 +449,9 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     decision = own[0]
     observed = {p for p in decision.parents if d.nodes[p].kind == NodeKind.DECISION}
     view = attacker_view(d, beliefs, observed, attacker=attacker)
-    uncertainty.validate(view)
     compiled = CompiledModel.compile(view)
+    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker),
+                       min(DRAW_BLOCK, draws))
 
     context_nodes = decision.parents
     alternatives = decision.domain.labels
@@ -490,11 +459,8 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     # a sampled node's batched table is its whole family table; sampled
     # weights are given per row without batching the utility node
     keep = list(context_nodes) + [decision.id]
-    query = compiled.utility_query(attacker, {}, {}, keep, batched={
-        target[1] for target in uncertainty.rules if target[0] != "weights"})
-    chunk = chunk_draws(query)
-    block = _DrawBlock(view, compiled, uncertainty, view.utility_node_of(attacker),
-                       min(DRAW_BLOCK, draws))
+    query = compiled.utility_query(attacker, {}, {}, keep,
+                                   batched=block.tables.keys() | block.scalars.keys())
 
     # a draw with k tied winners gives each lcm(1..m)/k, m alternatives: the
     # tally stays exact in integers
@@ -506,24 +472,14 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     chunks = 0
     for b in range(block_count(draws)):
         block.sample(seed, b)
-        rows = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            tables, weights = block.inputs(lo, hi)
-            eu = query.evaluate(tables, weights)
-            if not query.batched and weights is None:  # point rules: one EU for every draw
-                eu = np.broadcast_to(eu, (hi - lo,) + counts.shape)
-            elif eu.shape[0] != hi - lo:
-                raise RuntimeError(f"the contraction of draws [{lo}, {hi}) of block {b} "
-                                   f"gave {eu.shape[0]} rows, not {hi - lo}")
+        for eu in query.evaluate_chunks(min(DRAW_BLOCK, draws - b * DRAW_BLOCK), block.inputs):
             winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
             counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
             chunks += 1
 
-    probabilities = {}
-    for ctx in itertools.product(*(view.nodes[p].domain.labels for p in context_nodes)):
-        idx = tuple(view.nodes[p].domain.index(lbl) for p, lbl in zip(context_nodes, ctx))
-        probabilities[ctx] = tuple(int(c) / (draws * lcm) for c in counts[idx])
+    contexts = itertools.product(*(view.nodes[p].domain.labels for p in context_nodes))
+    probabilities = {ctx: tuple(int(c) / (draws * lcm) for c in counts[idx])
+                     for ctx, idx in zip(contexts, np.ndindex(counts.shape[:-1]))}
     return AttackForecast(decision=decision.id, context_nodes=context_nodes,
                           alternatives=alternatives, probabilities=probabilities,
                           draws=draws, seed=seed, chunks=chunks)
@@ -611,8 +567,9 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
     Enumerates every combination of decision rules (a rule maps each
     observed-information tuple to an alternative) and ranks them by
     expected utility; deterministic tie order by policy content. All
-    policies are one contraction: each decision's 0/1 rule tables are
-    stacked along the batch axis, one row per policy. More than MAX_POLICIES
+    policies are one batch of `UtilityQuery.evaluate_chunks`, one row per
+    policy: each chunk gets each decision's 0/1 rule tables for its
+    policies, so memory is bounded by a chunk. More than MAX_POLICIES
     policies raise ValueError before any is built.
     """
     defender = _agent(d, defender, AgentKind.DEFENDER)
@@ -621,16 +578,24 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
     _check_policy_count(solved, decisions)
     m = CompiledModel.compile(solved)
     query = m.utility_query(defender, {}, {}, [], batched=decisions)
-    # one 0/1 table per distinct rule, stacked per policy, policy axis first
-    # in memory (a batch-last stack measured no faster and raised peak RSS)
-    rules = [list(_all_rules(solved, dec)) for dec in decisions]
-    picks = list(itertools.product(*(range(len(r)) for r in rules)))
-    policies = [dict(zip(decisions, (r[i] for r, i in zip(rules, row)))) for row in picks]
-    tables = {}
-    for dec, dec_rules, column in zip(decisions, rules, zip(*picks)):
-        distinct = [m.rule_factor(dec, rule).table for rule in dec_rules]
-        tables[dec] = np.stack([distinct[i] for i in column])
-    eus = query.evaluate(tables)
+    policies = [dict(zip(decisions, combo))
+                for combo in itertools.product(*(_all_rules(solved, dec) for dec in decisions))]
+    index = {dec: {label: i for i, label in enumerate(solved.nodes[dec].domain.labels)}
+             for dec in decisions}
+
+    def inputs(lo: int, hi: int) -> tuple[dict[str, np.ndarray], None]:
+        """0/1 rule tables of policies [lo, hi), policy axis first in memory (a
+        batch-last layout measured no faster and raised peak RSS): 1 where a
+        rule's pick in a parent cell, in parent-product order, meets its axis."""
+        tables = {}
+        for dec in decisions:
+            picks = np.reshape([[index[dec][a] for a in policy[dec].values()]
+                                for policy in policies[lo:hi]],
+                               [hi - lo] + [m.sizes[p] for p in solved.nodes[dec].parents])
+            tables[dec] = (picks[..., None] == np.arange(m.sizes[dec])).astype(float)
+        return tables, None
+
+    eus = np.concatenate(list(query.evaluate_chunks(len(policies), inputs)))
     ranked = [RankedPolicy(policy=p, expected_utility=float(eu)) for p, eu in zip(policies, eus)]
     ranked.sort(key=lambda r: (-r.expected_utility, _policy_sort_key(r.policy)))
     return DefenderSolution(optimal=ranked[0], ranking=tuple(ranked))

@@ -383,9 +383,10 @@ def _check_cpt(d: Diagram, n: Node) -> list[Violation]:
                                f"{size} labels", node=n.id, key=key))
             continue
         total = sum(row)
-        if any(p < 0.0 or p > 1.0 for p in row):
+        # written so that NaN, which fails every comparison, fails them
+        if not all(0.0 <= p <= 1.0 for p in row):
             problem = "probability outside [0, 1]"
-        elif abs(total - 1.0) > ROW_SUM_TOL:
+        elif not abs(total - 1.0) <= ROW_SUM_TOL:
             problem = f"row sums to {total:.10g}"
         else:
             continue
@@ -451,7 +452,7 @@ def _check_value(d: Diagram, n: Node) -> list[Violation]:
             v.append(Violation("bad-parameter",
                                f"value node {n.id!r}: power_root form needs a nonzero root",
                                node=n.id))
-        if any(t < 0 for t in parent.domain.numeric_tags):
+        if not all(t >= 0 for t in parent.domain.numeric_tags):
             v.append(Violation("negative-tag",
                                f"value node {n.id!r}: power_root needs nonnegative tags",
                                node=n.id))
@@ -471,11 +472,11 @@ def _check_utility(d: Diagram, n: Node) -> list[Violation]:
             v.append(Violation("utility-parents",
                                f"utility node {n.id!r}: parent {pid!r} is not a value node of "
                                f"the same agent", node=n.id))
-    if any(w < 0.0 or w > 1.0 for w in spec.weights.values()):
+    if not all(0.0 <= w <= 1.0 for w in spec.weights.values()):
         v.append(Violation("weight-range",
                            f"utility node {n.id!r}: weights must lie in [0, 1]", node=n.id))
     total = sum(spec.weights.values())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         v.append(Violation("weight-sum",
                            f"utility node {n.id!r}: weights sum to {total:.10g}", node=n.id))
     return v

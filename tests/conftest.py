@@ -147,6 +147,41 @@ def wide_observer_model() -> str:
     return "\n".join(lines) + "\n"
 
 
+def wide_decision_model(alternatives: int) -> str:
+    """A parentless defender decision D with `alternatives` alternatives, so
+    as many policies: D's money tag i scores 1 - i / alternatives, and the
+    defender's other value scores the attacker's one decision A."""
+    labels = [f"x{i}" for i in range(alternatives)]
+    return "\n".join([
+        "agent def kind=defender", "agent att kind=attacker",
+        "node A kind=decision agent=att domain=go,stay",
+        f"node D kind=decision agent=def domain={','.join(labels)} "
+        f"money={','.join(str(i) for i in range(alternatives))}",
+        "node V kind=value agent=def", "arc D -> V",
+        f"value V form=linear scale={alternatives} offset=1",
+        "node S kind=value agent=def", "arc A -> S", "value S form=indicator one=stay zero=go",
+        "node W kind=value agent=att", "arc A -> W", "value W form=indicator one=go zero=stay",
+        "node UD kind=utility agent=def", "arc V -> UD", "arc S -> UD",
+        "utility UD weights V=0.5 S=0.5",
+        "node UA kind=utility agent=att", "arc W -> UA", "utility UA weights W=1",
+        "order def D", "order att A"]) + "\n"
+
+
+def attacker_only_model() -> str:
+    """Two agents, and only the attacker decides: A -> chance U, scored by
+    one value and one utility node per agent."""
+    return "\n".join([
+        "agent def kind=defender", "agent att kind=attacker",
+        "node A kind=decision agent=att domain=go,stay",
+        "node U kind=chance domain=hit,miss", "arc A -> U",
+        "cpt U | A=go : hit=0.7,miss=0.3", "cpt U | A=stay : hit=0.1,miss=0.9",
+        "node V kind=value agent=def", "arc U -> V", "value V form=indicator one=miss zero=hit",
+        "node W kind=value agent=att", "arc U -> W", "value W form=indicator one=hit zero=miss",
+        "node UD kind=utility agent=def", "arc V -> UD", "utility UD weights V=1",
+        "node UA kind=utility agent=att", "arc W -> UA", "utility UA weights W=1",
+        "order att A"]) + "\n"
+
+
 CHAIN_PRIOR = (0.6, 0.4)
 CHAIN_STEP = ((0.99, 0.01), (0.02, 0.98))  # row: current label a/b; column: next
 

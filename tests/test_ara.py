@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -27,10 +28,10 @@ from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, 
 from araid.drilling import default_beliefs, default_uncertainty
 from araid.modelfile import parse_model
 from araid import inference
-from araid.inference import (CompiledModel, constant_policy, decision_table,
+from araid.inference import (CompiledModel, UtilityQuery, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
 
-from conftest import random_diagram, wide_observer_model
+from conftest import random_diagram, wide_decision_model, wide_observer_model
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -489,6 +490,23 @@ def test_sampling_rule_validation(drilling):
         forecast_attack(drilling, beliefs, bad, draws=1, seed=0)
 
 
+@pytest.mark.parametrize("target, rule, message", [
+    (("belief", "DT"), DirichletRule((math.nan, 1.0, 1.0)), "concentration must be positive"),
+    (("belief", "DT"), PerturbRule(math.nan), "half_width must be nonnegative"),
+    (("value_root", "AMV"), UniformRule(math.nan, 2.0), "empty interval"),
+], ids=["dirichlet", "perturb", "uniform"])
+def test_a_nan_sampling_parameter_is_refused(drilling, target, rule, message):
+    # NaN fails every comparison, so each check is written to fail it too
+    bad = ParameterUncertainty(rules={target: rule})
+    with pytest.raises(ValueError, match=message):
+        forecast_attack(drilling, default_beliefs(), bad, draws=1, seed=0)
+
+
+def test_a_constant_forecast_refuses_a_nan_probability(drilling):
+    with pytest.raises(ValueError, match="must form a distribution"):
+        AttackForecast.constant(drilling, "AP", {"perpetrate": math.nan, "no_perpetrate": 1.0})
+
+
 def test_scalar_and_row_uncertainty_sampling(drilling):
     rules = ParameterUncertainty(rules={
         ("value_root", "AMV"): UniformRule(2.0, 4.0),
@@ -592,14 +610,14 @@ def forecast_query(d, rules):
 def test_forecast_chunk_is_the_most_draws_within_the_cap(drilling, case, cells, chunk):
     query = forecast_query(drilling, FORECAST_RULES[case](drilling))
     assert query.row_cells == cells
-    got = ara.chunk_draws(query)
+    got = query.chunk_rows(ara.DRAW_BLOCK)
     assert got == chunk and 1 <= got <= ara.DRAW_BLOCK
     # the most draws within the cap: one more would not fit
-    assert cells * got * 8 <= ara.FORECAST_CHUNK_BYTES < cells * (got + 1) * 8
+    assert cells * got * 8 <= inference.CHUNK_BYTES < cells * (got + 1) * 8
     # at least one draw when none fits, and at most one block when all do
     for cap, bound in ((0, 1), (2**40, ara.DRAW_BLOCK)):
-        with mock.patch.object(ara, "FORECAST_CHUNK_BYTES", cap):
-            assert ara.chunk_draws(query) == bound
+        with mock.patch.object(inference, "CHUNK_BYTES", cap):
+            assert query.chunk_rows(ara.DRAW_BLOCK) == bound
 
 
 def test_no_evidence_plans_the_normaliser_away(drilling):
@@ -652,14 +670,14 @@ def test_forecast_is_the_same_whatever_the_chunk(drilling, case, draws):
     rules = FORECAST_RULES[case](drilling)
 
     def run(cap):
-        with mock.patch.object(ara, "FORECAST_CHUNK_BYTES", cap):
+        with mock.patch.object(inference, "CHUNK_BYTES", cap):
             return forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
 
     derived = forecast_attack(drilling, default_beliefs(), rules, draws=draws, seed=7)
     one_draw, whole_blocks = run(0), run(2**40)
     assert one_draw.chunks == draws and whole_blocks.chunks == ara.block_count(draws)
     # each block is sliced on its own: the last one holds the rest of the draws
-    chunk = ara.chunk_draws(forecast_query(drilling, rules))
+    chunk = forecast_query(drilling, rules).chunk_rows(ara.DRAW_BLOCK)
     full, rest = divmod(draws, ara.DRAW_BLOCK)
     assert derived.chunks == full * math.ceil(ara.DRAW_BLOCK / chunk) + math.ceil(rest / chunk)
     for other in (one_draw, whole_blocks):
@@ -676,9 +694,24 @@ def test_a_contraction_of_the_wrong_number_of_draws_is_refused(drilling, case):
         return inputs(self, lo, lo + 1)
 
     with mock.patch.object(ara._DrawBlock, "inputs", short), \
-            pytest.raises(RuntimeError, match=r"draws \[0, 100\) of block 0 gave 1 rows"):
+            pytest.raises(RuntimeError, match=r"batch rows \[0, 100\) gave 1 rows, not 100"):
         forecast_attack(drilling, default_beliefs(), FORECAST_RULES[case](drilling),
                         draws=100, seed=7)
+
+
+def test_a_policy_search_contraction_of_the_wrong_number_of_policies_is_refused(drilling):
+    # the shipped model's 48 policies are one chunk; one row of result must
+    # not be broadcast over the policies it stands for
+    evaluate = UtilityQuery.evaluate
+
+    def short(self, tables, weights):
+        return evaluate(self, tables, weights)[:1]
+
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    with mock.patch.object(UtilityQuery, "evaluate", short), \
+            pytest.raises(RuntimeError, match=r"batch rows \[0, 48\) gave 1 rows, not 48"):
+        solve_defender(drilling, forecast)
 
 
 def test_a_table_for_a_node_the_query_did_not_batch_is_rejected(drilling):
@@ -694,17 +727,71 @@ def test_a_table_for_a_node_the_query_did_not_batch_is_rejected(drilling):
 
 
 def test_policy_search_builds_each_rule_table_once(drilling):
+    # each chunk's table of a decision is the stack of `rule_factor` over the
+    # chunk's policies, taken in itertools.product order; no rule_factor
+    # call builds them
     forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
                                                         "no_perpetrate": 0.65})
-    calls, spy = spy_on(CompiledModel, "rule_factor")
-    with spy:
-        solution = solve_defender(drilling, forecast)
-    distinct = {(dec, tuple(sorted(r.policy[dec].items())))
-                for r in solution.ranking for dec in r.policy}
-    built = [(nid, tuple(sorted(rule.items()))) for _, nid, rule in calls
-             if nid in {"DP", "DF", "DT", "DR"}]
-    # the planned query builds no table for a batched decision, only its scope
-    assert len(distinct) == 11 and sorted(built) == sorted(distinct)
+    solved = apply_forecast(drilling, forecast)
+    m = CompiledModel.compile(solved)
+    decisions = sorted(n.id for n in solved.decisions_of("defender"))
+    policies = [dict(zip(decisions, combo)) for combo in
+                itertools.product(*(ara._all_rules(solved, dec) for dec in decisions))]
+    for cap in (0, 1000, inference.CHUNK_BYTES):
+        evaluated, evaluate_spy = spy_on(UtilityQuery, "evaluate")
+        built, rule_spy = spy_on(CompiledModel, "rule_factor")
+        with evaluate_spy, rule_spy, mock.patch.object(inference, "CHUNK_BYTES", cap):
+            solution = solve_defender(drilling, forecast)
+        assert [nid for _, nid, _ in built if nid in decisions] == []
+        rows = max(1, cap // (48 * 8))   # 48 cells per policy: 1, 2 and 341 policies
+        assert len(evaluated) == math.ceil(48 / rows)
+        lo = 0
+        for _, tables, weights in evaluated:
+            chunk = policies[lo:lo + rows]
+            for dec in decisions:
+                oracle = np.stack([m.rule_factor(dec, p[dec]).table for p in chunk])
+                assert tables[dec].dtype == oracle.dtype and np.array_equal(tables[dec], oracle)
+            assert weights is None
+            lo += len(chunk)
+        assert lo == len(policies) == 48
+        assert sorted(map(ara._policy_sort_key, (r.policy for r in solution.ranking))) == \
+            sorted(map(ara._policy_sort_key, policies))
+
+
+def wide_search(alternatives: int):
+    d = parse_model(wide_decision_model(alternatives))
+    return d, AttackForecast("A", (), ("go", "stay"), {(): (0.4, 0.6)}, draws=1, seed=0)
+
+
+@pytest.mark.parametrize("model", ["shipped", "wide"])
+def test_policy_ranking_is_the_same_whatever_the_chunk(drilling, model):
+    if model == "shipped":
+        d = drilling
+        forecast = forecast_attack(d, default_beliefs(), default_uncertainty(), draws=300,
+                                   seed=21)
+    else:
+        d, forecast = wide_search(ara.MAX_POLICIES)
+    derived = solve_defender(d, forecast)
+    for cap in (0, 2**40):
+        with mock.patch.object(inference, "CHUNK_BYTES", cap):
+            assert solve_defender(d, forecast).ranking == derived.ranking
+    if model == "wide":  # D's money tag 0 scores best: 0.5 * 1 + 0.5 * P(stay)
+        assert derived.optimal.policy == {"D": {(): "x0"}}
+        assert derived.optimal.expected_utility == pytest.approx(0.8, abs=1e-15)
+
+
+def test_a_search_over_the_most_policies_is_bounded_by_a_chunk():
+    # a parentless decision with MAX_POLICIES alternatives: stacking one
+    # one-hot row per policy peaked at 66 MiB under tracemalloc
+    d, forecast = wide_search(ara.MAX_POLICIES)
+    tracemalloc.start()
+    try:
+        solution = solve_defender(d, forecast)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(solution.ranking) == ara.MAX_POLICIES
+    assert peak < 8 * 2**20
 
 
 def test_perturb_rule_keeps_weights_normalized():

@@ -11,7 +11,8 @@ import pytest
 
 from araid.resources import data_path, read_table
 
-from conftest import CHAIN_PRIOR, CHAIN_STEP, chain_model, wide_observer_model
+from conftest import (CHAIN_PRIOR, CHAIN_STEP, attacker_only_model, chain_model,
+                      wide_observer_model)
 
 DRILLING = str(data_path("drilling.maid"))
 
@@ -222,6 +223,28 @@ def test_solve_refuses_an_intractable_policy_search(tmp_path):
     assert "3**243 policies" in proc.stderr and proc.stdout == ""
 
 
+def test_solve_ranks_the_one_empty_policy_when_the_defender_owns_no_decision(tmp_path):
+    from araid import cli
+    from araid.ara import ParameterUncertainty, apply_forecast, forecast_attack
+    from araid.inference import enumerate_expected_utility
+    from araid.modelfile import parse_model
+
+    model = tmp_path / "attacker_only.maid"
+    model.write_text(attacker_only_model())
+    beliefs = tmp_path / "beliefs.txt"
+    beliefs.write_text("")  # the attacker observes every defender decision: there is none
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["solve", str(model), "--beliefs", str(beliefs), "--draws", "10",
+                         "--seed", "3", "--out", "json"]) == 0
+    (ranked,) = json.loads(out.getvalue())["solution"]["ranking"]
+    d = parse_model(attacker_only_model())
+    forecast = forecast_attack(d, {}, ParameterUncertainty(), draws=10, seed=3)
+    assert ranked["policy"] == {}
+    assert ranked["expected_utility"] == enumerate_expected_utility(
+        apply_forecast(d, forecast), "def", {})
+
+
 def test_solve_point_beliefs_accept_continue(tmp_path):
     beliefs = tmp_path / "point_accept_continue.maid"
     beliefs.write_text("cpt DT | : avoid=0.0,share=0.0,accept=1.0\n"
@@ -412,7 +435,7 @@ def test_solve_run_report_has_phase_timings_and_blocks():
     assert all(t >= 0 for t in report["timings_s"].values())
     assert sum(report["timings_s"].values()) <= report["duration_seconds"] + 3e-6
     assert report["forecast_blocks"] == 1   # ceil(300 / 1024)
-    assert report["forecast_chunks"] == 1   # the block's 300 draws fit one 512-draw slice
+    assert report["forecast_chunks"] == 1   # the block's 300 draws fit one 512-draw chunk
     # the report goes to stderr only: stdout is the same without it
     assert solve(lambda *args, **kwargs: None) == (stdout, "")
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,30 @@ def test_weights_must_sum_to_one(drilling):
     d = Diagram(agents=drilling.agents, nodes=nodes,
                 decision_order=drilling.decision_order)
     assert any(v.code == "weight-sum" for v in validate_diagram(d))
+
+
+# NaN fails every comparison: each range check must fail it too
+
+def test_a_nan_probability_is_refused():
+    with pytest.raises(DiagramError, match=r"row \(\): probability outside \[0, 1\]"):
+        build_diagram([], [chance("x", ["a", "b"], {(): (float("nan"), 0.5)})])
+
+
+def test_a_nan_utility_weight_is_refused(drilling):
+    from araid.diagram import UtilitySpec
+    nodes = dict(drilling.nodes)
+    nodes["DU"] = replace(nodes["DU"], payload=UtilitySpec({"DCV": float("nan"), "DHV": 0.5}))
+    d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+    assert {"weight-range", "weight-sum"} <= {v.code for v in validate_diagram(d)}
+
+
+def test_a_nan_tag_under_a_power_root_value_is_refused(drilling):
+    nodes = dict(drilling.nodes)
+    dc = nodes["DC"]
+    tags = (float("nan"),) + dc.domain.numeric_tags[1:]
+    nodes["DC"] = replace(dc, domain=replace(dc.domain, numeric_tags=tags))
+    d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+    assert [v.code for v in validate_diagram(d) if v.node == "AMV"] == ["negative-tag"]
 
 
 def test_topological_order_chain_and_diamond():

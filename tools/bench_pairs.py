@@ -19,7 +19,8 @@ last JSON line of each workload's output gives its end-to-end metrics. The recor
 holds, per workload and metric, each side's median and quartiles
 (inclusive method) with its runs in seed order, the pairs in which the
 change is better (ties count for neither) and the ratio of medians, plus
-each side's failed ops and whether every op passed its check.
+each side's failed ops and whether every op passed its check. It also holds
+each side's line count of the Python source under src/araid.
 """
 from __future__ import annotations
 
@@ -53,6 +54,12 @@ def export(rev: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the Python source under src/araid, as `wc -l` counts them."""
+    return sum(path.read_text(encoding="utf-8").count("\n")
+               for path in (tree / "src" / "araid").rglob("*.py"))
 
 
 def run_once(tree: Path, seed: int, seconds: float) -> dict[str, dict]:
@@ -117,6 +124,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(args.parent, Path(tmp) / "parent"),
                  "change": export(args.change, Path(tmp) / "change")}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         for seed in seeds:
             for side in (SIDES if seed % 2 else SIDES[::-1]):
                 print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
@@ -138,9 +146,11 @@ def main(argv=None) -> int:
         "statistic": f"per metric: median and quartiles (inclusive method) over the "
                      f"{len(seeds)} runs of each side, the runs in seed order, and the pairs "
                      f"in which the change is better",
+        "src_araid_lines": lines,
         "results": record(runs, spec),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"src/araid lines: parent {lines['parent']} -> change {lines['change']}")
     for workload, metrics in doc["results"].items():
         for name in (m["name"] for m in spec["end_to_end"]):
             m = metrics[name]
