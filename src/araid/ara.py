@@ -188,13 +188,16 @@ class PerturbRule:
     def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
         """[n, L] draws for a base of length L; [k, n, L] for stacked [k, L]."""
         base = np.asarray(base)[..., None, :]
-        jittered = np.maximum(base + rng.uniform(-self.half_width, self.half_width,
-                                                 size=base.shape[:-2] + (n, base.shape[-1])),
-                              0.0)
+        # in place on the jitter: u + base is base + u bit for bit
+        jittered = rng.uniform(-self.half_width, self.half_width,
+                               size=base.shape[:-2] + (n, base.shape[-1]))
+        jittered += base
+        np.maximum(jittered, 0.0, out=jittered)
         total = jittered.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ValueError("perturbed vector collapsed to zero mass")
-        return jittered / total
+        jittered /= total
+        return jittered
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,9 @@ class _DrawBlock:
             node = view.nodes.get(target[1]) if len(target) > 1 else None
             if node is None:
                 raise ValueError(f"uncertainty target {target!r}: unknown node")
+            if kind == "cpt_row" and len(target) != 3:
+                raise ValueError(f"uncertainty target {target!r}: a cpt_row target is "
+                                 f"(\"cpt_row\", node, parent tuple)")
             if kind in ("belief", "cpt_row"):
                 if kind == "belief" and (node.kind != NodeKind.CHANCE or node.parents):
                     raise ValueError(f"{target!r}: belief targets must be parentless "
@@ -381,6 +387,9 @@ class _DrawBlock:
                 self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
             else:
                 raise ValueError(f"unknown uncertainty target kind {kind!r}")
+        # each scalar node's parent tags, as a column over the parent's axis
+        self.tags = {vid: np.array(view.nodes[view.nodes[vid].parents[0]].domain.numeric_tags)
+                     [:, None] for vid in self.scalars}
         # the stated values, copied before any draw overwrites them
         bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in self.slots]
         # consecutive targets under one drawing rule with bases of one shape
@@ -410,11 +419,9 @@ class _DrawBlock:
         rows = slice(lo, hi)
         tables = {nid: table[rows] for nid, table in self.tables.items()}
         for vid, pair in self.scalars.items():
-            node = self.view.nodes[vid]
-            domain = self.view.nodes[node.parents[0]].domain
             # built [parent, draw] and handed out draw first, like the tables
-            spec = replace(node.payload, scale=pair[rows, 0], root=pair[rows, 1])
-            tables[vid] = np.moveaxis(spec.of_tag(np.array(domain.numeric_tags)[:, None]), -1, 0)
+            spec = replace(self.view.nodes[vid].payload, scale=pair[rows, 0], root=pair[rows, 1])
+            tables[vid] = np.moveaxis(spec.of_tag(self.tags[vid]), -1, 0)
         if self.weights is None:
             return tables, None
         parents = self.utility.parents
@@ -578,22 +585,23 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
     _check_policy_count(solved, decisions)
     m = CompiledModel.compile(solved)
     query = m.utility_query(defender, {}, {}, [], batched=decisions)
-    policies = [dict(zip(decisions, combo))
-                for combo in itertools.product(*(_all_rules(solved, dec) for dec in decisions))]
-    index = {dec: {label: i for i, label in enumerate(solved.nodes[dec].domain.labels)}
-             for dec in decisions}
+    rules = [list(_all_rules(solved, dec)) for dec in decisions]
+    policies = [dict(zip(decisions, combo)) for combo in itertools.product(*rules)]
+    # policy p's rule of each decision, in itertools.product order
+    which = np.indices([len(r) for r in rules]).reshape(len(rules), len(policies))
+    picks = {}  # per decision: [policy, *parents] -> the rule's pick, in parent-product order
+    for dec, dec_rules, rule_of in zip(decisions, rules, which):
+        node = solved.nodes[dec]
+        picks[dec] = np.reshape([[node.domain.index(a) for a in rule.values()]
+                                 for rule in dec_rules],
+                                [len(dec_rules)] + [m.sizes[p] for p in node.parents])[rule_of]
 
     def inputs(lo: int, hi: int) -> tuple[dict[str, np.ndarray], None]:
         """0/1 rule tables of policies [lo, hi), policy axis first in memory (a
         batch-last layout measured no faster and raised peak RSS): 1 where a
-        rule's pick in a parent cell, in parent-product order, meets its axis."""
-        tables = {}
-        for dec in decisions:
-            picks = np.reshape([[index[dec][a] for a in policy[dec].values()]
-                                for policy in policies[lo:hi]],
-                               [hi - lo] + [m.sizes[p] for p in solved.nodes[dec].parents])
-            tables[dec] = (picks[..., None] == np.arange(m.sizes[dec])).astype(float)
-        return tables, None
+        rule's pick in a parent cell meets its axis."""
+        return {dec: (picks[dec][lo:hi, ..., None] == np.arange(m.sizes[dec])).astype(float)
+                for dec in decisions}, None
 
     eus = np.concatenate(list(query.evaluate_chunks(len(policies), inputs)))
     ranked = [RankedPolicy(policy=p, expected_utility=float(eu)) for p, eu in zip(policies, eus)]

@@ -441,14 +441,23 @@ def _check_value(d: Diagram, n: Node) -> list[Violation]:
                            f"value node {n.id!r}: parent {parent.id!r} needs numeric tags",
                            node=n.id))
         return v
-    if not spec.scale:
+    # each parameter check is written so that NaN fails it; inf passes, as
+    # the parser reads it
+    if not abs(spec.scale or 0.0) > 0.0:
         v.append(Violation("bad-parameter",
                            f"value node {n.id!r}: scale must be nonzero", node=n.id))
-    if spec.form == "linear" and spec.offset is None:
-        v.append(Violation("bad-parameter", f"value node {n.id!r}: linear form needs an offset",
-                           node=n.id))
+    if spec.form == "linear":
+        if spec.offset is None:
+            v.append(Violation("bad-parameter",
+                               f"value node {n.id!r}: linear form needs an offset", node=n.id))
+        elif not -math.inf <= spec.offset <= math.inf:
+            v.append(Violation("bad-parameter",
+                               f"value node {n.id!r}: offset must be a number", node=n.id))
+        if not all(-math.inf <= t <= math.inf for t in parent.domain.numeric_tags):
+            v.append(Violation("nan-tag", f"value node {n.id!r}: a numeric tag of parent "
+                                          f"{parent.id!r} is not a number", node=n.id))
     if spec.form == "power_root":
-        if not spec.root:
+        if not abs(spec.root or 0.0) > 0.0:
             v.append(Violation("bad-parameter",
                                f"value node {n.id!r}: power_root form needs a nonzero root",
                                node=n.id))

@@ -25,7 +25,11 @@ tape's ancestors is barren there (its table sums out to 1), so the tape
 leaves it out; with no evidence the normaliser often has no factor left
 (on the shipped model, in the forecast and the policy search) and is
 exactly 1. The part of each contraction that no batched table
-reaches is a constant, computed once when the query is planned.
+reaches is a constant, computed once when the query is planned. A tape
+that no batched table reaches is planned whole, so it is not executed
+per chunk, and a normaliser planned as exactly 1 is not divided by. A
+forecast chunk on the shipped model thus runs one tape, the money
+value's (`AMV`): its normaliser and the cost value's (`ACV`) are planned.
 """
 from __future__ import annotations
 
@@ -168,7 +172,9 @@ class ContractionTape:
     order, followed by `constants`: the fixed results that a kept step
     reads (or the whole result, when no step is left). A last kept step
     that only reorders axes is not run as an einsum: `relabel` holds its
-    operand and permutation, and `execute` returns a transposed view.
+    operand and permutation, and `execute` returns a transposed view. When
+    every input is fixed, no step is left and `result` holds the whole
+    result (None otherwise), so the tape need not be executed at all.
     Einsum letters are reused once their variable is eliminated, so a tape
     may span any number of variables; one that needs more than 52 letters
     at once raises ValueError.
@@ -230,6 +236,9 @@ class ContractionTape:
             step(live, tuple(self.present))
         self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
         kept = self._hoist(len(var_lists), plan, fixed or {})
+        # every input fixed: the whole result is planned here
+        self.result = None if kept else self._shaped(
+            self.constants[-1] if self.constants else np.array(1.0))
 
         batched = BATCH in all_vars  # with no batch axis, every term counts
         self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH)
@@ -276,9 +285,12 @@ class ContractionTape:
             result = slots[operand].transpose(axes)
         else:
             result = slots[-1] if slots else np.array(1.0)
-        # axes come out in keep order already; insert singleton axes for kept
-        # variables no factor mentions so callers can broadcast (the result
-        # is constant along them)
+        return self._shaped(result)
+
+    def _shaped(self, result: np.ndarray) -> np.ndarray:
+        """`result`, whose axes come in keep order already, with a singleton
+        axis for each kept variable no factor mentions, so callers can
+        broadcast (the result is constant along them)."""
         if self.missing_axes:
             shape = list(result.shape)
             for i in self.missing_axes:
@@ -452,10 +464,13 @@ class CompiledModel:
                               stop=free)
             value_inputs[vid], value_tapes[vid] = plan(
                 nodes, [(vid, self._reduce(self.value_factors[vid], reductions))])
+        # x / 1.0 == x bit for bit: a Z planned as exactly 1 is not divided by
+        unit_norm = norm_tape.result is not None and bool((norm_tape.result == 1.0).all())
         return UtilityQuery(
             inputs=tuple(dict.fromkeys(itertools.chain(norm_inputs, *value_inputs.values()))),
             batched=frozenset(batched), weights=dict(weights),
             reductions=reductions, possible=possible, keep=tuple(keep),
+            unit_norm=unit_norm, certain=unit_norm and bool(possible.all()),
             shape=tuple(1 if v == BATCH else self.sizes[v] for v in out),
             norm_inputs=norm_inputs, norm_tape=norm_tape,
             value_inputs=value_inputs, value_tapes=value_tapes)
@@ -472,7 +487,10 @@ class UtilityQuery:
     depend on, so with no evidence Z often has no factor left and is
     exactly 1. A cell is possible where Z > 0 and no factor left out over
     kept axes is zero. The tapes hold every part that no batched table
-    reaches as constants.
+    reaches as constants; a tape that no batched table reaches at all is
+    a planned result, read instead of executed. A Z planned as exactly 1
+    is not divided by, and when every cell is then possible (`certain`),
+    `evaluate` checks no mask.
     """
 
     inputs: tuple[str, ...]            # batched tables any tape reads
@@ -480,6 +498,8 @@ class UtilityQuery:
     weights: dict[str, float]
     reductions: dict[str, str]         # evidence plus constant-rule bindings
     possible: np.ndarray               # over keep: False where a left-out factor is 0
+    unit_norm: bool                    # Z is planned as exactly 1 in every cell
+    certain: bool                      # unit_norm, and `possible` holds everywhere
     keep: tuple[str, ...]
     shape: tuple[int, ...]             # result shape, 1 on the batch axis
     norm_inputs: tuple[str, ...]       # the batched tables Z reads, in tape input order
@@ -533,6 +553,15 @@ class UtilityQuery:
         constants would ignore it. `weights` may give each value node one
         per batch row.
         """
+        eu, norm = self._ratio(tables, weights)
+        possible = self.possible if norm is None else self.possible & (norm > 0.0)
+        return eu, np.broadcast_to(possible, eu.shape)
+
+    def _ratio(self, tables: Mapping[str, np.ndarray] | None,
+               weights: Mapping[str, float | np.ndarray] | None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+        """sum_v w_v * N_v / Z and the Z it divided by: None when Z is the
+        planned 1, which it skips."""
         tables = tables or {}
         stray = sorted(set(tables) - self.batched)
         if stray:
@@ -540,14 +569,18 @@ class UtilityQuery:
         missing = sorted(set(self.inputs) - set(tables))
         if missing:
             raise ValueError(f"no table given for batched node(s) {missing}")
-        norm = self.norm_tape.execute(
-            [tables[nid] for nid in self.norm_inputs] + self.norm_tape.constants)
+
+        def run(tape: ContractionTape, inputs: tuple[str, ...]) -> np.ndarray:
+            if tape.result is not None:
+                return tape.result
+            return tape.execute([tables[nid] for nid in inputs] + tape.constants)
+
+        norm = None if self.unit_norm else run(self.norm_tape, self.norm_inputs)
         scaled = []
         for vid, w in (self.weights if weights is None else weights).items():
-            tape = self.value_tapes[vid]
-            num = tape.execute([tables[nid] for nid in self.value_inputs[vid]] + tape.constants)
+            num = run(self.value_tapes[vid], self.value_inputs[vid])
             scaled.append((np.reshape(w, np.shape(w) + (1,) * len(self.keep)), num))
-        shape = np.broadcast_shapes(self.shape, np.shape(norm),
+        shape = np.broadcast_shapes(self.shape, *(() if norm is None else (np.shape(norm),)),
                                     *(np.shape(a) for pair in scaled for a in pair))
         # weigh and sum in batch-innermost arrays: a numerator without a
         # batch axis would otherwise lay its term, and the sum, out batch first
@@ -556,9 +589,10 @@ class UtilityQuery:
         term = np.empty_like(total)
         for w, num in scaled:
             total += np.multiply(w, num, out=term)
+        if norm is None:
+            return total, None
         with np.errstate(divide="ignore", invalid="ignore"):
-            eu = total / norm
-        return eu, np.broadcast_to(self.possible & (norm > 0.0), shape)
+            return total / norm, norm
 
     def evaluate(self, tables: Mapping[str, np.ndarray] | None = None,
                  weights: Mapping[str, float | np.ndarray] | None = None) -> np.ndarray:
@@ -568,6 +602,8 @@ class UtilityQuery:
         conditioning probability table is zero; a silent NaN would hide
         modeling bugs.
         """
+        if self.certain:
+            return self._ratio(tables, weights)[0]
         eu, possible = self.expected(tables, weights)
         if not possible.all():
             raise ImpossibleEvidenceError(

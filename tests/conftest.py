@@ -201,3 +201,32 @@ def chain_model(n: int) -> str:
               "value V form=indicator one=b zero=a",
               "node U kind=utility agent=def", "arc V -> U", "utility U weights V=1"]
     return "\n".join(lines) + "\n"
+
+
+def executed_expected(query, tables=None, weights=None):
+    """`query.expected` the long way: every tape executed, even one the plan
+    fixed, the weighted sum divided by the executed normaliser, and the mask
+    rebuilt from it."""
+    tables = tables or {}
+
+    def run(tape, inputs):
+        return tape.execute([tables[nid] for nid in inputs] + tape.constants)
+
+    norm = run(query.norm_tape, query.norm_inputs)
+    scaled = [(np.reshape(w, np.shape(w) + (1,) * len(query.keep)),
+               run(query.value_tapes[vid], query.value_inputs[vid]))
+              for vid, w in (query.weights if weights is None else weights).items()]
+    shape = np.broadcast_shapes(query.shape, norm.shape,
+                                *(np.shape(a) for pair in scaled for a in pair))
+    total = np.zeros(shape)
+    for w, num in scaled:
+        total += w * num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return total / norm, np.broadcast_to(query.possible & (norm > 0.0), shape)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns, whatever the memory layout:
+    -0.0 differs from 0.0, and NaN equals itself."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -28,10 +28,12 @@ from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, 
 from araid.drilling import default_beliefs, default_uncertainty
 from araid.modelfile import parse_model
 from araid import inference
-from araid.inference import (CompiledModel, UtilityQuery, constant_policy, decision_table,
-                             enumerate_expected_utility, expected_utility)
+from araid.inference import (CompiledModel, ImpossibleEvidenceError, UtilityQuery,
+                             constant_policy, decision_table, enumerate_expected_utility,
+                             expected_utility)
 
-from conftest import random_diagram, wide_decision_model, wide_observer_model
+from conftest import (executed_expected, random_diagram, same_bits, wide_decision_model,
+                      wide_observer_model)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -490,6 +492,35 @@ def test_sampling_rule_validation(drilling):
         forecast_attack(drilling, beliefs, bad, draws=1, seed=0)
 
 
+@pytest.mark.parametrize("target", [("cpt_row", "UC"), ("cpt_row", "UC", (), "extra")])
+def test_a_cpt_row_target_must_name_its_parent_tuple(drilling, target):
+    bad = ParameterUncertainty(rules={target: PointRule()})
+    with pytest.raises(ValueError, match=r"target \('cpt_row', 'UC'.*: a cpt_row target is "
+                                         r"\(\"cpt_row\", node, parent tuple\)"):
+        forecast_attack(drilling, default_beliefs(), bad, draws=1, seed=0)
+
+
+def um_bases(d) -> np.ndarray:
+    """UM's 8 rows of 3 probabilities, stacked as the wide rules' perturbation draws them."""
+    return np.array(list(d.nodes["UM"].payload.rows.values()))
+
+
+def test_perturb_rule_is_jitter_clipped_and_renormalised(drilling):
+    # the rule's in-place arithmetic against the formula written out: base
+    # plus uniform jitter, clipped at 0, divided by the row sum. UM's rows
+    # hold zeros, and a width of 0.2 takes 0.03 below zero, so both clip
+    length_two = np.array([0.97, 0.03])
+    for base, half_width in ((length_two, 0.02), (length_two, 0.2), (um_bases(drilling), 0.02)):
+        assert base.shape in ((2,), (8, 3))
+        got = PerturbRule(half_width).sample(base, np.random.default_rng(11), 1024)
+        jitter = np.random.default_rng(11).uniform(
+            -half_width, half_width, size=base.shape[:-1] + (1024, base.shape[-1]))
+        clipped = np.maximum(base[..., None, :] + jitter, 0.0)
+        want = clipped / clipped.sum(axis=-1, keepdims=True)
+        assert same_bits(got, want)
+        assert (clipped == 0.0).any() == (half_width == 0.2 or base.ndim == 2)
+
+
 @pytest.mark.parametrize("target, rule, message", [
     (("belief", "DT"), DirichletRule((math.nan, 1.0, 1.0)), "concentration must be positive"),
     (("belief", "DT"), PerturbRule(math.nan), "half_width must be nonnegative"),
@@ -641,6 +672,55 @@ def test_no_evidence_plans_the_normaliser_away(drilling):
     tables = {nid: ara._draw_first(m.prob_factors[nid].table, 8) for nid in ("DT", "DR")}
     eu = query.evaluate(tables, {"AMV": np.full(8, 0.97), "ACV": np.full(8, 0.03)})
     assert eu.shape == (8, 2, 2, 2, 2) and eu.strides[0] == eu.itemsize
+
+
+def test_a_tape_or_normaliser_the_plan_fixed_gives_the_bits_of_executing_it(drilling):
+    # the forecast and the policy search read every tape that no batched
+    # table reaches from the plan, and divide by no Z; every chunk must
+    # give the bits and mask of executing each tape and dividing by Z
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    runs = {case: lambda rules=rules: forecast_attack(
+                drilling, default_beliefs(), rules(drilling), draws=ara.DRAW_BLOCK, seed=5)
+            for case, rules in FORECAST_RULES.items()}
+    runs["search"] = lambda: solve_defender(drilling, forecast)
+    fixed = {}
+    for case, run in runs.items():
+        calls, spy = spy_on(UtilityQuery, "evaluate")
+        with spy:
+            run()
+        assert calls
+        for query, tables, weights in calls:
+            assert query.unit_norm and query.certain and query.norm_tape.result is not None
+            fixed[case] = sorted(vid for vid, tape in query.value_tapes.items()
+                                 if tape.result is not None)
+            eu, possible = query.expected(tables, weights)
+            slow_eu, slow_possible = executed_expected(query, tables, weights)
+            assert same_bits(eu, slow_eu) and np.array_equal(possible, slow_possible)
+            assert possible.all() and same_bits(query.evaluate(tables, weights), slow_eu)
+    # the shipped forecast's ACV numerator and the search's AMV one read no
+    # batched table
+    assert fixed == {"default": ["ACV"], "wide": [], "search": []}
+
+    # with evidence, Z is planned but is P(evidence), not 1, so it still
+    # divides; evidence that a factor left out of Z makes impossible leaves
+    # Z at 1 but still raises
+    m = CompiledModel.compile(drilling)
+    for ap, evidence, divides in (("perpetrate", {"UM": "loss_0_1m"}, True),
+                                  ("no_perpetrate", {"UA": "attack"}, False)):
+        policy = constant_policy(drilling, {"DP": "additional", "DF": "forensic", "DT": "accept",
+                                            "DR": "continue", "AP": ap})
+        query = m.utility_query("defender", policy, evidence, [])
+        assert query.norm_tape.result is not None and query.unit_norm != divides
+        eu, possible = query.expected()
+        slow_eu, slow_possible = executed_expected(query)
+        assert same_bits(eu, slow_eu) and np.array_equal(possible, slow_possible)
+        assert possible.all() == divides and not query.certain
+        if divides:
+            assert same_bits(query.evaluate(), slow_eu)
+        else:
+            with pytest.raises(ImpossibleEvidenceError):
+                query.evaluate()
 
 
 def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):

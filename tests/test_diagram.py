@@ -183,6 +183,40 @@ def test_a_nan_tag_under_a_power_root_value_is_refused(drilling):
     assert [v.code for v in validate_diagram(d) if v.node == "AMV"] == ["negative-tag"]
 
 
+@pytest.mark.parametrize("node, field, message", [
+    ("AMV", "scale", "scale must be nonzero"),
+    ("AMV", "root", "power_root form needs a nonzero root"),
+    ("DCV", "scale", "scale must be nonzero"),
+    ("DCV", "offset", "offset must be a number"),
+])
+def test_a_nan_value_parameter_is_refused(drilling, node, field, message):
+    nodes = dict(drilling.nodes)
+    nodes[node] = replace(nodes[node], payload=replace(nodes[node].payload,
+                                                        **{field: float("nan")}))
+    d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+    assert [(v.code, str(v)) for v in validate_diagram(d)] == [
+        ("bad-parameter", f"value node {node!r}: {message}")]
+    # the parser reads inf, so an infinite parameter stays valid
+    nodes[node] = replace(nodes[node], payload=replace(nodes[node].payload,
+                                                        **{field: float("inf")}))
+    assert validate_diagram(replace(d, nodes=nodes)) == []
+
+
+def test_a_nan_tag_under_a_linear_value_is_refused(drilling):
+    # DC feeds both the linear DCV and the power_root AMV
+    nodes = dict(drilling.nodes)
+    dc = nodes["DC"]
+    for tag, codes in ((float("nan"), {"AMV": ["negative-tag"], "DCV": ["nan-tag"]}),
+                       (float("inf"), {})):
+        tags = dc.domain.numeric_tags[:-1] + (tag,)
+        nodes["DC"] = replace(dc, domain=replace(dc.domain, numeric_tags=tags))
+        d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+        found = {}
+        for v in validate_diagram(d):
+            found.setdefault(v.node, []).append(v.code)
+        assert found == codes
+
+
 def test_topological_order_chain_and_diamond():
     a = chance("A", ["x"], {(): (1.0,)})
     b = chance("B", ["x"], {("x",): (1.0,)}, parents=["A"])

@@ -27,7 +27,8 @@ from araid.inference import (
 from araid.ara import _all_rules
 from araid.modelfile import try_parse_model
 
-from conftest import CHAIN_PRIOR, CHAIN_STEP, chain_model, random_diagram, random_policy
+from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, executed_expected, random_diagram,
+                      random_policy, same_bits)
 
 
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
@@ -447,6 +448,44 @@ def test_batched_query_matches_row_by_row_and_unbatched_on_random_diagrams():
         seen["conditioned"] += bool(keep) and not plain_possible.all()
     assert seen["chance"] > 20 and seen["decision"] > 20
     assert seen["stated"] > 120 and seen["conditioned"] > 2, seen
+
+
+def test_a_planned_result_gives_the_bits_of_executing_every_tape_on_random_diagrams():
+    """With no batched table every tape is planned whole and not executed;
+    where Z is then exactly 1 it is not divided by either. Each query must
+    give the bits and mask of executing every tape and dividing by the
+    executed Z: with no evidence, keeping the free decisions, a policy's
+    cell, or a condition, which Z is its marginal over; and with evidence,
+    which still divides and raises where it is impossible."""
+    rng = np.random.default_rng(1717)
+    seen = {"unit": 0, "divided": 0, "impossible": 0}
+    for _ in range(60):
+        d = random_diagram(rng)
+        m = CompiledModel.compile(d)
+        policy = random_policy(rng, d)
+        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        conditions = [n.id for n in d.nodes.values()
+                      if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+        last = conditions[-1]
+        evidence = {last: d.nodes[last].domain.labels[int(rng.integers(0, len(d.nodes[last].domain)))]}
+        for rules, given, keep in (({}, {}, decisions), (policy, {}, []),
+                                   ({}, {}, decisions + [last]), (policy, {}, [last]),
+                                   (policy, evidence, [])):
+            query = m.utility_query("player", rules, given, keep)
+            assert query.norm_tape.result is not None
+            assert all(tape.result is not None for tape in query.value_tapes.values())
+            eu, possible = query.expected()
+            slow_eu, slow_possible = executed_expected(query)
+            assert same_bits(eu, slow_eu) and np.array_equal(possible, slow_possible)
+            if possible.all():
+                assert same_bits(query.evaluate(), slow_eu)
+            else:
+                with pytest.raises(ImpossibleEvidenceError):
+                    query.evaluate()
+            seen["unit"] += query.unit_norm
+            seen["divided"] += not query.unit_norm
+            seen["impossible"] += not possible.all()
+    assert seen["unit"] > 100 and seen["divided"] > 50 and seen["impossible"] > 2, seen
 
 
 def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():

@@ -19,7 +19,12 @@ last JSON line of each workload's output gives its end-to-end metrics. The recor
 holds, per workload and metric, each side's median and quartiles
 (inclusive method) with its runs in seed order, the pairs in which the
 change is better (ties count for neither) and the ratio of medians, plus
-each side's failed ops and whether every op passed its check. It also holds
+each side's failed ops and whether every op passed its check. Per metric
+it also says whether the change's median is worse than the parent's by
+more than BENCHMARK.json's bound, as a fraction of the parent's median
+(`worse_beyond_bound`), and whether a gain is shown (`gain_shown`): the
+change better in at least 9 of every 10 pairs, and its median better by
+more than the parent's q3 - q1. It also holds
 each side's line count of the Python source under src/araid.
 """
 from __future__ import annotations
@@ -101,6 +106,13 @@ def record(runs: dict[str, list[dict]], spec: dict) -> dict:
             entry.update({side: summary(values[side]) for side in SIDES})
             entry["change_better_in_pairs"] = f"{won}/{len(values['parent'])}"
             entry["ratio_of_medians"] = entry["change"]["median"] / entry["parent"]["median"]
+            parent, change = entry["parent"], entry["change"]
+            # the change's median gain, in the metric's better direction
+            gain = (parent["median"] - change["median"] if better == "lower"
+                    else change["median"] - parent["median"])
+            entry["worse_beyond_bound"] = -gain > metric["bound"] * parent["median"]
+            entry["gain_shown"] = (10 * won >= 9 * len(values["parent"])
+                                   and gain > parent["q3"] - parent["q1"])
         out["failed_ops"] = {side: sum(r[workload]["failed"] for r in runs[side])
                              for side in SIDES}
         out["all_correct"] = all(r[workload]["correct"] for side in SIDES for r in runs[side])
@@ -157,7 +169,8 @@ def main(argv=None) -> int:
             print(f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g} "
                   f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}] -> change "
                   f"{m['change']['median']:.4g} {m['unit']} (better in "
-                  f"{m['change_better_in_pairs']})")
+                  f"{m['change_better_in_pairs']}; worse beyond bound: "
+                  f"{m['worse_beyond_bound']}, gain shown: {m['gain_shown']})")
     return 0
 
 
