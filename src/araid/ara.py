@@ -428,6 +428,23 @@ class _DrawBlock:
         return tables, {vid: self.weights[rows, parents.index(vid)] for vid in parents}
 
 
+def _tally(eu: np.ndarray, lcm: int, block: int) -> np.ndarray:
+    """Integer winner counts over the draw axis of one chunk's [draw, *context,
+    alternative] expected utilities: each draw gives lcm to its one winner,
+    or lcm/k to each of k alternatives within TIE_TOL of its best. A best
+    that is not finite raises ValueError naming the chunk's block."""
+    top = eu.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError(f"the attacker's expected utility is not finite in block {block} "
+                         f"(draws from {block * DRAW_BLOCK}): check the sampled parameters")
+    top -= TIE_TOL
+    winners = eu >= top
+    # a finite best always wins, so as many winners as rows means no tie
+    if np.count_nonzero(winners) == top.size:
+        return lcm * np.count_nonzero(winners, axis=0)
+    return (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
+
+
 def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
                     uncertainty: ParameterUncertainty,
                     draws: int, seed: int,
@@ -444,7 +461,9 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     whatever `draws` is. Each block is contracted in chunks
     (`UtilityQuery.evaluate_chunks`): one planned contraction per chunk
     gives the attacker's expected utility in every observable context for
-    its draws. Alternatives within TIE_TOL of a draw's best split it.
+    its draws. Alternatives within TIE_TOL of a draw's best split it. A
+    draw whose best expected utility in some context is not finite (NaN or
+    infinite, as sampled parameters that overflow give) raises ValueError.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -480,8 +499,7 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     for b in range(block_count(draws)):
         block.sample(seed, b)
         for eu in query.evaluate_chunks(min(DRAW_BLOCK, draws - b * DRAW_BLOCK), block.inputs):
-            winners = eu >= eu.max(axis=-1, keepdims=True) - TIE_TOL
-            counts += (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
+            counts += _tally(eu, lcm, b)
             chunks += 1
 
     contexts = itertools.product(*(view.nodes[p].domain.labels for p in context_nodes))

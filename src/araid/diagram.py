@@ -203,13 +203,26 @@ class Diagram:
         """Copy with some nodes swapped out (same ids); revalidates.
 
         A replaced decision that is no longer a decision leaves its agent's
-        decision order.
+        decision order. This diagram must be valid (as `build_diagram`
+        makes it): a node's own checks read only it, its parents and the
+        agents, so only the swapped nodes and their children are checked
+        again, with the graph and the decision orders in full. Raises the
+        DiagramError that `build_diagram` raises on the merged nodes.
         """
-        merged = dict(self.nodes)
-        merged.update((n.id, n) for n in new_nodes)
+        swapped = {n.id: n for n in new_nodes}
+        merged = {**self.nodes, **swapped}
         order = {a: tuple(x for x in seq if merged[x].kind == NodeKind.DECISION)
                  for a, seq in self.decision_order.items()}
-        return build_diagram(self.agents, merged.values(), order)
+        d = Diagram(agents=tuple(sorted(self.agents, key=lambda a: a.id)), nodes=merged,
+                    decision_order={a: seq for a, seq in order.items() if seq})
+        player_ids, nature_ids = _agent_ids(d)
+        violations = [x for n in merged.values()
+                      if n.id in swapped or not swapped.keys().isdisjoint(n.parents)
+                      for x in _check_node_shape(d, n, player_ids, nature_ids)]
+        violations += _check_graph(d) + _check_decision_orders(d)
+        if violations:
+            raise DiagramError(violations)
+        return d
 
 
 def parent_tuples(diagram_nodes: Mapping[str, Node], node: Node) -> Iterable[tuple[str, ...]]:
@@ -254,11 +267,9 @@ def validate_diagram(d: Diagram) -> list[Violation]:
     agent_ids = [a.id for a in d.agents]
     for a_id in dict.fromkeys(a for a in agent_ids if agent_ids.count(a) > 1):
         v.append(Violation("duplicate-id", f"duplicate agent id {a_id!r}"))
-    nature = [a for a in d.agents if a.kind == AgentKind.NATURE]
-    if len(nature) > 1:
+    player_ids, nature_ids = _agent_ids(d)
+    if sum(a.kind == AgentKind.NATURE for a in d.agents) > 1:
         v.append(Violation("multiple-nature", "more than one nature agent declared"))
-    nature_ids = {a.id for a in nature}
-    player_ids = {a.id for a in d.agents if a.kind != AgentKind.NATURE}
 
     for n in d.nodes.values():
         v.extend(_check_node_shape(d, n, player_ids, nature_ids))
@@ -266,6 +277,12 @@ def validate_diagram(d: Diagram) -> list[Violation]:
     v.extend(_check_graph(d))
     v.extend(_check_decision_orders(d))
     return v
+
+
+def _agent_ids(d: Diagram) -> tuple[set[str], set[str]]:
+    """The ids of the player (defender and attacker) agents and of the nature ones."""
+    nature = {a.id for a in d.agents if a.kind == AgentKind.NATURE}
+    return {a.id for a in d.agents if a.kind != AgentKind.NATURE}, nature
 
 
 def _check_node_shape(d: Diagram, n: Node, player_ids: set[str],

@@ -30,6 +30,16 @@ that no batched table reaches is planned whole, so it is not executed
 per chunk, and a normaliser planned as exactly 1 is not divided by. A
 forecast chunk on the shipped model thus runs one tape, the money
 value's (`AMV`): its normaliser and the cost value's (`ACV`) are planned.
+
+A step that eliminates a variable from a batched table and a fixed table
+one-hot along it (a deterministic node's, say) runs as `np.take` of the
+batched one at each row's 1. An entry times 1 plus zeros is the entry, so
+each finite cell has the einsum's bits; the take is kept only where it
+leaves the einsum's layout, so later steps sum in the same order. A picked
+-0.0 (the sum gives +0.0) and an unpicked inf or NaN (0 * inf is NaN in
+the sum) are all that differ. On the shipped plans one step gathers:
+`AMV`'s sum over the defender's cost `DC` when the forecast samples
+`AMV`'s scale or root.
 """
 from __future__ import annotations
 
@@ -175,6 +185,12 @@ class ContractionTape:
     operand and permutation, and `execute` returns a transposed view. When
     every input is fixed, no step is left and `result` holds the whole
     result (None otherwise), so the tape need not be executed at all.
+    `gathers` stands beside `steps`, one entry per step: None for an
+    einsum, or how the step runs as `np.take` (see `_gather`): a step with
+    two operands that eliminates v against a fixed table one-hot along v,
+    whose other variables the other operand does not have. `steps` keeps
+    its (spec, operand slots) pair and the one-hot table stays among
+    `constants`, so every step can still be read, or run, as an einsum.
     Einsum letters are reused once their variable is eliminated, so a tape
     may span any number of variables; one that needs more than 52 letters
     at once raises ValueError.
@@ -196,17 +212,20 @@ class ContractionTape:
                                  sum(v in vs for vs in var_lists), v))
 
         # slots: initial factors first, step results appended after; a step
-        # is (spec, operand var lists, output vars, operand slots). A variable
-        # not in `keep` stays in some live factor until it is eliminated.
+        # is (spec, operand var lists, output vars, operand slots, the variable
+        # it eliminates or None). A variable not in `keep` stays in some live
+        # factor until it is eliminated.
         # Each variable holds one einsum letter from the first step that reads
         # it to the step that eliminates it, so a letter names one variable in
         # every step that mentions it, and an eliminated variable's letter is
         # free for reuse.
-        plan: list[tuple[str, tuple[tuple[str, ...], ...], tuple[str, ...], tuple[int, ...]]] = []
+        plan: list[tuple[str, tuple[tuple[str, ...], ...], tuple[str, ...], tuple[int, ...],
+                         str | None]] = []
         letters: dict[str, str] = {}
         spare = list(reversed(string.ascii_letters))
 
-        def step(group: list[tuple[int, tuple[str, ...]]], out: tuple[str, ...]) -> None:
+        def step(group: list[tuple[int, tuple[str, ...]]], out: tuple[str, ...],
+                 v: str | None = None) -> None:
             ins = tuple(vs for _, vs in group)
             for w in itertools.chain(*ins):
                 if w not in letters:
@@ -217,7 +236,7 @@ class ContractionTape:
                     letters[w] = spare.pop()
             spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
             plan.append((spec + "->" + "".join([letters[w] for w in out]), ins, out,
-                         tuple(s for s, _ in group)))
+                         tuple(s for s, _ in group), v))
 
         live: list[tuple[int, tuple[str, ...]]] = list(enumerate(var_lists))
         next_slot = len(var_lists)
@@ -226,7 +245,7 @@ class ContractionTape:
             out_vars = tuple(dict.fromkeys(w for _, vs in group for w in vs if w != v))
             if BATCH in out_vars:
                 out_vars = tuple(w for w in out_vars if w != BATCH) + (BATCH,)
-            step(group, out_vars)
+            step(group, out_vars, v)
             spare.append(letters.pop(v))
             live = [(s, vs) for s, vs in live if v not in vs] + [(next_slot, out_vars)]
             next_slot += 1
@@ -235,7 +254,7 @@ class ContractionTape:
         if live:
             step(live, tuple(self.present))
         self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
-        kept = self._hoist(len(var_lists), plan, fixed or {})
+        kept = self._hoist(len(var_lists), plan, fixed or {}, sizes)
         # every input fixed: the whole result is planned here
         self.result = None if kept else self._shaped(
             self.constants[-1] if self.constants else np.array(1.0))
@@ -248,38 +267,54 @@ class ContractionTape:
         if kept and len(kept[-1][0]) == 1:
             (ins,), out = kept[-1]
             if sorted(ins) == sorted(out):
+                self.gathers.pop()
                 self.relabel = (self.steps.pop()[1][0], tuple(ins.index(w) for w in out))
 
-    def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray]) -> list:
-        """Run the steps that read fixed slots alone; renumber the rest.
-        Returns the kept steps' operand var lists and output vars."""
+    def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray],
+               sizes: Mapping[str, int]) -> list:
+        """Run the steps that read fixed slots alone; renumber the rest and
+        plan which of them gather. Returns the kept steps' operand var lists
+        and output vars."""
         values = dict(fixed)
         kept = []
-        for slot, (spec, ins, out, operands) in enumerate(plan, start=n_inputs):
+        for slot, (spec, ins, out, operands, v) in enumerate(plan, start=n_inputs):
             if all(i in values for i in operands):
                 values[slot] = np.einsum(spec, *(values[i] for i in operands))
             else:
-                kept.append((slot, spec, operands, ins, out))
+                kept.append((slot, spec, operands, ins, out, v))
         if kept:
-            read = sorted({i for _, _, operands, _, _ in kept for i in operands if i in values})
+            read = sorted({i for _, _, operands, *_ in kept for i in operands if i in values})
         else:  # everything was fixed: the result is one more constant
             read = [n_inputs + len(plan) - 1] if plan else []
         order = [i for i in range(n_inputs) if i not in values] + read
         index = {slot: i for i, slot in enumerate(order)}
         self.steps: list[tuple[str, tuple[int, ...]]] = []
-        for slot, spec, operands, _, _ in kept:
+        self.gathers: list[tuple[int, tuple[int, ...], int, np.ndarray] | None] = []
+        for slot, spec, operands, ins, out, v in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
+            self.gathers.append(_gather(spec, v, ins, out, [(index[i], values.get(i))
+                                                            for i in operands], sizes))
             index[slot] = len(index)
         # C-contiguous copies: a hoisted result can come out in any layout,
         # and an einsum reads a contiguous operand faster
         self.constants = [np.array(values[i], order="C") for i in read]
-        return [(ins, out) for *_, ins, out in kept]
+        return [(ins, out) for *_, ins, out, _ in kept]
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """Run the steps on the varying inputs followed by `constants`."""
         slots = list(tables)
-        for spec, operands in self.steps:
-            slots.append(np.einsum(spec, *(slots[i] for i in operands)))
+        for (spec, operands), gather in zip(self.steps, self.gathers):
+            if gather is None:
+                slots.append(np.einsum(spec, *(slots[i] for i in operands)))
+            else:
+                operand, axes, axis, index = gather
+                other = slots[operand].transpose(axes)
+                strides = other.strides
+                # the layout the plan checked: no axis of 1, strides falling
+                if 1 in other.shape or not all(a > b > 0 for a, b in zip(strides, strides[1:])):
+                    slots.append(np.einsum(spec, *(slots[i] for i in operands)))
+                else:
+                    slots.append(np.take(other, index, axis=axis))
         if self.relabel is not None:
             operand, axes = self.relabel
             result = slots[operand].transpose(axes)
@@ -297,6 +332,57 @@ class ContractionTape:
                 shape.insert(i, 1)
             result = result.reshape(shape)
         return result
+
+
+def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...],
+            operands: Sequence[tuple[int, np.ndarray | None]], sizes: Mapping[str, int]
+            ) -> tuple[int, tuple[int, ...], int, np.ndarray] | None:
+    """How a step that eliminates `v` from two operands runs as `np.take`,
+    or None where it must stay an einsum.
+
+    It can when one operand is a fixed table that is one-hot along v (0/1,
+    one 1 per row: a deterministic node's table, say) and the other shares
+    none of its other variables. Each output cell is then the other
+    operand's entry at the row's 1. `operands` gives each operand's slot
+    and, if fixed, its table. Returns (the other operand's slot, the axis
+    order that puts v where the fixed table's other variables sit in
+    `out`, that position, and the index of each row's 1 over those
+    variables): the take comes out in `out` order, C-ordered, so a last
+    batch axis is at stride 1.
+
+    An einsum lays its output out after its operands, and a later einsum
+    sums in an order that follows its operands' layout, so the take must
+    leave the layout the einsum would. The plan runs the einsum once on an
+    other operand whose memory follows that axis order (2 batch rows) and
+    keeps the gather only if the einsum's output comes out C-ordered too;
+    `execute` takes only an operand whose strides fall along that order
+    with no axis of 1, the same layout up to its extents."""
+    if v is None or len(ins) != 2:
+        return None
+    for k, (_, table) in enumerate(operands):
+        if table is None:
+            continue
+        axis = ins[k].index(v)
+        rest = tuple(w for w in ins[k] if w != v)
+        start = out.index(rest[0]) if rest else 0
+        other = ins[1 - k]
+        if (set(rest) & set(other) or out[start:start + len(rest)] != rest
+                or not ((table == 0.0) | (table == 1.0)).all()
+                or not (table.sum(axis=axis) == 1.0).all()):
+            return None
+        order = out[:start] + (v,) + out[start + len(rest):]
+        axes = tuple(other.index(w) for w in order)
+        probe = np.zeros([2 if w == BATCH else sizes[w] for w in order])
+        if 1 in probe.shape:
+            return None
+        # `other`'s axes, memory in `order` (an argsort here paged in enough
+        # of numpy's sort code to raise the forecast's peak RSS by 0.3 MB)
+        probe = probe.transpose([axes.index(i) for i in range(len(axes))])
+        taken = np.einsum(spec, *((table, probe) if k == 0 else (probe, table)))
+        if taken.strides != np.empty(taken.shape).strides:
+            return None
+        return operands[1 - k][0], axes, start, table.argmax(axis=axis)
+    return None
 
 
 # ---------------------------------------------------------------------------

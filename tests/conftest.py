@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,3 +231,25 @@ def same_bits(a, b) -> bool:
     -0.0 differs from 0.0, and NaN equals itself."""
     a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def replayed(tape, tables):
+    """`tape.execute(tables)` with every step an einsum on its spec, a step
+    that the tape runs as a gather too."""
+    slots = list(tables)
+    for spec, operands in tape.steps:
+        slots.append(np.einsum(spec, *(slots[i] for i in operands)))
+    if tape.relabel is not None:
+        operand, axes = tape.relabel
+        return tape._shaped(slots[operand].transpose(axes))
+    return tape._shaped(slots[-1] if slots else np.array(1.0))
+
+
+def spy_on(owner, name):
+    """Patch owner.name with a pass-through that records each call's args."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return calls, mock.patch.object(owner, name, spy)

@@ -28,12 +28,12 @@ from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, 
 from araid.drilling import default_beliefs, default_uncertainty
 from araid.modelfile import parse_model
 from araid import inference
-from araid.inference import (CompiledModel, ImpossibleEvidenceError, UtilityQuery,
-                             constant_policy, decision_table, enumerate_expected_utility,
-                             expected_utility)
+from araid.inference import (CompiledModel, ContractionTape, ImpossibleEvidenceError,
+                             UtilityQuery, constant_policy, decision_table,
+                             enumerate_expected_utility, expected_utility)
 
-from conftest import (executed_expected, random_diagram, same_bits, wide_decision_model,
-                      wide_observer_model)
+from conftest import (executed_expected, random_diagram, replayed, same_bits, spy_on,
+                      wide_decision_model, wide_observer_model)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -473,6 +473,57 @@ def test_tie_split_equally():
     assert fc.probabilities[()] == (0.5, 0.5)
 
 
+def old_tally(eu, lcm):
+    """The tally in six passes: every alternative within TIE_TOL of a draw's
+    best gets lcm over the number of them."""
+    winners = eu >= eu.max(axis=-1, keepdims=True) - ara.TIE_TOL
+    return (winners * (lcm // winners.sum(axis=-1, keepdims=True))).sum(axis=0)
+
+
+@pytest.mark.parametrize("alternatives", [2, 3])
+def test_the_tally_counts_as_the_six_pass_formula_with_exact_and_near_ties(alternatives):
+    rng = np.random.default_rng(alternatives)
+    lcm = math.lcm(*range(1, alternatives + 1))
+    paths = set()
+    for ties in (0, 1, 5, 40):
+        # [draw, context, context, alternative], laid out draw axis innermost
+        eu = np.moveaxis(rng.random((2, 3, alternatives, 64)), -1, 0).copy()
+        for _ in range(ties):
+            i, j, k = (int(rng.integers(n)) for n in eu.shape[:3])
+            best = eu[i, j, k].max()
+            # an exact tie, or one within TIE_TOL, with the best of the row
+            for alt in rng.choice(alternatives, size=int(rng.integers(2, alternatives + 1)),
+                                  replace=False):
+                eu[i, j, k, alt] = best - rng.choice([0.0, 0.5 * ara.TIE_TOL])
+        counts = ara._tally(eu, lcm, 0)
+        assert np.array_equal(counts, old_tally(eu, lcm)), ties
+        assert counts.dtype.kind == "i" and counts.sum() == lcm * 64 * 6
+        paths.add(bool((old_tally(eu, lcm) % lcm).any()))
+    assert paths == {False, True}  # some tallies had no tie, some split a draw
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_tally_refuses_a_best_that_is_not_finite(bad):
+    eu = np.zeros((4, 3, 2))
+    eu[2, 1] = bad
+    with pytest.raises(ValueError, match="not finite in block 7 "):
+        ara._tally(eu, 2, 7)
+    # one NaN row and one tied row would have passed a count of winners alone
+    eu[3, 0] = (1.0, 1.0)
+    with pytest.raises(ValueError, match="not finite in block 7 "):
+        ara._tally(eu, 2, 7)
+
+
+def test_an_overflowing_money_value_is_refused_not_tallied(drilling):
+    # x ** 1000 overflows for every amount above 1: each alternative's
+    # utility is infinite, or NaN where an infinite table meets a zero
+    rules = ParameterUncertainty({("value_scale", "AMV"): UniformRule(1.0, 1.0),
+                                  ("value_root", "AMV"): UniformRule(0.001, 0.001)})
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="not finite in block 0 "):
+        forecast_attack(drilling, default_beliefs(), rules, draws=10, seed=1)
+
+
 def test_sampling_rule_validation(drilling):
     beliefs = default_beliefs()
     bad = ParameterUncertainty(rules={("belief", "DT"): DirichletRule((1.0, -1.0, 1.0))})
@@ -580,16 +631,6 @@ def test_block_stream_agrees_with_the_per_draw_stream(drilling):
         se = math.sqrt(old * (1 - old) / n + new * (1 - new) / n)
         assert abs(new - old) <= 4 * se, ctx
     assert solve_defender(drilling, fc).optimal.policy == OLD_STREAM_POLICY
-
-
-def spy_on(owner, name):
-    """Patch owner.name with a pass-through that records each call's args."""
-    calls, real = [], getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    return calls, mock.patch.object(owner, name, spy)
 
 
 def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
@@ -721,6 +762,50 @@ def test_a_tape_or_normaliser_the_plan_fixed_gives_the_bits_of_executing_it(dril
         else:
             with pytest.raises(ImpossibleEvidenceError):
                 query.evaluate()
+
+
+def test_every_forecast_and_search_tape_gives_the_bits_of_its_einsum_steps(drilling):
+    # each tape execution of both forecasts, over two blocks and chunks of
+    # 170, 4 and 126 draws, and of the policy search, replayed with every
+    # step an einsum, a gathered one too
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    runs = {case: lambda rules=rules: forecast_attack(
+                drilling, default_beliefs(), rules(drilling), draws=2000, seed=5)
+            for case, rules in FORECAST_RULES.items()}
+    runs["search"] = lambda: solve_defender(drilling, forecast)
+    execute, takes = ContractionTape.execute, {}
+    for case, run in runs.items():
+        replays = []
+
+        def spy(tape, tables):
+            got = execute(tape, tables)
+            replays.append(same_bits(got, replayed(tape, tables)))
+            return got
+        calls, take = spy_on(inference.np, "take")
+        with mock.patch.object(ContractionTape, "execute", spy), take:
+            result = run()
+        assert replays and all(replays), case
+        takes[case] = (len(calls), getattr(result, "chunks", None))
+    # the wide forecast gathers once per chunk, in AMV's tape; nothing else does
+    assert takes == {"default": (0, 4), "wide": (13, 13), "search": (0, None)}
+
+    # and the gathered step is AMV's elimination of DC against DC's table
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    dc = CompiledModel.compile(view).prob_factors["DC"].table
+    for case, rules in FORECAST_RULES.items():
+        query = forecast_query(drilling, rules(drilling))
+        gathered = {vid: [i for i, g in enumerate(tape.gathers) if g is not None]
+                    for vid, tape in query.value_tapes.items()}
+        if case == "default":
+            assert gathered == {"AMV": [], "ACV": []}
+            continue
+        assert gathered == {"AMV": [0], "ACV": []}
+        tape, inputs = query.value_tapes["AMV"], query.value_inputs["AMV"]
+        (_, operands), _ = tape.steps[0], tape.gathers[0]
+        fixed = [tape.constants[i - len(inputs)] for i in operands if i >= len(inputs)]
+        assert len(fixed) == 1 and np.array_equal(fixed[0], dc)
+        assert [inputs[i] for i in operands if i < len(inputs)] == ["AMV"]
 
 
 def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):

@@ -377,20 +377,26 @@ def test_solve_names_what_a_belief_file_gets_wrong(tmp_path, rows, message):
 
 
 def count_validations(argv: list[str]) -> int:
-    """Calls of validate_diagram, under every name an araid module holds it by."""
+    """Calls of validate_diagram, under every name an araid module holds it by,
+    and of Diagram.replace_nodes, which checks what its swap can break."""
     from araid import cli, diagram
-    original = diagram.validate_diagram
+    original, swap = diagram.validate_diagram, diagram.Diagram.replace_nodes
     calls = []
 
     def spy(d):
         calls.append(d)
         return original(d)
 
+    def spy_swap(d, new_nodes):
+        calls.append(d)
+        return swap(d, new_nodes)
+
     holders = [m for name, m in sys.modules.items()
                if name.startswith("araid") and getattr(m, "validate_diagram", None) is original]
     with contextlib.ExitStack() as stack:
         for module in holders:
             stack.enter_context(mock.patch.object(module, "validate_diagram", spy))
+        stack.enter_context(mock.patch.object(diagram.Diagram, "replace_nodes", spy_swap))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         assert cli.main(argv) == 0
@@ -402,7 +408,8 @@ def count_validations(argv: list[str]) -> int:
     (["tables", DRILLING, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA"], 1),
     (["evaluate", DRILLING, "--agent", "defender", "--policy", "DP=no_additional",
       "DF=no_forensic", "DT=accept", "DR=continue", "AP=no_perpetrate"], 1),
-    # the parse, the attacker view and the forecast-applied diagram
+    # the parse, and the swaps that make the attacker view and the
+    # forecast-applied diagram
     (["solve", DRILLING, "--draws", "300"], 3),
 ], ids=["validate", "tables", "evaluate", "solve"])
 def test_each_diagram_is_validated_once(argv, validations):

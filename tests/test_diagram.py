@@ -13,6 +13,7 @@ from araid.diagram import (
     Domain,
     Node,
     NodeKind,
+    ancestors,
     build_diagram,
     topological_order,
     validate_diagram,
@@ -249,3 +250,94 @@ def test_valid_random_diagrams_topo_sortable():
         assert validate_diagram(d) == []
         order = topological_order(d)
         assert len(order) == len(d.nodes)
+
+
+# -- node swaps ----------------------------------------------------------------
+
+def rebuilt(d, new_nodes):
+    """What `d.replace_nodes(new_nodes)` must give: `build_diagram` of the
+    merged nodes, or the violations it raises."""
+    merged = {**d.nodes, **{n.id: n for n in new_nodes}}
+    order = {a: tuple(x for x in seq if merged[x].kind == NodeKind.DECISION)
+             for a, seq in d.decision_order.items()}
+    try:
+        return build_diagram(d.agents, merged.values(), order)
+    except DiagramError as exc:
+        return exc.violations
+
+
+def swapped(d, new_nodes):
+    try:
+        return d.replace_nodes(new_nodes)
+    except DiagramError as exc:
+        return exc.violations
+
+
+def cpt_over(d, node, rows):
+    """`node` as a chance node whose rows, one per parent tuple of its
+    parents in `d`, come from `rows(key)`."""
+    keys = itertools.product(*(d.nodes[p].domain.labels for p in node.parents))
+    return Node(node.id, NodeKind.CHANCE, domain=node.domain, parents=node.parents,
+                payload=Cpt({key: rows(key) for key in keys}))
+
+
+def test_a_swap_on_the_shipped_model_gives_what_a_full_build_gives(drilling):
+    n = drilling.nodes
+    three = Domain(("riskier", "normal", "calm"))
+    cases = {
+        # the forecast's swap and the attacker view's
+        "attack as chance": ([cpt_over(drilling, n["AP"], lambda key: (0.3, 0.7))], None),
+        "beliefs": ([chance("DT", n["DT"].domain.labels, {(): (0.2, 0.3, 0.5)}),
+                     chance("DR", n["DR"].domain.labels, {(): (0.6, 0.4)})], None),
+        "bad row": ([chance("UC", n["UC"].domain.labels, {(): (0.5, 0.6)})],
+                    "non-stochastic-row"),
+        "domain breaks children": ([replace(n["UC"], domain=three,
+                                            payload=Cpt({(): (0.2, 0.3, 0.5)}))],
+                                   "incomplete-table"),
+        "cycle": ([cpt_over(drilling, replace(n["UC"], parents=("UH",)),
+                            lambda key: (0.5, 0.5))], "cycle"),
+        "decision to chance": ([cpt_over(drilling, n["DP"], lambda key: (0.5, 0.5))], None),
+        "decision to owned chance": ([replace(cpt_over(drilling, n["DP"], lambda key: (0.5, 0.5)),
+                                              owner="defender")], "ownership"),
+    }
+    for name, (nodes, code) in cases.items():
+        got, want = swapped(drilling, nodes), rebuilt(drilling, nodes)
+        assert got == want, name
+        if code is None:
+            assert isinstance(got, Diagram), name
+        else:
+            assert code in {v.code for v in got}, name
+    # a decision that became a chance node left its agent's order
+    dp = swapped(drilling, cases["decision to chance"][0])
+    assert dp.decision_order["defender"] == ("DF", "DT", "DR")
+
+
+def test_a_swap_on_random_diagrams_gives_what_a_full_build_gives():
+    rng = np.random.default_rng(1818)
+    seen = {"valid": 0, "invalid": 0}
+    for _ in range(40):
+        d = random_diagram(rng)
+        for node in list(d.nodes.values()):
+            size = None if node.domain is None else len(node.domain)
+            swaps = []
+            if node.kind == NodeKind.CHANCE:
+                swaps.append(cpt_over(d, node, lambda key: tuple(rng.dirichlet(np.ones(size)))))
+                swaps.append(cpt_over(d, node, lambda key: (1.0,) * size))
+                if size > 1:  # one label fewer: a child's rows no longer fit
+                    fewer = replace(node, domain=Domain(node.domain.labels[:-1]))
+                    swaps.append(cpt_over(d, fewer, lambda key: (1.0,) + (0.0,) * (size - 2)))
+                # a parent that depends on the node closes a cycle
+                later = [m for m in d.nodes.values() if m.domain is not None and m.id != node.id
+                         and node.id in ancestors(d, [m.id])]
+                if later:
+                    swaps.append(cpt_over(d, replace(node, parents=node.parents + (later[0].id,)),
+                                          lambda key: (1.0,) + (0.0,) * (size - 1)))
+            elif node.kind == NodeKind.DECISION:
+                swaps.append(cpt_over(d, node, lambda key: (1.0 / size,) * size))
+                swaps.append(replace(cpt_over(d, node, lambda key: (1.0 / size,) * size),
+                                     owner="player"))
+            for new in swaps:
+                got = swapped(d, [new])
+                assert got == rebuilt(d, [new])
+                seen["valid" if isinstance(got, Diagram) else "invalid"] += 1
+    assert seen["valid"] > 100 and seen["invalid"] > 100, seen

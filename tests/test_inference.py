@@ -28,7 +28,7 @@ from araid.ara import _all_rules
 from araid.modelfile import try_parse_model
 
 from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, executed_expected, random_diagram,
-                      random_policy, same_bits)
+                      random_policy, replayed, same_bits, spy_on)
 
 
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
@@ -517,6 +517,97 @@ def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     z = rng.random((2, 5))
     assert np.shares_memory(alone.execute([z]), z)
     assert np.array_equal(alone.execute([z]), z.T)
+
+
+def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
+    """Batch a child or value node of a deterministic node: a step that
+    eliminates the deterministic node against its 0/1 table and the
+    batched table alone runs as a gather. Every tape, in both memory
+    layouts and at one and several batch rows, must give the bits of
+    running each of its steps as an einsum."""
+    rng = np.random.default_rng(1818)
+    seen = {"gathers": 0, "einsums": 0, "diagrams": 0}
+    while seen["diagrams"] < 60:
+        d = random_diagram(rng)
+        children = [n for n in d.nodes.values() if "t0" in n.parents
+                    and n.kind in (NodeKind.CHANCE, NodeKind.VALUE)]
+        if not children:
+            continue
+        seen["diagrams"] += 1
+        m = CompiledModel.compile(d)
+        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        child = children[int(rng.integers(len(children)))]
+        weights = {v: 1.0 for v in d.utility_node_of("player").payload.weights}
+        if child.kind == NodeKind.VALUE:
+            weights = {child.id: 1.0}
+            family = m.value_factors[child.id].vars
+        else:
+            family = m.prob_factors[child.id].vars
+        query = m.utility_query("player", {}, {}, decisions, weights=weights,
+                                batched={child.id})
+        shape = [m.sizes[v] for v in family]
+        for rows in (1, 6):
+            table = rng.random(shape + [rows])
+            if child.kind == NodeKind.CHANCE:  # rows over the child's own axis sum to 1
+                table /= table.sum(axis=-2, keepdims=True)
+            for layout in (np.moveaxis(table, -1, 0), np.moveaxis(table, -1, 0).copy()):
+                tapes = [(query.norm_tape, query.norm_inputs),
+                         *((query.value_tapes[v], query.value_inputs[v]) for v in weights)]
+                for tape, inputs in tapes:
+                    if tape.result is not None:
+                        continue
+                    tables = [layout for _ in inputs] + tape.constants
+                    takes, spy = spy_on(np, "take")
+                    with spy:
+                        got = tape.execute(tables)
+                    assert same_bits(got, replayed(tape, tables))
+                    seen["gathers"] += len(takes)
+                    seen["einsums"] += sum(g is None for g in tape.gathers)
+    assert seen["gathers"] > 25 and seen["einsums"] > 100, seen
+
+
+def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unpicked_inf():
+    # b is a deterministic function of a; eliminating b against [batch, b]
+    # takes each row's entry at pick[a]
+    pick = np.array([2, 0, 3])
+    tape = ContractionTape([("a", "b"), (BATCH, "b")], [BATCH, "a"], {}, {"a": 3, "b": 4},
+                           fixed={0: np.eye(4)[pick]})
+    assert [g is not None for g in tape.gathers] == [True] and tape.relabel is not None
+    x = np.random.default_rng(3).random((4, 5)).T  # [batch, b], batch at stride 1
+    tables = [x] + tape.constants
+    assert same_bits(tape.execute(tables), replayed(tape, tables))
+    assert same_bits(tape.execute(tables), x[:, pick])
+    # a picked -0.0 keeps its sign, where the einsum's sum of products is +0.0
+    x[1, 0] = -0.0
+    got, summed = tape.execute(tables), replayed(tape, tables)
+    assert np.signbit(got[1, 1]) and not np.signbit(summed[1, 1])
+    assert same_bits(np.delete(got, 1, axis=0), np.delete(summed, 1, axis=0))
+    # an inf that no a picks (b = 1) is not multiplied by 0: no NaN
+    x[1, 0] = 0.5
+    x[3, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        got, summed = tape.execute(tables), replayed(tape, tables)
+    assert np.isnan(summed[3]).all() and same_bits(got[3], x[3, pick])
+    assert same_bits(np.delete(got, 3, axis=0), np.delete(summed, 3, axis=0))
+    # batch first in memory, or one batch row, the step stays an einsum:
+    # a take would not leave the einsum's layout
+    for other in (np.ascontiguousarray(x), x[:1]):
+        with np.errstate(invalid="ignore"):
+            assert same_bits(tape.execute([other] + tape.constants),
+                             replayed(tape, [other] + tape.constants))
+
+
+@pytest.mark.parametrize("fixed, var_lists, reason", [
+    (np.eye(4)[[2, 0, 3]] * 0.5, [("a", "b"), (BATCH, "b")], "not 0/1"),
+    (np.array([[1.0, 1.0, 0.0, 0.0]] * 3), [("a", "b"), (BATCH, "b")], "two 1s in a row"),
+    (np.eye(4)[[2, 0, 3]], [("a", "b"), (BATCH, "a", "b")], "the other operand has a"),
+])
+def test_a_step_the_gather_does_not_cover_stays_an_einsum(fixed, var_lists, reason):
+    tape = ContractionTape(var_lists, [BATCH, "a"], {}, {"a": 3, "b": 4}, fixed={0: fixed})
+    assert tape.gathers == [None], reason
+    x = np.random.default_rng(5).random([{BATCH: 5, "a": 3, "b": 4}[v] for v in var_lists[1]])
+    tables = [x] + tape.constants
+    assert same_bits(tape.execute(tables), replayed(tape, tables))
 
 
 def test_a_tape_wider_than_the_einsum_alphabet_is_contracted():
