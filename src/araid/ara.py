@@ -421,7 +421,9 @@ class _DrawBlock:
         for vid, pair in self.scalars.items():
             # built [parent, draw] and handed out draw first, like the tables
             spec = replace(self.view.nodes[vid].payload, scale=pair[rows, 0], root=pair[rows, 1])
-            tables[vid] = np.moveaxis(spec.of_tag(self.tags[vid]), -1, 0)
+            # a score that overflows leaves a best that `_tally` refuses by name
+            with np.errstate(over="ignore", invalid="ignore"):
+                tables[vid] = np.moveaxis(spec.of_tag(self.tags[vid]), -1, 0)
         if self.weights is None:
             return tables, None
         parents = self.utility.parents

@@ -482,6 +482,20 @@ def _check_value(d: Diagram, n: Node) -> list[Violation]:
             v.append(Violation("negative-tag",
                                f"value node {n.id!r}: power_root needs nonnegative tags",
                                node=n.id))
+    if v:
+        return v
+    # score each tag as the compiled factor does: parameters that pass the
+    # checks above can still overflow, or give a complex power
+    for label, x in zip(parent.domain.labels, parent.domain.numeric_tags):
+        try:
+            s = spec.of_tag(x)
+        except OverflowError:
+            s = math.inf
+        if isinstance(s, complex) or not math.isfinite(s):
+            return [Violation("non-finite-score",
+                              f"value node {n.id!r} scores parent label {label!r} "
+                              f"(tag {x!r}) as {s!r}, not a finite real number",
+                              node=n.id, key=(label,))]
     return v
 
 

@@ -760,6 +760,30 @@ class EuTable:
             yield key, self.cells[key], key in self.argmax
 
 
+def _cell_values(eu: np.ndarray, possible: np.ndarray, axes: Sequence[str],
+                 keys: Sequence[tuple[str, ...]], unfixed: Sequence[str]) -> np.ndarray:
+    """Each cell's value from [*cell, filling] utilities and their mask: the
+    first possible filling's utility, picked, not computed, so its bits are
+    the query's. A cell with no possible filling, or whose possible fillings
+    spread by more than EU_AGREEMENT_TOL, fails: the first failing one in
+    key order (`keys`, labels over `axes`) raises. A NaN spread fails no check."""
+    values = np.take_along_axis(eu, possible.argmax(-1)[..., None], -1)[..., 0]
+    spread = np.where(possible, eu, -np.inf).max(-1) - np.where(possible, eu, np.inf).min(-1)
+    impossible = ~possible.any(-1)
+    failing = (impossible | (spread > EU_AGREEMENT_TOL)).ravel()
+    if failing.any():
+        first = int(failing.argmax())
+        cell = dict(zip(axes, keys[first]))
+        if impossible.ravel()[first]:
+            raise ImpossibleEvidenceError(
+                f"impossible evidence: table cell {cell!r} has zero "
+                f"probability under every completion")
+        raise AmbiguousCellError(
+            f"cell {cell!r} depends on unfixed opponent decision(s) "
+            f"{unfixed}; fix them explicitly")
+    return values
+
+
 def decision_table(d: Diagram, agent: str, axes: Sequence[str],
                    fixed: Policy | None = None) -> EuTable:
     """Expected-utility table over decision/chance axes.
@@ -792,20 +816,9 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
     query = CompiledModel.compile(d).utility_query(agent, policy, {}, list(axes) + unfixed)
     eu, possible = query.expected()
     lead = possible.shape[:len(axes)]
-    eu, possible = eu.reshape(lead + (-1,)), possible.reshape(lead + (-1,))
     keys = list(itertools.product(*(labels[a] for a in axes)))
-    values = np.empty(lead)
-    for key, idx in zip(keys, np.ndindex(*lead)):
-        candidates = eu[idx][possible[idx]]
-        if not candidates.size:
-            raise ImpossibleEvidenceError(
-                f"impossible evidence: table cell {dict(zip(axes, key))!r} has zero "
-                f"probability under every completion")
-        if candidates.max() - candidates.min() > EU_AGREEMENT_TOL:
-            raise AmbiguousCellError(
-                f"cell {dict(zip(axes, key))!r} depends on unfixed opponent decision(s) "
-                f"{unfixed}; fix them explicitly")
-        values[idx] = candidates[0]
+    values = _cell_values(eu.reshape(lead + (-1,)), possible.reshape(lead + (-1,)),
+                          axes, keys, unfixed)
 
     own = tuple(i for i, a in enumerate(axes)
                 if a in decision_axes and d.nodes[a].owner == agent)

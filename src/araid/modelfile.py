@@ -25,7 +25,11 @@ The text is split into lines once, and one loop yields each statement's
 keyword and the rest of its line, for model and belief files alike. A table
 row is not split into words: one reader splits the `| conditions : outcome`
 of every row once, and one reads the `key=value` lists of attributes,
-conditions and outcomes. Reading statements, however malformed, takes time
+conditions and outcomes. A model's table rows then take three passes:
+reading stores each row's conditions as a dict; assembling keys each
+node's rows by parent tuple in declared-parent order, which only the arcs
+fix, and any arc may follow the rows; and `build_diagram`'s validator
+checks the keyed tables. Reading statements, however malformed, takes time
 linear in the text's length; validating the tables they declare does not
 (it visits every parent tuple).
 """

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -519,8 +520,10 @@ def test_an_overflowing_money_value_is_refused_not_tallied(drilling):
     # utility is infinite, or NaN where an infinite table meets a zero
     rules = ParameterUncertainty({("value_scale", "AMV"): UniformRule(1.0, 1.0),
                                   ("value_root", "AMV"): UniformRule(0.001, 0.001)})
-    with np.errstate(over="ignore"), \
+    # no numpy warning goes out above the error
+    with warnings.catch_warnings(), \
             pytest.raises(ValueError, match="not finite in block 0 "):
+        warnings.simplefilter("error")
         forecast_attack(drilling, default_beliefs(), rules, draws=10, seed=1)
 
 

@@ -46,6 +46,24 @@ def test_validate_broken_model(tmp_path):
     assert "row sums to 0.9" in lines[0]
 
 
+def test_a_value_that_overflows_is_refused_by_every_command(tmp_path):
+    # validate once accepted it, and the other commands failed with a traceback
+    bad = tmp_path / "overflow.maid"
+    bad.write_text(data_path("drilling.maid").read_text().replace(
+        "value AMV form=power_root scale=10000000.0 root=3.0",
+        "value AMV form=power_root scale=1.0 root=0.001"))
+    diagnostic = (f"{bad}:16:1: error: value node 'AMV' scores parent label '10000' "
+                  f"(tag 10000.0) as inf, not a finite real number")
+    proc = run_cli("validate", str(bad))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, diagnostic + "\n", "")
+    for argv in (["evaluate", "--agent", "attacker", "--policy", "DP=additional",
+                  "DF=forensic", "DT=accept", "DR=continue", "AP=perpetrate"],
+                 ["tables", "--agent", "attacker", "--axes", "AP"]):
+        proc = run_cli(argv[0], str(bad), *argv[1:])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [diagnostic, f"error: {bad} is not a valid model"]
+
+
 def test_validate_missing_file_is_io_error(tmp_path):
     proc = run_cli("validate", str(tmp_path / "missing.maid"))
     assert proc.returncode == 2
@@ -414,6 +432,55 @@ def count_validations(argv: list[str]) -> int:
 ], ids=["validate", "tables", "evaluate", "solve"])
 def test_each_diagram_is_validated_once(argv, validations):
     assert count_validations(argv) == validations
+
+
+POLICY = ["--policy", "DP=no_additional", "DF=no_forensic", "DT=accept", "DR=continue",
+          "AP=perpetrate"]
+# every command, each outcome (exit 0, 1 and 2), and an option's default
+# read right after a call that gave the option
+SESSION = [
+    ["validate", DRILLING],
+    ["tables", DRILLING, "--agent", "attacker", "--axes", "AP,UC,DP,DF",
+     "--fix", "DT=accept", "DR=continue"],
+    ["tables", DRILLING, "--agent", "attacker", "--axes", "AP,UC,DP,DF"],   # ambiguous: exit 1
+    ["evaluate", DRILLING, "--agent", "defender", *POLICY, "--evidence", "UC=riskier"],
+    ["evaluate", DRILLING, "--agent", "defender", *POLICY],
+    ["tables", DRILLING, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA", "--out", "json"],
+    ["solve", DRILLING, "--draws", "300", "--seed", "3", "--out", "csv"],
+    ["tables", DRILLING, "--agent", "defender"],                  # no --axes: argparse exits 2
+]
+
+
+def main_in_process(argv):
+    """(exit code, stdout, stderr lines) of one `cli.main` call, with the
+    clock readings of its run report (its duration and phase timings) left out."""
+    from araid import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        report = json.loads(lines.pop())
+        del report["duration_seconds"]
+        report.get("timings_s", {}).clear()
+        lines.append(report)
+    return code, out.getvalue(), lines
+
+
+def test_repeated_calls_in_one_process_repeat_their_output():
+    from araid import cli
+    fresh = []
+    for argv in SESSION:   # each on a parser built for it alone
+        cli.build_parser.cache_clear()
+        fresh.append(main_in_process(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0, 0, 2]
+    assert fresh[3][1] != fresh[4][1]   # the evidence mattered
+    for _ in range(2):   # then twice through, on one parser
+        assert [main_in_process(argv) for argv in SESSION] == fresh
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_run_report_on_stderr():

@@ -197,10 +197,12 @@ def test_a_nan_value_parameter_is_refused(drilling, node, field, message):
     d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
     assert [(v.code, str(v)) for v in validate_diagram(d)] == [
         ("bad-parameter", f"value node {node!r}: {message}")]
-    # the parser reads inf, so an infinite parameter stays valid
+    # the parser reads inf: an infinite parameter stays valid unless a
+    # score it gives is infinite (an infinite offset's every score)
     nodes[node] = replace(nodes[node], payload=replace(nodes[node].payload,
                                                         **{field: float("inf")}))
-    assert validate_diagram(replace(d, nodes=nodes)) == []
+    assert [v.code for v in validate_diagram(replace(d, nodes=nodes))] == (
+        ["non-finite-score"] if field == "offset" else [])
 
 
 def test_a_nan_tag_under_a_linear_value_is_refused(drilling):
@@ -208,7 +210,8 @@ def test_a_nan_tag_under_a_linear_value_is_refused(drilling):
     nodes = dict(drilling.nodes)
     dc = nodes["DC"]
     for tag, codes in ((float("nan"), {"AMV": ["negative-tag"], "DCV": ["nan-tag"]}),
-                       (float("inf"), {})):
+                       (float("inf"), {"AMV": ["non-finite-score"],
+                                       "DCV": ["non-finite-score"]})):
         tags = dc.domain.numeric_tags[:-1] + (tag,)
         nodes["DC"] = replace(dc, domain=replace(dc.domain, numeric_tags=tags))
         d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
@@ -216,6 +219,21 @@ def test_a_nan_tag_under_a_linear_value_is_refused(drilling):
         for v in validate_diagram(d):
             found.setdefault(v.node, []).append(v.code)
         assert found == codes
+
+
+@pytest.mark.parametrize("params, score", [
+    ({"scale": 1.0, "root": 0.001}, "inf"),              # 10000 ** 1000 overflows
+    ({"scale": -1e7}, "(0.050000000000000024+0.08660254037844388j)"),  # a complex root
+], ids=["overflow", "complex"])
+def test_an_analytic_value_is_scored_at_every_tag(drilling, params, score):
+    # both pass the parameter checks; the compiled factor would raise
+    nodes = dict(drilling.nodes)
+    nodes["AMV"] = replace(nodes["AMV"], payload=replace(nodes["AMV"].payload, **params))
+    d = Diagram(agents=drilling.agents, nodes=nodes, decision_order=drilling.decision_order)
+    assert [(v.code, v.key, str(v)) for v in validate_diagram(d)] == [
+        ("non-finite-score", ("10000",),
+         f"value node 'AMV' scores parent label '10000' (tag 10000.0) as {score}, "
+         f"not a finite real number")]
 
 
 def test_topological_order_chain_and_diamond():

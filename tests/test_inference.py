@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from araid.diagram import NodeKind, ValueSpec, Node, build_diagram
+from araid import inference
 from araid.inference import (
     BATCH,
+    EU_AGREEMENT_TOL,
     AmbiguousCellError,
     CompiledModel,
     ContractionTape,
@@ -676,6 +678,115 @@ def test_defender_table_has_96_cells_and_correct_argmax(drilling):
     assert best[("normal", "attack")] == ("no_additional", "no_forensic", "share", "stop")
     assert best[("riskier", "no_attack")] == ("no_additional", "no_forensic", "accept", "continue")
     assert best[("normal", "no_attack")] == ("no_additional", "no_forensic", "accept", "continue")
+
+
+def loop_cell_values(eu, possible, axes, keys, unfixed):
+    """The per-cell loop that `_cell_values` replaced, kept as its oracle."""
+    lead = possible.shape[:-1]
+    values = np.empty(lead)
+    for key, idx in zip(keys, np.ndindex(*lead)):
+        candidates = eu[idx][possible[idx]]
+        if not candidates.size:
+            raise ImpossibleEvidenceError(
+                f"impossible evidence: table cell {dict(zip(axes, key))!r} has zero "
+                f"probability under every completion")
+        if candidates.max() - candidates.min() > EU_AGREEMENT_TOL:
+            raise AmbiguousCellError(
+                f"cell {dict(zip(axes, key))!r} depends on unfixed opponent decision(s) "
+                f"{unfixed}; fix them explicitly")
+        values[idx] = candidates[0]
+    return values
+
+
+def assert_fills_agree(*args):
+    """`_cell_values` and the loop give the same bits, or the same error."""
+    def outcome(fill):
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf spreads
+                return fill(*args)
+        except (ImpossibleEvidenceError, AmbiguousCellError) as exc:
+            return type(exc), str(exc)
+    fast, slow = outcome(inference._cell_values), outcome(loop_cell_values)
+    assert type(fast) is type(slow)
+    assert fast == slow if isinstance(slow, tuple) else same_bits(fast, slow)
+    return slow
+
+
+def test_the_table_fill_agrees_with_the_per_cell_loop_on_the_shipped_tables(drilling):
+    calls, spy = spy_on(inference, "_cell_values")
+    with spy:
+        decision_table(drilling, "defender", ["DP", "DF", "DT", "DR", "UC", "UA"])
+        decision_table(drilling, "attacker", ["AP", "UC", "DP", "DF"],
+                       fixed=constant_policy(drilling, {"DT": "accept", "DR": "continue"}))
+    assert [args[0].shape for args in calls] == [(2, 2, 3, 2, 2, 2, 2), (2, 2, 2, 2, 1)]
+    for args in calls:
+        assert_fills_agree(*args)
+
+
+def test_the_table_fill_agrees_with_the_per_cell_loop_on_random_diagrams():
+    # a decision left off the axes is an unfilled one, so cells have several
+    # fillings, and some disagree
+    rng = np.random.default_rng(1904)
+    errors = []
+    calls, spy = spy_on(inference, "_cell_values")
+    with spy:
+        for _ in range(60):
+            d = random_diagram(rng)
+            decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+            conditions = [n.id for n in d.nodes.values()
+                          if n.kind in (NodeKind.CHANCE, NodeKind.DETERMINISTIC)]
+            axes = decisions[:int(rng.integers(0, len(decisions) + 1))]
+            axes.append(conditions[int(rng.integers(0, len(conditions)))])
+            try:
+                decision_table(d, "player", axes)
+            except (ImpossibleEvidenceError, AmbiguousCellError):
+                pass
+    for args in calls:
+        result = assert_fills_agree(*args)
+        errors.append(result[0] if isinstance(result, tuple) else None)
+    assert len(calls) == 60
+    assert errors.count(ImpossibleEvidenceError) > 3 and errors.count(AmbiguousCellError) > 3
+    assert errors.count(None) > 20
+
+
+def test_the_first_failing_cell_in_key_order_raises_its_own_error():
+    axes, keys = ["X", "Y"], list(itertools.product("ab", "pqr"))
+    eu = np.arange(12.0).reshape(2, 3, 2) / 1e12     # every spread within tolerance
+    possible = np.ones((2, 3, 2), bool)
+    for impossible_at, ambiguous_at, error, message in [
+            ((0, 1), (1, 0), ImpossibleEvidenceError,
+             "impossible evidence: table cell {'X': 'a', 'Y': 'q'} has zero probability "
+             "under every completion"),
+            ((1, 0), (0, 1), AmbiguousCellError,
+             "cell {'X': 'a', 'Y': 'q'} depends on unfixed opponent decision(s) ['Z']; "
+             "fix them explicitly")]:
+        cell_eu, cell_possible = eu.copy(), possible.copy()
+        cell_possible[impossible_at] = False
+        cell_eu[ambiguous_at + (1,)] += 1.0
+        with pytest.raises(error) as raised:
+            inference._cell_values(cell_eu, cell_possible, axes, keys, ["Z"])
+        assert str(raised.value) == message
+        assert_fills_agree(cell_eu, cell_possible, axes, keys, ["Z"])
+
+
+def test_a_nan_cell_does_not_raise_and_keeps_its_first_possible_filling():
+    eu = np.array([[np.nan, 1.0], [2.0, np.nan], [np.nan, 3.0], [np.inf, np.inf]])
+    possible = np.array([[True, True], [True, False], [False, True], [True, True]])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        values = inference._cell_values(eu, possible, ["X"], [(c,) for c in "abcd"], ["Z"])
+    assert same_bits(values, [np.nan, 2.0, 3.0, np.inf])
+    assert_fills_agree(eu, possible, ["X"], [(c,) for c in "abcd"], ["Z"])
+
+
+def test_random_fills_agree_with_the_per_cell_loop():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 4, size=rng.integers(0, 3))) + (int(rng.integers(1, 4)),)
+        eu = rng.choice([0.0, 1e-10, 0.5, 2.0, np.nan, np.inf, -np.inf], size=shape,
+                        p=[0.4, 0.3, 0.1, 0.1, 0.04, 0.03, 0.03])
+        possible = rng.random(shape) < 0.85
+        keys = list(itertools.product(*(range(n) for n in shape[:-1])))
+        assert_fills_agree(eu, possible, [f"x{i}" for i in range(len(shape) - 1)], keys, ["Z"])
 
 
 def test_unscreened_opponent_decision_is_ambiguous(drilling):
