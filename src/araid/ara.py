@@ -24,6 +24,7 @@ from .diagram import (
     Diagram,
     Node,
     NodeKind,
+    ValueSpec,
 )
 from .inference import (
     TIE_TOL,
@@ -372,9 +373,10 @@ class _DrawBlock:
                     [node.payload.weights[p] for p in node.parents]), rows)
                 self.slots.append(self.weights)
             elif kind in ("value_scale", "value_root"):
-                if node.kind != NodeKind.VALUE or node.payload.form not in (
-                        "linear", "power_root"):
-                    raise ValueError(f"{target!r}: scalar targets need an analytic value node")
+                param = kind.removeprefix("value_")
+                if node.kind != NodeKind.VALUE or param not in ValueSpec.PARAMS.get(
+                        node.payload.form, ()):
+                    raise ValueError(f"{target!r}: scalar targets need a value form with a {param}")
                 if not isinstance(rule, (UniformRule, PointRule)):
                     raise ValueError(f"{target!r}: scalar targets take uniform/point rules")
                 if isinstance(rule, UniformRule):

@@ -58,6 +58,8 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, str]:
         if "=" not in pair:
             raise _CliError(f"{what} must be node=label, got {pair!r}")
         k, v = pair.split("=", 1)
+        if k in out:
+            raise _CliError(f"{what} names {k!r} twice")
         out[k] = v
     return out
 

@@ -96,7 +96,7 @@ class ValueSpec:
     Forms:
       table      -- explicit parent-tuple -> score rows
       linear     -- v = offset - x / scale, x = parent label's numeric tag
-      power_root -- v = (x / scale) ** (1 / root)
+      power_root -- v = (x / scale) ** (1 / root); only it takes a value_root target
       indicator  -- labels in `one_labels` score 1, labels in `zero_labels` 0
     """
 
@@ -109,6 +109,7 @@ class ValueSpec:
     one_labels: frozenset[str] = frozenset()
 
     FORMS = ("table", "linear", "power_root", "indicator")
+    PARAMS = {"linear": ("scale", "offset"), "power_root": ("scale", "root")}  # analytic forms
 
     def score(self, parent_values: tuple[str, ...], parent_domains: Sequence[Domain]) -> float:
         if self.form == "table":

@@ -172,19 +172,24 @@ class ContractionTape:
     A variable that is in no elimination order (such as the batch axis) is
     simply one more entry in the var lists: kept, it rides through every
     step that touches a table carrying it, so one execution contracts a
-    whole batch of draws or policies. Every intermediate step puts BATCH
+    whole batch of draws or policies. Every elimination step puts BATCH
     last in its output, so with batch-innermost inputs each einsum streams
-    along the batch; only the final step orders its output as `keep` does.
+    along the batch.
+
+    The result views one slot, `out_slot`: the one factor left after
+    elimination, or a last step's product, in keep order, of those left.
+    `_output` builds it from the filled slots, for `execute` and the
+    planned `result` alike: `out_axes` puts the slot's axes in keep order,
+    and a kept variable that no factor mentions gets a singleton axis
+    (`missing_axes`). With no factor at all it is 1.
 
     `fixed` gives the tables of the inputs that never change, by position.
     Every step that reads only those and their results runs once, here;
     `steps` keeps the rest. `execute` then takes the other inputs, in
-    order, followed by `constants`: the fixed results that a kept step
-    reads (or the whole result, when no step is left). A last kept step
-    that only reorders axes is not run as an einsum: `relabel` holds its
-    operand and permutation, and `execute` returns a transposed view. When
-    every input is fixed, no step is left and `result` holds the whole
-    result (None otherwise), so the tape need not be executed at all.
+    order, followed by `constants`: the fixed results that a kept step or
+    the output reads. When every input is fixed, no step is left and
+    `result` holds the whole result, C-contiguous (None otherwise), so the
+    tape need not be executed at all.
     `gathers` stands beside `steps`, one entry per step: None for an
     einsum, or how the step runs as `np.take` (see `_gather`): a step with
     two operands that eliminates v against a fixed table one-hot along v,
@@ -196,15 +201,15 @@ class ContractionTape:
     at once raises ValueError.
 
     `row_cells` is the cost of one execution per batch row: the largest
-    batched operand or output of the kept steps, in cells without the
-    batch axis (`sizes` gives each variable's extent). Without a batch
-    axis, the whole execution is one row and every operand counts.
+    batched operand or output of the kept steps, or the varying input the
+    result views, in cells without the batch axis (`sizes` gives each
+    variable's extent). Without a batch axis, the whole execution is one
+    row and every operand counts.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
                  elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
                  fixed: Mapping[int, np.ndarray] | None = None):
-        self.keep = tuple(keep)
         all_vars = list(dict.fromkeys(v for vs in var_lists for v in vs))
         keep_set = set(keep)
         elim = [v for v in all_vars if v not in keep_set]
@@ -250,31 +255,29 @@ class ContractionTape:
             live = [(s, vs) for s, vs in live if v not in vs] + [(next_slot, out_vars)]
             next_slot += 1
 
-        self.present = [v for v in keep if any(v in vs for _, vs in live)]
-        if live:
-            step(live, tuple(self.present))
-        self.missing_axes = [i for i, v in enumerate(keep) if v not in self.present]
-        kept = self._hoist(len(var_lists), plan, fixed or {}, sizes)
+        present = tuple(v for v in keep if any(v in vs for _, vs in live))
+        if len(live) > 1:
+            step(live, present)
+            live = [(next_slot, present)]
+        self.missing_axes = [i for i, v in enumerate(keep) if v not in present]
+        out_slot, out_vars = live[0] if live else (None, ())
+        self.out_axes = tuple(out_vars.index(w) for w in present)
+        kept = self._hoist(len(var_lists), plan, fixed or {}, sizes, out_slot)
         # every input fixed: the whole result is planned here
-        self.result = None if kept else self._shaped(
-            self.constants[-1] if self.constants else np.array(1.0))
+        planned = len(fixed or {}) == len(var_lists)
+        self.result = np.asarray(self._output(self.constants), order="C") if planned else None
 
         batched = BATCH in all_vars  # with no batch axis, every term counts
-        self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH)
-                              for ins, out in kept for t in (*ins, out)
+        # a result that views a varying input reads it whole
+        terms = [t for ins, out in kept for t in (*ins, out)] + ([] if planned else [out_vars])
+        self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH) for t in terms
                               if BATCH in t or not batched), default=1)
-        self.relabel: tuple[int, tuple[int, ...]] | None = None
-        if kept and len(kept[-1][0]) == 1:
-            (ins,), out = kept[-1]
-            if sorted(ins) == sorted(out):
-                self.gathers.pop()
-                self.relabel = (self.steps.pop()[1][0], tuple(ins.index(w) for w in out))
 
     def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray],
-               sizes: Mapping[str, int]) -> list:
+               sizes: Mapping[str, int], out_slot: int | None) -> list:
         """Run the steps that read fixed slots alone; renumber the rest and
-        plan which of them gather. Returns the kept steps' operand var lists
-        and output vars."""
+        the output slot, and plan which steps gather. Returns the kept
+        steps' operand var lists and output vars."""
         values = dict(fixed)
         kept = []
         for slot, (spec, ins, out, operands, v) in enumerate(plan, start=n_inputs):
@@ -282,10 +285,8 @@ class ContractionTape:
                 values[slot] = np.einsum(spec, *(values[i] for i in operands))
             else:
                 kept.append((slot, spec, operands, ins, out, v))
-        if kept:
-            read = sorted({i for _, _, operands, *_ in kept for i in operands if i in values})
-        else:  # everything was fixed: the result is one more constant
-            read = [n_inputs + len(plan) - 1] if plan else []
+        read = sorted({i for _, _, operands, *_ in kept for i in operands if i in values}
+                      | ({out_slot} & values.keys()))
         order = [i for i in range(n_inputs) if i not in values] + read
         index = {slot: i for i, slot in enumerate(order)}
         self.steps: list[tuple[str, tuple[int, ...]]] = []
@@ -295,6 +296,7 @@ class ContractionTape:
             self.gathers.append(_gather(spec, v, ins, out, [(index[i], values.get(i))
                                                             for i in operands], sizes))
             index[slot] = len(index)
+        self.out_slot = index.get(out_slot)
         # C-contiguous copies: a hoisted result can come out in any layout,
         # and an einsum reads a contiguous operand faster
         self.constants = [np.array(values[i], order="C") for i in read]
@@ -315,23 +317,15 @@ class ContractionTape:
                     slots.append(np.einsum(spec, *(slots[i] for i in operands)))
                 else:
                     slots.append(np.take(other, index, axis=axis))
-        if self.relabel is not None:
-            operand, axes = self.relabel
-            result = slots[operand].transpose(axes)
-        else:
-            result = slots[-1] if slots else np.array(1.0)
-        return self._shaped(result)
+        return self._output(slots)
 
-    def _shaped(self, result: np.ndarray) -> np.ndarray:
-        """`result`, whose axes come in keep order already, with a singleton
-        axis for each kept variable no factor mentions, so callers can
-        broadcast (the result is constant along them)."""
-        if self.missing_axes:
-            shape = list(result.shape)
-            for i in self.missing_axes:
-                shape.insert(i, 1)
-            result = result.reshape(shape)
-        return result
+    def _output(self, slots: Sequence[np.ndarray]) -> np.ndarray:
+        """The result from the filled slots: the output slot viewed in keep
+        order, with a singleton axis, along which it is constant, for each
+        kept variable that no factor mentions."""
+        result = (np.array(1.0) if self.out_slot is None else slots[self.out_slot]
+                  ).transpose(self.out_axes)
+        return np.expand_dims(result, self.missing_axes) if self.missing_axes else result
 
 
 def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...],
@@ -429,7 +423,7 @@ class CompiledModel:
 
     def _value_factor(self, n: Node) -> Factor:
         spec: ValueSpec = n.payload
-        if spec.form in ("linear", "power_root"):
+        if spec.form in ValueSpec.PARAMS:
             # its parent's tags in row order, one by one (an array power can move the last bit)
             tags = self.diagram.nodes[n.parents[0]].domain.numeric_tags
             return Factor(n.parents, np.array([spec.of_tag(x) for x in tags], float))
@@ -608,14 +602,16 @@ class UtilityQuery:
                         ) -> Iterator[np.ndarray]:
         """`evaluate` of batch rows [0, n) in chunks of `chunk_rows(n)`, in
         order, on the tables and weights `inputs(lo, hi)` gives rows [lo, hi).
-        Each chunk's result has a row per batch row: an unbatched one stands
-        for every row, and any other row count raises RuntimeError."""
+        Each chunk's result has a row per batch row. Where the query reads
+        no batched table, its one result stands for every row, with or
+        without a batch axis; where it reads one, any other row count raises
+        RuntimeError."""
         step = self.chunk_rows(n)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             eu = self.evaluate(*inputs(lo, hi))
-            if eu.ndim == len(self.keep):
-                eu = np.broadcast_to(eu, (hi - lo,) + eu.shape)
+            if not self.inputs:
+                eu = np.broadcast_to(eu, (hi - lo,) + eu.shape[eu.ndim - len(self.keep):])
             elif eu.shape[0] != hi - lo:
                 raise RuntimeError(f"the contraction of batch rows [{lo}, {hi}) gave "
                                    f"{eu.shape[0]} rows, not {hi - lo}")

@@ -9,7 +9,7 @@ One statement per line, `#` starts a comment, UTF-8. Statement kinds:
     cpt <node> | <parent>=<label>,... : <label>=<prob>,...
     det <node> | <parent>=<label>,... : <label>
     value <node> form=linear scale=<f> offset=<f>
-    value <node> form=power_root scale=<f> root=<f>
+    value <node> form=power_root scale=<f> root=<f>  (a value_root target needs it)
     value <node> form=indicator one=<labels> zero=<labels>
     value <node> form=table | <parent>=<label>,... : <score>
     utility <node> weights <value-node>=<w> ...
@@ -96,8 +96,11 @@ class _NodeDraft:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
+    def __init__(self, text: str | bytes):
+        if isinstance(text, bytes):
+            text = text.decode("utf-8", errors="replace")
+        # one leading UTF-8 byte-order mark is no text
+        self.lines = text.removeprefix("\ufeff").split("\n")
         self.diags: list[ParseDiagnostic] = []
         self.agents: dict[str, tuple[int, Agent]] = {}
         self.nodes: dict[str, _NodeDraft] = {}
@@ -470,9 +473,9 @@ class _Parser:
             one = frozenset(params.pop("one", "").split(",")) - {""}
             zero = frozenset(params.pop("zero", "").split(",")) - {""}
             spec = ValueSpec("indicator", one_labels=one, zero_labels=zero)
-        else:  # linear or power_root: a scale and one more number
+        else:  # linear or power_root: the numbers that form takes
             numbers = {}
-            for key in ("scale", "offset" if form == "linear" else "root"):
+            for key in ValueSpec.PARAMS[form]:
                 numbers[key] = (self._float(line, params.pop(key)) if key in params else
                                 self.error(line, f"value node {draft.id!r}: form={form} "
                                                  f"needs {key}="))
@@ -485,8 +488,6 @@ class _Parser:
 def try_parse_model(text: str | bytes) -> tuple[Diagram | None, list[ParseDiagnostic]]:
     """Parse, reporting every diagnostic; never raises on malformed input.
     The diagram is None exactly when there are diagnostics."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
     parser = _Parser(text)
     try:
         parser.parse()
@@ -508,8 +509,6 @@ def parse_model(text: str | bytes) -> Diagram:
 
 def parse_distribution_rows(text: str | bytes) -> dict[str, dict[str, float]]:
     """Parse bare `cpt <node> | : label=p,...` rows (belief files)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
     out: dict[str, dict[str, float]] = {}
     parser = _Parser(text)
     for line_no, keyword, body in parser.statements():
@@ -600,12 +599,9 @@ def serialize_model(d: Diagram) -> str:
             for key in parent_tuples(d.nodes, n):
                 lines.append(f"value {nid} form=table | {conds(n, key)} : "
                              f"{_fmt(spec.rows[key])}")
-        elif spec.form == "linear":
-            lines.append(f"value {nid} form=linear scale={_fmt(spec.scale)} "
-                         f"offset={_fmt(spec.offset)}")
-        elif spec.form == "power_root":
-            lines.append(f"value {nid} form=power_root scale={_fmt(spec.scale)} "
-                         f"root={_fmt(spec.root)}")
+        elif spec.form in ValueSpec.PARAMS:
+            lines.append(f"value {nid} form={spec.form} " + " ".join(
+                f"{key}={_fmt(getattr(spec, key))}" for key in ValueSpec.PARAMS[spec.form]))
         else:
             one = ",".join(sorted(spec.one_labels))
             zero = ",".join(sorted(spec.zero_labels))

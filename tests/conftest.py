@@ -239,10 +239,7 @@ def replayed(tape, tables):
     slots = list(tables)
     for spec, operands in tape.steps:
         slots.append(np.einsum(spec, *(slots[i] for i in operands)))
-    if tape.relabel is not None:
-        operand, axes = tape.relabel
-        return tape._shaped(slots[operand].transpose(axes))
-    return tape._shaped(slots[-1] if slots else np.array(1.0))
+    return tape._output(slots)
 
 
 def spy_on(owner, name):

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -27,14 +28,14 @@ from araid.ara import (
 from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, build_diagram,
                            validate_diagram)
 from araid.drilling import default_beliefs, default_uncertainty
-from araid.modelfile import parse_model
+from araid.modelfile import parse_model, serialize_model
 from araid import inference
 from araid.inference import (CompiledModel, ContractionTape, ImpossibleEvidenceError,
                              UtilityQuery, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
 
-from conftest import (executed_expected, random_diagram, replayed, same_bits, spy_on,
-                      wide_decision_model, wide_observer_model)
+from conftest import (chain_model, executed_expected, random_diagram, replayed, same_bits,
+                      spy_on, wide_decision_model, wide_observer_model)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -641,8 +642,8 @@ def test_each_forecast_chunk_runs_only_the_batched_contraction_steps(drilling):
     # steps that read no sampled table run once, when the query is planned,
     # and the 2 einsum steps that do run once per 512-draw slice of a
     # 1,024-draw block. They are AMV's: the normaliser and ACV's numerator
-    # depend on no sampled table, and the tape's last step, a pure axis
-    # relabel, is a transposed view
+    # depend on no sampled table, and the tape's result, a pure axis
+    # relabel of its last step's output, is a transposed view
     calls, spy = spy_on(inference.np, "einsum")
 
     def einsums(draws):
@@ -1130,3 +1131,107 @@ def test_the_policy_cap_admits_the_shipped_model_and_refuses_one_more(drilling):
     with mock.patch.object(ara, "MAX_POLICIES", 47):
         with pytest.raises(ValueError, match="at least 48 policies"):
             solve_defender(drilling, forecast)
+
+
+# -- no contraction reads a sampled table ---------------------------------------
+
+@pytest.mark.parametrize("target, rule", [
+    (("value_scale", "DCV"), UniformRule(1e6, 2e6)),
+    (("cpt_row", "URH", ("no_casualties", "avoid")), DirichletRule((1.0, 1.0))),
+], ids=["defender_value", "unread_cpt_row"])
+def test_a_sampled_table_that_no_contraction_reads_leaves_the_forecast_as_stated(
+        drilling, target, rule):
+    # the attacker's utility reads neither node, so every tape is planned and
+    # the batched query's one row stands for every draw
+    stated = forecast_attack(drilling, default_beliefs(), ParameterUncertainty(),
+                             draws=3000, seed=1)
+    sampled = forecast_attack(drilling, default_beliefs(), ParameterUncertainty({target: rule}),
+                              draws=3000, seed=1)
+    assert sampled == stated
+
+
+def linear_amv(d):
+    """The shipped model with AMV scored by a linear form, which has no root."""
+    return parse_model(serialize_model(d).replace(
+        "value AMV form=power_root scale=10000000.0 root=3.0",
+        "value AMV form=linear scale=10000000.0 offset=1.0"))
+
+
+def test_a_root_target_on_a_linear_value_is_refused(drilling):
+    d = linear_amv(drilling)
+    assert d.nodes["AMV"].payload.form == "linear"
+    rules = ParameterUncertainty({("value_root", "AMV"): UniformRule(2.5, 3.5)})
+    with pytest.raises(ValueError, match=r"\('value_root', 'AMV'\): scalar targets need a "
+                                         r"value form with a root"):
+        forecast_attack(d, default_beliefs(), rules, draws=10, seed=1)
+    # its scale is a parameter of the linear form, so it is still sampled
+    rules = ParameterUncertainty({("value_scale", "AMV"): UniformRule(8e6, 1.2e7)})
+    assert forecast_attack(d, default_beliefs(), rules, draws=10, seed=1).draws == 10
+
+
+# -- refusals -----------------------------------------------------------------
+
+def forecast_with(target, rule=PointRule(), draws=1):
+    """A forecast of the shipped model on its default beliefs under one rule."""
+    return lambda d: forecast_attack(d, default_beliefs(), ParameterUncertainty({target: rule}),
+                                     draws=draws, seed=0)
+
+
+def shipped_view(d):
+    return attacker_view(d, default_beliefs(), observed={"DP", "DF"})
+
+
+def constant_fc(d, **changes):
+    fc = AttackForecast.constant(d, "AP", {"perpetrate": 0.35, "no_perpetrate": 0.65})
+    return replace(fc, **changes)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: attacker_view(parse_model(chain_model(2)), {}, set()),
+     r"diagram needs exactly one attacker agent, found \[\]"),
+    (lambda d: attacker_view(d, {"UC": {"riskier": 0.5, "normal": 0.5}}, set()),
+     "belief target 'UC' is not a decision node"),
+    (lambda d: attacker_view(d, {"AP": {"perpetrate": 0.5, "no_perpetrate": 0.5}}, set()),
+     "belief target 'AP' is the attacker's own decision, not an opponent's"),
+    (lambda d: attacker_view(d, {"DT": {"avoid": 1.0}}, set()),
+     "belief for 'DT' must cover exactly its alternatives"),
+    (lambda d: best_response(d, "defender", {}),
+     r"expected exactly one free decision for 'defender', found \['DF', 'DP', 'DT', 'DR'\]"),
+    (lambda d: best_response(shipped_view(d), "attacker", {"DP": "additional"}),
+     r"context must pin decision\(s\) \['DF'\]"),
+    (forecast_with(("belief", "URH")),
+     "belief targets must be parentless chance nodes in the attacker view"),
+    (forecast_with(("cpt_row", "URH", ("casualties", "nope"))), "no such CPT row"),
+    (forecast_with(("weights", "AMV")), "weights target must be a utility node"),
+    (forecast_with(("weights", "DU"), DirichletRule((1.0, 1.0))),
+     "only the attacker's utility weights can be sampled"),
+    (forecast_with(("value_scale", "DHV")),
+     "scalar targets need a value form with a scale"),
+    (forecast_with(("value_scale", "AMV"), DirichletRule((1.0,))),
+     "scalar targets take uniform/point rules"),
+    (forecast_with(("spread", "AMV")), "unknown uncertainty target kind 'spread'"),
+    (forecast_with(("belief", "DT"), draws=0), "draws must be >= 1"),
+    (lambda d: forecast_attack(parse_model(chain_model(2) + "agent att kind=attacker\n"),
+                               {}, ParameterUncertainty(), draws=1, seed=0),
+     r"attacker must have exactly one decision, found \[\]"),
+    (forecast_with(("belief", "DT"), draws=2**62),
+     f"draws must be <= {np.iinfo(np.int64).max // 2} to tally 2 alternatives exactly"),
+    (lambda d: apply_forecast(d, constant_fc(d, context_nodes=("DP",))),
+     r"forecast contexts \('DP',\) do not match the information set \('DP', 'DF', 'UC'\)"),
+    (lambda d: apply_forecast(d, constant_fc(d, alternatives=("no_perpetrate", "perpetrate"))),
+     "forecast alternatives do not match the decision's domain"),
+], ids=["one_attacker", "belief_not_decision", "belief_own_decision", "belief_alternatives",
+        "one_free_decision", "pin_decisions", "belief_parentless", "cpt_row", "weights_utility",
+        "attacker_weights", "scalar_analytic", "scalar_rule", "target_kind", "draws_positive",
+        "one_attacker_decision", "draws_int64", "forecast_contexts", "forecast_alternatives"])
+def test_each_setup_view_target_and_forecast_refusal_names_its_cause(drilling, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(drilling)
+
+
+def test_a_best_response_leaves_its_own_decision_free_when_the_context_names_it(drilling):
+    view = shipped_view(drilling)
+    context = {"DP": "additional", "DF": "forensic"}
+    pinned = best_response(view, "attacker", {**context, "AP": "no_perpetrate"})
+    assert pinned == best_response(view, "attacker", context)
+    assert set(pinned.expected) == {"perpetrate", "no_perpetrate"}

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import csv
 import io
 import json
@@ -539,3 +540,42 @@ def test_solve_imports_numpy_random_as_part_of_loading(argv, loads):
     lines = [line for line in proc.stdout.splitlines() if line.startswith("on ")]
     expected = ["on import False"] + (["on forecast True"] if loads else [])
     assert lines == expected + [f"on exit {loads}"]
+
+
+@pytest.mark.parametrize("argv, flag, node", [
+    (["tables", DRILLING, "--agent", "attacker", "--axes", "AP", "--fix", "DT=accept",
+      "DR=continue", "DT=share"], "--fix", "DT"),
+    (["evaluate", DRILLING, "--agent", "defender", "--policy", "DP=additional", "DF=forensic",
+      "DT=accept", "DR=continue", "AP=perpetrate", "DP=no_additional"], "--policy", "DP"),
+    (["evaluate", DRILLING, "--agent", "defender", "--policy", "DP=additional", "DF=forensic",
+      "DT=accept", "DR=continue", "AP=perpetrate", "--evidence", "UC=riskier", "UC=normal"],
+     "--evidence", "UC"),
+], ids=["fix", "policy", "evidence"])
+def test_a_node_named_twice_in_an_assignment_flag_is_refused(argv, flag, node):
+    # the last value used to win silently
+    assert main_in_process(argv) == (1, "", [f"error: {flag} names '{node}' twice"])
+
+
+def test_solve_ranks_a_defender_decision_that_reaches_no_value(tmp_path):
+    # D has no children, so no contraction reads its rule tables: the policy
+    # search's one row of result stands for both of its policies
+    model = tmp_path / "unread.maid"
+    model.write_text(attacker_only_model().replace(
+        "node A kind=", "node D kind=decision agent=def domain=x,y\nnode A kind=")
+        + "order def D\n")
+    beliefs = tmp_path / "beliefs.txt"
+    beliefs.write_text("cpt D | : x=0.5,y=0.5\n")
+    code, out, _ = main_in_process(["solve", str(model), "--beliefs", str(beliefs),
+                                    "--draws", "10"])
+    assert code == 0
+    assert "optimal policy:\n  D: x\nexpected utility: 0.300000\n" in out
+
+
+def test_a_model_file_that_opens_with_a_byte_order_mark_is_read(tmp_path):
+    raw = b"\xef\xbb\xbf" + data_path("drilling.maid").read_bytes()
+    path = tmp_path / "bom.maid"
+    path.write_bytes(raw)
+    code, out, (report,) = main_in_process(["validate", str(path)])
+    assert (code, out) == (0, "OK\n")
+    # the run report hashes the bytes as read, mark and all
+    assert report["input"]["sha256"] == hashlib.sha256(raw).hexdigest()

@@ -268,3 +268,17 @@ def test_distribution_rows_reject_repeats(text, line, message):
     (diag,) = raised.value.diagnostics
     assert diag.line == line
     assert message in diag.message
+
+
+def test_one_leading_byte_order_mark_is_no_text():
+    text, mark = drilling_maid_text(), "\ufeff"
+    stated = serialize_model(parse_model(text))
+    for marked in (mark + text, (mark + text).encode()):
+        d, diags = try_parse_model(marked)
+        assert diags == [] and serialize_model(d) == stated
+    rows = "cpt DR | : continue=1.0,stop=0.0\n"
+    for marked in (mark + rows, (mark + rows).encode()):
+        assert parse_distribution_rows(marked) == {"DR": {"continue": 1.0, "stop": 0.0}}
+    # a second mark is text
+    _, diags = try_parse_model(2 * mark + text)
+    assert (diags[0].line, diags[0].message) == (1, f"unknown keyword {mark + 'agent'!r}")

@@ -492,10 +492,10 @@ def test_a_planned_result_gives_the_bits_of_executing_every_tape_on_random_diagr
 
 def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     # eliminating b leaves [a, c, batch]; putting it in keep order is a pure
-    # relabel, which must not run as an einsum
+    # relabel of that output slot, which must not run as an einsum
     sizes = {"a": 2, "b": 3, "c": 5}
     tape = ContractionTape([("a", "b"), (BATCH, "b", "c")], [BATCH, "a", "c"], {}, sizes)
-    assert len(tape.steps) == 1 and tape.relabel == (2, (2, 0, 1))
+    assert len(tape.steps) == 1 and (tape.out_slot, tape.out_axes) == (2, (2, 0, 1))
     # per batch row, the batched input holds b*c = 15 cells and the
     # intermediate a*c = 10; the unbatched [a, b] operand does not count
     assert tape.row_cells == 15
@@ -506,13 +506,13 @@ def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     # bit for bit what running the relabel as an einsum step gives
     spec, _ = tape.steps[0]
     inner = spec.split("->")[1]
-    relabel = inner + "->" + "".join(inner[i] for i in tape.relabel[1])
+    relabel = inner + "->" + "".join(inner[i] for i in tape.out_axes)
     assert np.array_equal(out, np.einsum(relabel, np.einsum(spec, x, y)))
     assert np.allclose(out, np.einsum("ab,zbc->zac", x, y), rtol=1e-15, atol=0)
 
     # with no batch axis the whole execution is one row: every operand counts
     whole = ContractionTape([("a", "b"), ("b", "c")], ["c", "a"], {}, sizes)
-    assert whole.row_cells == 15 and whole.relabel is not None
+    assert whole.row_cells == 15 and len(whole.steps) == 1 and whole.out_axes == (1, 0)
     # a relabel of the only input leaves no step: the result views the input
     alone = ContractionTape([("a", "c")], ["c", "a"], {}, sizes)
     assert alone.steps == [] and alone.row_cells == 10
@@ -574,7 +574,7 @@ def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unp
     pick = np.array([2, 0, 3])
     tape = ContractionTape([("a", "b"), (BATCH, "b")], [BATCH, "a"], {}, {"a": 3, "b": 4},
                            fixed={0: np.eye(4)[pick]})
-    assert [g is not None for g in tape.gathers] == [True] and tape.relabel is not None
+    assert [g is not None for g in tape.gathers] == [True] and tape.out_axes == (1, 0)
     x = np.random.default_rng(3).random((4, 5)).T  # [batch, b], batch at stride 1
     tables = [x] + tape.constants
     assert same_bits(tape.execute(tables), replayed(tape, tables))
@@ -621,7 +621,12 @@ def test_a_tape_wider_than_the_einsum_alphabet_is_contracted():
     # a step over more variables than einsum has letters is refused by count
     wide = tuple(f"v{i}" for i in range(53))
     with pytest.raises(ValueError, match="a contraction needs 53 einsum letters at once"):
-        ContractionTape([wide], wide, {}, dict.fromkeys(wide, 2))
+        ContractionTape([wide, wide[:1]], wide, {}, dict.fromkeys(wide, 2))
+    # a single factor kept whole takes no step: the result views its input
+    alone = ContractionTape([wide], wide, {}, dict.fromkeys(wide, 1))
+    x = np.random.default_rng(6).random([1] * 53)
+    assert alone.steps == [] and np.shares_memory(alone.execute([x]), x)
+    assert np.array_equal(alone.execute([x]), x)
 
 
 # -- decision tables -----------------------------------------------------------
@@ -879,3 +884,23 @@ def test_renaming_nodes_preserves_results(drilling):
     eu1 = expected_utility(drilling, "defender", policy1, {"UC": "riskier"})
     eu2 = expected_utility(d2, "defender", policy2, {mapping["UC"]: "riskier"})
     assert eu1 == pytest.approx(eu2, abs=1e-12)
+
+
+# -- refusals -----------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: inference.constant_rule(d, "UC", "riskier"), "'UC' is not a decision node"),
+    (lambda d: inference.constant_rule(d, "DP", "nope"), "'nope' is not an alternative of 'DP'"),
+    (lambda d: expected_utility(d, "defender", {}, {"DP": "additional"}),
+     "evidence keys must be chance/deterministic nodes, got 'DP'"),
+    (lambda d: expected_utility(d, "defender", {}, {"UC": "nope"}),
+     "evidence label 'nope' not in domain of 'UC'"),
+    (lambda d: decision_table(d, "defender", ["ZZ"]), "unknown axis node 'ZZ'"),
+    (lambda d: decision_table(d, "defender", ["UC", "UC"]), "axis 'UC' given twice"),
+    (lambda d: decision_table(d, "defender", ["AMV"]),
+     "axis 'AMV' must be a decision or chance node"),
+], ids=["rule_decision", "rule_alternative", "evidence_kind", "evidence_label",
+        "axis_unknown", "axis_twice", "axis_kind"])
+def test_each_rule_evidence_and_axis_refusal_names_its_cause(drilling, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(drilling)
