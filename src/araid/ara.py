@@ -187,18 +187,33 @@ class PerturbRule:
     half_width: float
 
     def sample(self, base: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-        """[n, L] draws for a base of length L; [k, n, L] for stacked [k, L]."""
-        base = np.asarray(base)[..., None, :]
-        # in place on the jitter: u + base is base + u bit for bit
+        """[n, L] draws for a base of length L; [k, n, L] for stacked [k, L].
+
+        numpy sums fewer than 8 entries of a row left to right, so for such
+        rows the arithmetic runs on an [..., L, n] copy, along the draw axis,
+        with the sum written out in that order: the same bits as along the
+        rows, in far fewer, longer operations. The result is a view in the
+        [..., n, L] shape. Longer rows, which numpy sums pairwise, are
+        summed along the rows."""
+        base = np.asarray(base)
+        length = base.shape[-1]
         jittered = rng.uniform(-self.half_width, self.half_width,
-                               size=base.shape[:-2] + (n, base.shape[-1]))
-        jittered += base
-        np.maximum(jittered, 0.0, out=jittered)
-        total = jittered.sum(axis=-1, keepdims=True)
+                               size=base.shape[:-1] + (n, length))
+        # u + base is base + u bit for bit
+        if length < 8:
+            jittered = np.add(np.moveaxis(jittered, -1, -2), base[..., None], order="C")
+            np.maximum(jittered, 0.0, out=jittered)
+            total = jittered[..., :1, :].copy()
+            for j in range(1, length):
+                total += jittered[..., j:j + 1, :]
+        else:
+            jittered += base[..., None, :]
+            np.maximum(jittered, 0.0, out=jittered)
+            total = jittered.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ValueError("perturbed vector collapsed to zero mass")
         jittered /= total
-        return jittered
+        return np.moveaxis(jittered, -2, -1) if length < 8 else jittered
 
 
 @dataclass(frozen=True)

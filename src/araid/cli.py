@@ -7,7 +7,9 @@ timings) goes to stderr as one JSON line. A failure prints no report, and
 its last stderr line is `error: <message>`. A model that does not parse is
 reported by its diagnostics: `validate` prints them to stdout and no
 `error:` line; the other commands print them to stderr, then
-`error: <path> is not a valid model`.
+`error: <path> is not a valid model`. A belief file that does not parse
+is reported the same way, ending with `error: <path> is not a valid
+belief file`.
 """
 from __future__ import annotations
 
@@ -31,6 +33,11 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_MODEL = 1
 EXIT_IO = 2
+
+# The most draws `solve` accepts. A warm draw takes 0.5-1.1 us on a 2-vCPU
+# VM, so this many run for about 50-110 s; the library's `forecast_attack`
+# is bounded only by its exact tally.
+MAX_DRAWS = 10**8
 
 
 class _CliError(Exception):
@@ -98,7 +105,9 @@ def _solve_inputs(diagram: Diagram, args: argparse.Namespace):
         try:
             beliefs = parse_distribution_rows(raw)
         except ModelFormatError as exc:
-            raise _CliError(f"{args.beliefs}: {exc}")
+            for d in exc.diagnostics:
+                print(f"{args.beliefs}:{d}", file=sys.stderr)
+            raise _CliError(f"{args.beliefs} is not a valid belief file")
         uncertainty = ParameterUncertainty()  # point rules at the file's beliefs
     elif drilling.is_drilling_model(diagram):
         beliefs = drilling.default_beliefs()
@@ -115,6 +124,8 @@ def _policy_json(policy) -> dict:
 
 def cmd_solve(args: argparse.Namespace, diagram: Diagram, header: dict,
               started: float) -> dict:
+    if args.draws > MAX_DRAWS:
+        raise _CliError(f"--draws must be <= {MAX_DRAWS:,}, got {args.draws:,}")
     beliefs, uncertainty = _solve_inputs(diagram, args)
     # numpy loads numpy.random, which the forecast's generators need, on first
     # use (about 15 ms): count it as loading, not forecasting
@@ -229,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="forecast the attack and optimize the defender")
     p.add_argument("file")
-    p.add_argument("--draws", type=int, default=10_000)
+    p.add_argument("--draws", type=int, default=10_000,
+                   help=f"Monte Carlo draws, 1 to {MAX_DRAWS:,} (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beliefs", help=".maid-style cpt rows for the attacker's beliefs "
                                      "(point forecast); defaults exist for the shipped "

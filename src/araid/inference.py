@@ -31,6 +31,17 @@ per chunk, and a normaliser planned as exactly 1 is not divided by. A
 forecast chunk on the shipped model thus runs one tape, the money
 value's (`AMV`): its normaliser and the cost value's (`ACV`) are planned.
 
+Each tape eliminates deepest-first, except in a batch of sampled
+probability or score tables (the forecast): there the steps that read
+only fixed tables cost nothing per row, so the tape takes the order that
+is greedy by what each batch row adds, where that is strictly less in
+total. When the forecast samples every rule kind, `AMV`'s tape falls from
+680 to 304 multiply-adds per draw. Unbatched queries and the policy
+search, a batch of decision rules, keep deepest-first, so each policy's
+expected utility has the bits of evaluating it alone. No step may hold
+more than MAX_STEP_CELLS cells (per batch row); a plan that needs one is
+refused before any step runs.
+
 A step that eliminates a variable from a batched table and a fixed table
 one-hot along it (a deterministic node's, say) runs as `np.take` of the
 batched one at each row's 1. An entry times 1 plus zeros is the entry, so
@@ -73,10 +84,18 @@ BATCH = "#batch"  # batch axis of batched tables; '#' opens a .maid comment, so 
 
 # The most memory the largest batched array of one chunk of
 # `UtilityQuery.evaluate_chunks` may take. The shipped forecast (32 cells per
-# draw) takes 512-draw chunks, the plan that samples every rule kind (96 cells)
-# 170-draw ones and the shipped policy search (48 cells per policy) one of 48;
+# draw) takes 512-draw chunks, the plan that samples every rule kind (72 cells)
+# 227-draw ones and the shipped policy search (48 cells per policy) one of 48;
 # 1,024-draw chunks raised the wide plan's peak RSS in the benchmark by 2 MB.
 CHUNK_BYTES = 128 * 1024
+
+# The most cells any one contraction step may give, per batch row when the
+# tape has a batch axis; a plan with a larger step is refused before any
+# step runs. On a k x k grid of binary chance nodes (each with its upper and
+# left neighbour as parents), k = 16 plans a largest step of 2**22 cells
+# (32 MiB) and evaluates with a 353 MiB `tracemalloc` peak in 0.6 s; k = 20
+# would plan one of 2**30 cells (8 GiB).
+MAX_STEP_CELLS = 2**22
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -169,6 +188,16 @@ class ContractionTape:
 
     Variables outside `keep` are eliminated deepest-first (reverse
     topological), ties broken by how few factors mention them, then by id.
+    With `by_row_cost`, a batched tape takes instead the order that is
+    greedy by the work each batch row adds (`_by_row_cost`), if its total
+    is strictly less: steps that read only fixed tables run once, here, so
+    the order that matters is the one that leaves the least per row.
+    `CompiledModel.utility_query` asks for it on a batch of sampled
+    probability or score tables (the forecast). Unbatched queries (tables,
+    evaluate, `best_response`) and a batch of decision rules (the policy
+    search) keep deepest-first, so the search ranks each policy by the
+    bits that evaluating it alone gives: another order rounds its sums
+    differently, by up to 2.2e-16 on the shipped model.
     A variable that is in no elimination order (such as the batch axis) is
     simply one more entry in the var lists: kept, it rides through every
     step that touches a table carrying it, so one execution contracts a
@@ -198,23 +227,32 @@ class ContractionTape:
     `constants`, so every step can still be read, or run, as an einsum.
     Einsum letters are reused once their variable is eliminated, so a tape
     may span any number of variables; one that needs more than 52 letters
-    at once raises ValueError.
+    at once raises ValueError. So does a step whose output would hold more
+    than MAX_STEP_CELLS cells (per batch row when it has the batch axis),
+    before any step runs.
 
     `row_cells` is the cost of one execution per batch row: the largest
     batched operand or output of the kept steps, or the varying input the
     result views, in cells without the batch axis (`sizes` gives each
     variable's extent). Without a batch axis, the whole execution is one
-    row and every operand counts.
+    row and every operand counts. `row_ops` is the work of the kept steps
+    per batch row, counted the same way: each einsum step's output cells
+    times the extent of the variable it sums out (a last product's output
+    cells), and each gather's output cells (one copy each).
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
                  elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
-                 fixed: Mapping[int, np.ndarray] | None = None):
+                 fixed: Mapping[int, np.ndarray] | None = None, *, by_row_cost: bool = False):
+        fixed = fixed or {}
         all_vars = list(dict.fromkeys(v for vs in var_lists for v in vs))
         keep_set = set(keep)
         elim = [v for v in all_vars if v not in keep_set]
         elim.sort(key=lambda v: (elim_priority.get(v, (0,)),
                                  sum(v in vs for vs in var_lists), v))
+        one_hot: dict[tuple[int, int], bool] = {}  # for `_by_row_cost` and `_gather`
+        if by_row_cost and BATCH in keep_set and len(fixed) < len(var_lists):
+            elim = _by_row_cost(var_lists, elim, fixed, sizes, one_hot)
 
         # slots: initial factors first, step results appended after; a step
         # is (spec, operand var lists, output vars, operand slots, the variable
@@ -239,6 +277,13 @@ class ContractionTape:
                         raise ValueError(f"a contraction needs {needed} einsum letters at once, "
                                          f"more than the {len(string.ascii_letters)} there are")
                     letters[w] = spare.pop()
+            cells = math.prod(sizes[w] for w in out if w != BATCH)
+            if cells > MAX_STEP_CELLS:
+                held = [w for w in out if w != BATCH]
+                raise ValueError(f"a contraction step over {len(held)} variables "
+                                 f"({', '.join(held)}) needs {cells:,} cells"
+                                 f"{' per batch row' if BATCH in out else ''}, more than "
+                                 f"MAX_STEP_CELLS = {MAX_STEP_CELLS:,}")
             spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
             plan.append((spec + "->" + "".join([letters[w] for w in out]), ins, out,
                          tuple(s for s, _ in group), v))
@@ -247,9 +292,7 @@ class ContractionTape:
         next_slot = len(var_lists)
         for v in elim:
             group = [(s, vs) for s, vs in live if v in vs]
-            out_vars = tuple(dict.fromkeys(w for _, vs in group for w in vs if w != v))
-            if BATCH in out_vars:
-                out_vars = tuple(w for w in out_vars if w != BATCH) + (BATCH,)
+            out_vars = _step_vars([vs for _, vs in group], v)
             step(group, out_vars, v)
             spare.append(letters.pop(v))
             live = [(s, vs) for s, vs in live if v not in vs] + [(next_slot, out_vars)]
@@ -262,22 +305,27 @@ class ContractionTape:
         self.missing_axes = [i for i, v in enumerate(keep) if v not in present]
         out_slot, out_vars = live[0] if live else (None, ())
         self.out_axes = tuple(out_vars.index(w) for w in present)
-        kept = self._hoist(len(var_lists), plan, fixed or {}, sizes, out_slot)
+        kept = self._hoist(len(var_lists), plan, fixed, sizes, out_slot, one_hot)
         # every input fixed: the whole result is planned here
-        planned = len(fixed or {}) == len(var_lists)
+        planned = len(fixed) == len(var_lists)
         self.result = np.asarray(self._output(self.constants), order="C") if planned else None
 
         batched = BATCH in all_vars  # with no batch axis, every term counts
         # a result that views a varying input reads it whole
-        terms = [t for ins, out in kept for t in (*ins, out)] + ([] if planned else [out_vars])
+        terms = [t for ins, out, _ in kept for t in (*ins, out)] + ([] if planned else [out_vars])
         self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH) for t in terms
                               if BATCH in t or not batched), default=1)
+        self.row_ops = sum(math.prod(sizes[w] for w in out if w != BATCH) * extent
+                           for _, out, extent in kept)
 
     def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray],
-               sizes: Mapping[str, int], out_slot: int | None) -> list:
+               sizes: Mapping[str, int], out_slot: int | None,
+               one_hot: dict[tuple[int, int], bool]) -> list:
         """Run the steps that read fixed slots alone; renumber the rest and
         the output slot, and plan which steps gather. Returns the kept
-        steps' operand var lists and output vars."""
+        steps' operand var lists, output vars and how many products each
+        output cell sums (1 for a gather or a product that eliminates
+        nothing)."""
         values = dict(fixed)
         kept = []
         for slot, (spec, ins, out, operands, v) in enumerate(plan, start=n_inputs):
@@ -291,16 +339,19 @@ class ContractionTape:
         index = {slot: i for i, slot in enumerate(order)}
         self.steps: list[tuple[str, tuple[int, ...]]] = []
         self.gathers: list[tuple[int, tuple[int, ...], int, np.ndarray] | None] = []
+        shapes = []
         for slot, spec, operands, ins, out, v in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
             self.gathers.append(_gather(spec, v, ins, out, [(index[i], values.get(i))
-                                                            for i in operands], sizes))
+                                                            for i in operands], sizes, one_hot))
             index[slot] = len(index)
+            # a gather copies one entry per output cell
+            shapes.append((ins, out, 1 if v is None or self.gathers[-1] else sizes[v]))
         self.out_slot = index.get(out_slot)
         # C-contiguous copies: a hoisted result can come out in any layout,
         # and an einsum reads a contiguous operand faster
         self.constants = [np.array(values[i], order="C") for i in read]
-        return [(ins, out) for *_, ins, out, _ in kept]
+        return shapes
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """Run the steps on the varying inputs followed by `constants`."""
@@ -328,21 +379,63 @@ class ContractionTape:
         return np.expand_dims(result, self.missing_axes) if self.missing_axes else result
 
 
+def _step_vars(ins: Iterable[tuple[str, ...]], v: str) -> tuple[str, ...]:
+    """The output variables of a step that eliminates v from operands over
+    `ins`: the others in order of first mention, BATCH last."""
+    out = dict.fromkeys(itertools.chain.from_iterable(ins))
+    del out[v]
+    if BATCH in out:
+        del out[BATCH]
+        return (*out, BATCH)
+    return tuple(out)
+
+
+def _take_order(v: str, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...], k: int,
+                sizes: Mapping[str, int]) -> tuple[int, tuple[str, ...]] | None:
+    """The part of `_gather`'s test that reads no table: for a step that
+    eliminates v from two operands, where operand k would be the one-hot
+    one, (where k's other variables sit in `out`, and `out` with v in
+    their place), or None if the other operand shares one of them, `out`
+    does not hold them together in k's order, or a variable of the take
+    has extent 1."""
+    rest = tuple(w for w in ins[k] if w != v)
+    start = out.index(rest[0]) if rest else 0
+    order = out[:start] + (v,) + out[start + len(rest):]
+    if (set(rest) & set(ins[1 - k]) or out[start:start + len(rest)] != rest
+            or any(sizes[w] == 1 for w in order if w != BATCH)):
+        return None
+    return start, order
+
+
+def _one_hot(table: np.ndarray, axis: int, known: dict[tuple[int, int], bool]) -> bool:
+    """Whether `table` is 0/1 with one 1 along `axis` in each row: every row
+    sums to 1, so has a nonzero entry, and there are only as many nonzero
+    entries as rows, so each row's is its only one, and 1. `known` keeps the
+    answers by (id(table), axis) while the tables live."""
+    key = id(table), axis
+    if key not in known:
+        known[key] = (np.count_nonzero(table) * table.shape[axis] == table.size
+                      and bool((table.sum(axis=axis) == 1.0).all()))
+    return known[key]
+
+
 def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...],
-            operands: Sequence[tuple[int, np.ndarray | None]], sizes: Mapping[str, int]
+            operands: Sequence[tuple[int, np.ndarray | None]], sizes: Mapping[str, int],
+            one_hot: dict[tuple[int, int], bool]
             ) -> tuple[int, tuple[int, ...], int, np.ndarray] | None:
     """How a step that eliminates `v` from two operands runs as `np.take`,
     or None where it must stay an einsum.
 
     It can when one operand is a fixed table that is one-hot along v (0/1,
     one 1 per row: a deterministic node's table, say) and the other shares
-    none of its other variables. Each output cell is then the other
-    operand's entry at the row's 1. `operands` gives each operand's slot
-    and, if fixed, its table. Returns (the other operand's slot, the axis
-    order that puts v where the fixed table's other variables sit in
-    `out`, that position, and the index of each row's 1 over those
-    variables): the take comes out in `out` order, C-ordered, so a last
-    batch axis is at stride 1.
+    none of its other variables (`_take_order`). Each output cell is
+    then the other operand's entry at the row's 1. `operands` gives each
+    operand's slot and, if fixed, its table; `one_hot` keeps `_one_hot`'s
+    answers for the tape. Returns (the other operand's
+    slot, the axis order that puts v where the fixed table's other
+    variables sit in `out`, that position, and the index of each row's 1
+    over those variables): the take comes out in `out` order, C-ordered,
+    so a last batch axis is at stride 1.
 
     An einsum lays its output out after its operands, and a later einsum
     sums in an order that follows its operands' layout, so the take must
@@ -353,30 +446,111 @@ def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tup
     with no axis of 1, the same layout up to its extents."""
     if v is None or len(ins) != 2:
         return None
-    for k, (_, table) in enumerate(operands):
-        if table is None:
-            continue
-        axis = ins[k].index(v)
-        rest = tuple(w for w in ins[k] if w != v)
-        start = out.index(rest[0]) if rest else 0
-        other = ins[1 - k]
-        if (set(rest) & set(other) or out[start:start + len(rest)] != rest
-                or not ((table == 0.0) | (table == 1.0)).all()
-                or not (table.sum(axis=axis) == 1.0).all()):
-            return None
-        order = out[:start] + (v,) + out[start + len(rest):]
-        axes = tuple(other.index(w) for w in order)
-        probe = np.zeros([2 if w == BATCH else sizes[w] for w in order])
-        if 1 in probe.shape:
-            return None
-        # `other`'s axes, memory in `order` (an argsort here paged in enough
-        # of numpy's sort code to raise the forecast's peak RSS by 0.3 MB)
-        probe = probe.transpose([axes.index(i) for i in range(len(axes))])
-        taken = np.einsum(spec, *((table, probe) if k == 0 else (probe, table)))
-        if taken.strides != np.empty(taken.shape).strides:
-            return None
-        return operands[1 - k][0], axes, start, table.argmax(axis=axis)
-    return None
+    k = 0 if operands[0][1] is not None else 1
+    table = operands[k][1]
+    found = None if table is None else _take_order(v, ins, out, k, sizes)
+    if found is None or not _one_hot(table, ins[k].index(v), one_hot):
+        return None
+    start, order = found
+    axes = tuple(ins[1 - k].index(w) for w in order)
+    # `other`'s axes, memory in `order` (an argsort here paged in enough
+    # of numpy's sort code to raise the forecast's peak RSS by 0.3 MB)
+    probe = np.zeros([2 if w == BATCH else sizes[w] for w in order]).transpose(
+        [axes.index(i) for i in range(len(axes))])
+    taken = np.einsum(spec, *((table, probe) if k == 0 else (probe, table)))
+    if taken.strides != np.empty(taken.shape).strides:
+        return None
+    return operands[1 - k][0], axes, start, table.argmax(axis=ins[k].index(v))
+
+
+def _by_row_cost(var_lists: Sequence[tuple[str, ...]], elim: list[str],
+                 fixed: Mapping[int, np.ndarray], sizes: Mapping[str, int],
+                 one_hot: dict[tuple[int, int], bool]) -> list[str]:
+    """The order of `elim` that is greedy by per-row cost, ties to the
+    earlier variable of `elim`, if its total is strictly below `elim`'s
+    own; else `elim`. BATCH must not be in `elim`.
+
+    A step costs what one batch row adds: nothing if every operand is
+    fixed (it is hoisted), one copy of its output if it would run as a
+    gather (a fixed input one-hot along the variable, see `_gather`; the
+    layout probe aside), and otherwise its output cells times the extent
+    of the variable it eliminates. A last product of the factors left
+    costs its output cells. Variable sets are bit masks."""
+    # a factor: [variable mask, vars, every input fixed, the position of a
+    # fixed input, the (v, factors) that a step's output was made of]; a
+    # step's output gets its vars in order only when a gather test reads them.
+    # BATCH has a bit of extent 1, so masks count cells per row.
+    bit: dict[str, int] = {}
+    extent: dict[int, int] = {}
+    inputs = []
+    for i, vs in enumerate(var_lists):
+        mask = 0
+        for w in vs:
+            if w not in bit:
+                bit[w] = 1 << len(bit)
+                extent[bit[w]] = 1 if w == BATCH else sizes[w]
+            mask |= bit[w]
+        inputs.append([mask, vs, i in fixed, i if i in fixed else None, None])
+    known: dict[int, int] = {}
+
+    def cells(mask: int) -> int:
+        if mask not in known:
+            c, rest = 1, mask
+            while rest:
+                low = rest & -rest
+                c *= extent[low]
+                rest ^= low
+            known[mask] = c
+        return known[mask]
+
+    def vars_of(f: list) -> tuple[str, ...]:
+        if f[1] is None:
+            v, group = f[4]
+            f[1] = _step_vars([vars_of(g) for g in group], v)
+        return f[1]
+
+    def run(greedy: bool, bound: float) -> tuple[float, list[str]]:
+        """The cost and order of the greedy search, or of `elim`; the
+        latter stops, costed as infinite, once its total passes `bound`."""
+        live, left, order, total = inputs, list(elim), [], 0
+        while left:
+            best = None
+            for v in left if greedy else left[:1]:
+                b, mask, varying, group = bit[v], 0, False, []
+                for f in live:
+                    if f[0] & b:
+                        mask |= f[0]
+                        varying |= not f[2]
+                        group.append(f)
+                c = cells(mask) if varying else 0
+                # a gather: a fixed input one-hot along v and one varying factor
+                if c and len(group) == 2 and (group[0][3] is None) != (group[1][3] is None):
+                    k = 0 if group[1][3] is None else 1
+                    i = group[k][3]
+                    if _one_hot(fixed[i], var_lists[i].index(v), one_hot):
+                        ins = (vars_of(group[0]), vars_of(group[1]))
+                        if _take_order(v, ins, _step_vars(ins, v), k, sizes):
+                            c //= sizes[v]
+                if best is None or c < best[0]:
+                    best = c, v, group, mask, varying
+                    if not c:  # none is cheaper, and ties go to the earlier
+                        break
+            c, v, group, mask, varying = best
+            total += c
+            if total > bound:
+                return math.inf, elim
+            order.append(v)
+            left.remove(v)
+            live = [f for f in live if not f[0] & bit[v]]
+            live.append([mask & ~bit[v], None, not varying, None, (v, group)])
+        mask, varying = 0, False
+        for f in live:
+            mask |= f[0]
+            varying |= not f[2]
+        return total + (cells(mask) if varying and len(live) > 1 else 0), order
+
+    cost, order = run(True, math.inf)
+    return order if order != elim and cost < run(False, cost)[0] else elim
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +701,11 @@ class CompiledModel:
 
         free = self._free(policy, batched)
         targets = set(keep) | set(evidence)
+        # a batch of sampled probability or score tables is ordered by its
+        # cost per row; a batch of decision rules (the policy search) keeps
+        # deepest-first, whose sums give the bits the unbatched queries give
+        by_row_cost = bool(batched) and all(
+            self.diagram.nodes[nid].kind != NodeKind.DECISION for nid in batched)
 
         def plan(nodes: set[str], extra: list[tuple[str, Factor]]
                  ) -> tuple[tuple[str, ...], ContractionTape]:
@@ -535,7 +714,8 @@ class CompiledModel:
             var_lists = [(BATCH,) + f.vars if nid in batched else f.vars for nid, f in picked]
             fixed = {i: f.table for i, (nid, f) in enumerate(picked) if nid not in batched}
             return (tuple(nid for nid, _ in picked if nid in batched),
-                    ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed))
+                    ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed,
+                                    by_row_cost=by_row_cost))
 
         norm_inputs, norm_tape = plan(ancestors(self.diagram, targets, stop=free), [])
         value_inputs, value_tapes = {}, {}

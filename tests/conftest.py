@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from araid import inference
 from araid.diagram import (
     Agent,
     AgentKind,
@@ -204,6 +205,28 @@ def chain_model(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def grid_model(k: int) -> str:
+    """A k x k grid of binary chance nodes g<row>_<column>, each with its
+    upper and left neighbours as parents, and one defender value node on
+    the last cell. The ids are not zero-padded, so the deepest-first order
+    that id ties give does not sweep the grid row by row: its largest
+    contraction step holds 2**14 cells at k = 12 and 2**30 at k = 20."""
+    ids = [[f"g{r}_{c}" for c in range(k)] for r in range(k)]
+    lines = ["agent def kind=defender"]
+    for r, c in itertools.product(range(k), repeat=2):
+        parents = ([ids[r - 1][c]] if r else []) + ([ids[r][c - 1]] if c else [])
+        lines += [f"node {ids[r][c]} kind=chance domain=a,b"]
+        lines += [f"arc {p} -> {ids[r][c]}" for p in parents]
+        for key in itertools.product("ab", repeat=len(parents)):
+            b = (2 + 3 * key.count("b")) / 10  # P(b) rises with the parents at b
+            cond = ",".join(f"{p}={label}" for p, label in zip(parents, key))
+            lines.append(f"cpt {ids[r][c]} | {cond} : a={1 - b:.1f},b={b:.1f}")
+    lines += ["node V kind=value agent=def", f"arc {ids[-1][-1]} -> V",
+              "value V form=indicator one=b zero=a",
+              "node U kind=utility agent=def", "arc V -> U", "utility U weights V=1"]
+    return "\n".join(lines) + "\n"
+
+
 def executed_expected(query, tables=None, weights=None):
     """`query.expected` the long way: every tape executed, even one the plan
     fixed, the weighted sum divided by the executed normaliser, and the mask
@@ -240,6 +263,12 @@ def replayed(tape, tables):
     for spec, operands in tape.steps:
         slots.append(np.einsum(spec, *(slots[i] for i in operands)))
     return tape._output(slots)
+
+
+def deepest_first(run):
+    """run(), with every contraction tape eliminating deepest-first."""
+    with mock.patch.object(inference, "_by_row_cost", lambda var_lists, elim, *_: elim):
+        return run()
 
 
 def spy_on(owner, name):

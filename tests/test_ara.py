@@ -34,8 +34,8 @@ from araid.inference import (CompiledModel, ContractionTape, ImpossibleEvidenceE
                              UtilityQuery, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
 
-from conftest import (chain_model, executed_expected, random_diagram, replayed, same_bits,
-                      spy_on, wide_decision_model, wide_observer_model)
+from conftest import (chain_model, deepest_first, executed_expected, random_diagram, replayed,
+                      same_bits, spy_on, wide_decision_model, wide_observer_model)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -576,6 +576,47 @@ def test_perturb_rule_is_jitter_clipped_and_renormalised(drilling):
         assert (clipped == 0.0).any() == (half_width == 0.2 or base.ndim == 2)
 
 
+def perturb_along_rows(rule: PerturbRule, base: np.ndarray, rng: np.random.Generator,
+                       n: int) -> np.ndarray:
+    """`PerturbRule.sample` as it was before it ran along the draw axis: in
+    place on the [..., n, L] jitter, each row summed by numpy."""
+    base = np.asarray(base)[..., None, :]
+    jittered = rng.uniform(-rule.half_width, rule.half_width,
+                           size=base.shape[:-2] + (n, base.shape[-1]))
+    jittered += base
+    np.maximum(jittered, 0.0, out=jittered)
+    total = jittered.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("perturbed vector collapsed to zero mass")
+    jittered /= total
+    return jittered
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(1, 12), stacks=st.integers(0, 8), n=st.integers(1, 1024),
+       half_width=st.sampled_from([0.0, 0.02, 0.3, 2.0]), zeros=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_perturb_rule_gives_the_bits_of_summing_along_each_row(length, stacks, n, half_width,
+                                                               zeros, seed):
+    # the draw-axis arithmetic (fewer than 8 entries) and the row sums (8 or
+    # more, which numpy adds pairwise) against the row-by-row method; stacks
+    # of 0 is one unstacked base. Zeros in the base and wide jitter make
+    # entries clip, and with every entry at 0 a row collapses
+    rng = np.random.default_rng(seed)
+    base = rng.dirichlet(np.ones(length), size=stacks or None)
+    if zeros:
+        base[..., rng.integers(length)] = 0.0
+    rule = PerturbRule(half_width)
+    try:
+        want = perturb_along_rows(rule, base, np.random.default_rng(seed + 1), n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            rule.sample(base, np.random.default_rng(seed + 1), n)
+        return
+    got = rule.sample(base, np.random.default_rng(seed + 1), n)
+    assert got.shape == base.shape[:-1] + (n, length) and same_bits(got, want)
+
+
 @pytest.mark.parametrize("target, rule, message", [
     (("belief", "DT"), DirichletRule((math.nan, 1.0, 1.0)), "concentration must be positive"),
     (("belief", "DT"), PerturbRule(math.nan), "half_width must be nonnegative"),
@@ -682,7 +723,7 @@ def forecast_query(d, rules):
     return planned_query(lambda: forecast_attack(d, default_beliefs(), rules, draws=1, seed=0))
 
 
-@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 96, 170)])
+@pytest.mark.parametrize("case, cells, chunk", [("default", 32, 512), ("wide", 72, 227)])
 def test_forecast_chunk_is_the_most_draws_within_the_cap(drilling, case, cells, chunk):
     query = forecast_query(drilling, FORECAST_RULES[case](drilling))
     assert query.row_cells == cells
@@ -770,7 +811,7 @@ def test_a_tape_or_normaliser_the_plan_fixed_gives_the_bits_of_executing_it(dril
 
 def test_every_forecast_and_search_tape_gives_the_bits_of_its_einsum_steps(drilling):
     # each tape execution of both forecasts, over two blocks and chunks of
-    # 170, 4 and 126 draws, and of the policy search, replayed with every
+    # 227, 116 and 68 draws, and of the policy search, replayed with every
     # step an einsum, a gathered one too
     forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
                                                         "no_perpetrate": 0.65})
@@ -792,7 +833,7 @@ def test_every_forecast_and_search_tape_gives_the_bits_of_its_einsum_steps(drill
         assert replays and all(replays), case
         takes[case] = (len(calls), getattr(result, "chunks", None))
     # the wide forecast gathers once per chunk, in AMV's tape; nothing else does
-    assert takes == {"default": (0, 4), "wide": (13, 13), "search": (0, None)}
+    assert takes == {"default": (0, 4), "wide": (10, 10), "search": (0, None)}
 
     # and the gathered step is AMV's elimination of DC against DC's table
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
@@ -810,6 +851,60 @@ def test_every_forecast_and_search_tape_gives_the_bits_of_its_einsum_steps(drill
         fixed = [tape.constants[i - len(inputs)] for i in operands if i >= len(inputs)]
         assert len(fixed) == 1 and np.array_equal(fixed[0], dc)
         assert [inputs[i] for i in operands if i < len(inputs)] == ["AMV"]
+
+
+# the forecasts that sample probability or score tables: the two above, and
+# the money value's scale and root on top of the shipped rules
+SAMPLED_PLANS = {**FORECAST_RULES, "scores": lambda d: ParameterUncertainty({
+    ("value_scale", "AMV"): UniformRule(8e6, 1.2e7), ("value_root", "AMV"): UniformRule(2.5, 3.5),
+    **default_uncertainty().rules})}
+
+
+@pytest.mark.parametrize("case", list(SAMPLED_PLANS))
+def test_a_cost_ordered_forecast_matches_its_deepest_first_plan(drilling, case):
+    # every chunk of two blocks against the deepest-first plan of the same
+    # query, on the same sampled tables; then the whole forecast's tallies
+    rules = SAMPLED_PLANS[case](drilling)
+    slow = deepest_first(lambda: forecast_query(drilling, rules))
+    evaluate, agree = UtilityQuery.evaluate, []
+
+    def spy(query, tables, weights):
+        got, want = evaluate(query, tables, weights), evaluate(slow, tables, weights)
+        agree.append(bool(np.all(np.abs(got - want) <= 1e-12 * np.abs(want))))
+        return got
+    with mock.patch.object(UtilityQuery, "evaluate", spy):
+        fast = forecast_attack(drilling, default_beliefs(), rules, draws=2000, seed=5)
+    assert len(agree) == fast.chunks and all(agree)
+    assert fast.to_json() == deepest_first(lambda: forecast_attack(
+        drilling, default_beliefs(), rules, draws=2000, seed=5)).to_json()
+    query = forecast_query(drilling, rules)
+    assert all(tape.row_ops <= slow.value_tapes[vid].row_ops
+               for vid, tape in query.value_tapes.items())
+
+
+def test_the_shipped_plans_per_row_cost(drilling):
+    # multiply-adds and largest batched array per row, by value tape, in
+    # the order each plan takes and deepest-first; a gather counts one copy
+    # per output cell, and a tape the plan fixed whole costs nothing
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    plans = {case: lambda rules=rules: forecast_query(drilling, rules(drilling))
+             for case, rules in SAMPLED_PLANS.items()}
+    plans["search"] = lambda: planned_query(lambda: solve_defender(drilling, forecast))
+    costs = {(case, order): {vid: (tape.row_ops, tape.row_cells)
+                             for vid, tape in query.value_tapes.items()}
+             for case, plan in plans.items()
+             for order, query in (("planned", plan()), ("deepest", deepest_first(plan)))}
+    assert costs == {
+        ("default", "planned"): {"AMV": (128, 32), "ACV": (0, 1)},
+        ("default", "deepest"): {"AMV": (128, 32), "ACV": (0, 1)},
+        ("wide", "planned"): {"AMV": (304, 72), "ACV": (32, 8)},
+        ("wide", "deepest"): {"AMV": (680, 96), "ACV": (64, 16)},
+        ("scores", "planned"): {"AMV": (680, 96), "ACV": (0, 1)},
+        ("scores", "deepest"): {"AMV": (680, 96), "ACV": (0, 1)},
+        ("search", "planned"): {"DCV": (282, 48), "DHV": (162, 24)},
+        ("search", "deepest"): {"DCV": (282, 48), "DHV": (162, 24)},
+    }
 
 
 def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):

@@ -12,7 +12,7 @@ import pytest
 
 from araid.resources import data_path, read_table
 
-from conftest import (CHAIN_PRIOR, CHAIN_STEP, attacker_only_model, chain_model,
+from conftest import (CHAIN_PRIOR, CHAIN_STEP, attacker_only_model, chain_model, grid_model,
                       wide_observer_model)
 
 DRILLING = str(data_path("drilling.maid"))
@@ -80,6 +80,31 @@ def test_evaluate_contracts_a_chain_wider_than_the_einsum_alphabet(tmp_path):
     assert proc.stdout == f"{exact:.6f}\n"
 
 
+def capped_address_space():
+    """Run in a child before it starts: cap its address space at 1.5 GiB, so
+    that a contraction the plan fails to refuse fails the test instead of
+    taking the host's memory."""
+    import resource
+    cap = 3 * 2**29
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--agent", "def"],
+                                  ["tables", "--agent", "def", "--axes", "g0_0"]],
+                         ids=["evaluate", "tables"])
+def test_a_contraction_over_the_cell_budget_exits_1_with_one_error_line(tmp_path, argv):
+    path = tmp_path / "grid.maid"
+    path.write_text(grid_model(20))
+    assert run_cli("validate", str(path)).returncode == 0
+    proc = subprocess.run([sys.executable, "-m", "araid.cli", argv[0], str(path), *argv[1:]],
+                          capture_output=True, text=True, preexec_fn=capped_address_space,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: a contraction step over ")
+    assert line.endswith(" cells, more than MAX_STEP_CELLS = 4,194,304")
+
+
 BROKEN_MODEL = ("node UC kind=chance domain=riskier,normal\n"
                 "cpt UC | : riskier=0.3,normal=0.6\n")
 COMMAND_ARGS = {
@@ -116,6 +141,14 @@ def test_each_command_keeps_the_failure_contract(tmp_path, command):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: cannot read ")
     assert_no_run_report(proc.stderr)
+
+    if command == "solve":  # a belief file that does not parse reads as a model's does
+        beliefs = tmp_path / "beliefs"
+        beliefs.write_text("cpt DT | : avoid=nan,share=0.5,accept=0.5\n")
+        proc = run_cli(command, DRILLING, *COMMAND_ARGS[command], "--beliefs", str(beliefs))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [f"{beliefs}:1:18: error: malformed number 'nan'",
+                                            f"error: {beliefs} is not a valid belief file"]
 
 
 # -- tables -----------------------------------------------------------------
@@ -313,6 +346,22 @@ def test_solve_rejects_nonpositive_draws(draws):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "draws must be >= 1" in proc.stderr
+
+
+def test_solve_refuses_draws_over_its_ceiling_before_sampling(capsys):
+    from araid import ara, cli
+    # a draw sampled fails the test at once, instead of running for an hour
+    with mock.patch.object(ara, "_draw_rng", side_effect=AssertionError("a block was sampled")):
+        assert cli.main(["solve", DRILLING, "--draws", "4294967296"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --draws must be <= 100,000,000, got 4,294,967,296\n"
+    # the ceiling itself is accepted: the forecast is reached
+    reached = mock.Mock(side_effect=ValueError("reached the forecast"))
+    with mock.patch.object(cli, "forecast_attack", reached):
+        assert cli.main(["solve", DRILLING, "--draws", str(cli.MAX_DRAWS)]) == 1
+    assert reached.call_args.kwargs["draws"] == 10**8
+    assert capsys.readouterr().err == "error: reached the forecast\n"
+    assert "1 to 100,000,000" in " ".join(run_cli("solve", "--help").stdout.split())
 
 
 def test_solve_csv_and_json_numbers_agree():

@@ -1,5 +1,8 @@
 import itertools
+import math
+import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +29,11 @@ from araid.inference import (
     marginal_distribution,
 )
 
-from araid.ara import _all_rules
+from araid.ara import _all_rules, _tally
 from araid.modelfile import try_parse_model
 
-from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, executed_expected, random_diagram,
-                      random_policy, replayed, same_bits, spy_on)
+from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, deepest_first, executed_expected,
+                      grid_model, random_diagram, random_policy, replayed, same_bits, spy_on)
 
 
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
@@ -521,21 +524,21 @@ def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     assert np.array_equal(alone.execute([z]), z.T)
 
 
-def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
-    """Batch a child or value node of a deterministic node: a step that
-    eliminates the deterministic node against its 0/1 table and the
-    batched table alone runs as a gather. Every tape, in both memory
-    layouts and at one and several batch rows, must give the bits of
-    running each of its steps as an einsum."""
-    rng = np.random.default_rng(1818)
-    seen = {"gathers": 0, "einsums": 0, "diagrams": 0}
-    while seen["diagrams"] < 60:
+def sampled_child_queries(rng: np.random.Generator, count: int):
+    """`count` random diagrams with a chance or value child of a deterministic
+    node, picked at random. Yields the compiled model, that child, the
+    weights of the value nodes to score, a `plan()` of the query that
+    batches the child, and `tables(rows)`, which draws a [rows, *family]
+    table of the child in both memory layouts (batch axis at stride 1, and
+    C-ordered)."""
+    found = 0
+    while found < count:
         d = random_diagram(rng)
         children = [n for n in d.nodes.values() if "t0" in n.parents
                     and n.kind in (NodeKind.CHANCE, NodeKind.VALUE)]
         if not children:
             continue
-        seen["diagrams"] += 1
+        found += 1
         m = CompiledModel.compile(d)
         decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
         child = children[int(rng.integers(len(children)))]
@@ -545,27 +548,64 @@ def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
             family = m.value_factors[child.id].vars
         else:
             family = m.prob_factors[child.id].vars
-        query = m.utility_query("player", {}, {}, decisions, weights=weights,
-                                batched={child.id})
-        shape = [m.sizes[v] for v in family]
-        for rows in (1, 6):
+
+        def plan(m=m, decisions=decisions, weights=weights, child=child):
+            return m.utility_query("player", {}, {}, decisions, weights=weights,
+                                   batched={child.id})
+
+        def tables(rows, shape=[m.sizes[v] for v in family], child=child):
             table = rng.random(shape + [rows])
             if child.kind == NodeKind.CHANCE:  # rows over the child's own axis sum to 1
                 table /= table.sum(axis=-2, keepdims=True)
-            for layout in (np.moveaxis(table, -1, 0), np.moveaxis(table, -1, 0).copy()):
+            return np.moveaxis(table, -1, 0), np.moveaxis(table, -1, 0).copy()
+        yield m, child, weights, plan, tables
+
+
+def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
+    """Batch a child or value node of a deterministic node: a step that
+    eliminates the deterministic node against its 0/1 table and the
+    batched table alone runs as a gather. Every tape, in both memory
+    layouts and at one and several batch rows, must give the bits of
+    running each of its steps as an einsum."""
+    seen = {"gathers": 0, "einsums": 0}
+    for m, child, weights, plan, tables in sampled_child_queries(np.random.default_rng(1818), 150):
+        query = plan()
+        for rows in (1, 6):
+            for layout in tables(rows):
                 tapes = [(query.norm_tape, query.norm_inputs),
                          *((query.value_tapes[v], query.value_inputs[v]) for v in weights)]
                 for tape, inputs in tapes:
                     if tape.result is not None:
                         continue
-                    tables = [layout for _ in inputs] + tape.constants
+                    tables_in = [layout for _ in inputs] + tape.constants
                     takes, spy = spy_on(np, "take")
                     with spy:
-                        got = tape.execute(tables)
-                    assert same_bits(got, replayed(tape, tables))
+                        got = tape.execute(tables_in)
+                    assert same_bits(got, replayed(tape, tables_in))
                     seen["gathers"] += len(takes)
                     seen["einsums"] += sum(g is None for g in tape.gathers)
     assert seen["gathers"] > 25 and seen["einsums"] > 100, seen
+
+
+def test_a_cost_ordered_tape_matches_its_deepest_first_tape_on_random_diagrams():
+    """The same queries, which batch sampled tables and so are ordered by
+    per-row cost: in both memory layouts and at one and several batch
+    rows, each must give the deepest-first query's result within 1e-12
+    relative and the same tallies, and no tape may cost more per row."""
+    reordered = 0
+    for m, child, weights, plan, tables in sampled_child_queries(np.random.default_rng(2121), 80):
+        fast, slow = plan(), deepest_first(plan)
+        lcm = math.lcm(*range(1, fast.shape[-1] + 1))
+        for rows in (1, 6):
+            for layout in tables(rows):
+                got, want = fast.evaluate({child.id: layout}), slow.evaluate({child.id: layout})
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+                assert np.array_equal(_tally(got, lcm, 0), _tally(want, lcm, 0))
+        for tape, other in [(fast.norm_tape, slow.norm_tape),
+                            *((fast.value_tapes[v], slow.value_tapes[v]) for v in weights)]:
+            assert tape.row_ops <= other.row_ops
+            reordered += tape.steps != other.steps
+    assert reordered >= 40
 
 
 def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unpicked_inf():
@@ -627,6 +667,44 @@ def test_a_tape_wider_than_the_einsum_alphabet_is_contracted():
     x = np.random.default_rng(6).random([1] * 53)
     assert alone.steps == [] and np.shares_memory(alone.execute([x]), x)
     assert np.array_equal(alone.execute([x]), x)
+
+
+def test_a_contraction_step_over_the_cell_budget_is_refused_before_any_step_runs():
+    # the 20 x 20 grid's plan reaches 2**23 cells at its first step over the
+    # budget and 2**30 at its largest. No einsum may run before the refusal:
+    # one that did would fail here instead of allocating gigabytes
+    d, diags = try_parse_model(grid_model(20))
+    assert diags == []
+    started = time.perf_counter()
+    with mock.patch.object(inference.np, "einsum", side_effect=AssertionError("an einsum ran")), \
+            pytest.raises(ValueError, match=r"^a contraction step over 23 variables \(g8_8, "
+                          r"g9_7, .*\) needs 8,388,608 cells, more than "
+                          r"MAX_STEP_CELLS = 4,194,304$"):
+        expected_utility(d, "def", {})
+    assert time.perf_counter() - started < 1.0
+    # 2**14 cells at k = 12 are within it; at k = 4 the engine is the oracle's
+    d, _ = try_parse_model(grid_model(12))
+    assert 0.0 < expected_utility(d, "def", {}) < 1.0
+    d, _ = try_parse_model(grid_model(4))
+    assert expected_utility(d, "def", {}) == pytest.approx(
+        enumerate_expected_utility(d, "def", {}), rel=1e-12, abs=0)
+
+
+def test_the_cell_budget_bounds_a_batched_step_per_row():
+    sizes = {"a": 2, "b": 3, "c": 4}
+    with mock.patch.object(inference, "MAX_STEP_CELLS", 8):
+        # 8 cells per row, whatever the rows: within
+        tape = ContractionTape([(BATCH, "a", "b"), ("b", "c")], [BATCH, "a", "c"], {}, sizes)
+        x, y = np.ones((1000, 2, 3)), np.ones((3, 4))
+        assert np.array_equal(tape.execute([x, y]), np.full((1000, 2, 4), 3.0))
+        with pytest.raises(ValueError, match=r"^a contraction step over 3 variables \(a, c, b\) "
+                                             r"needs 24 cells per batch row, more than "
+                                             r"MAX_STEP_CELLS = 8$"):
+            ContractionTape([(BATCH, "a", "b"), ("b", "c"), ("c", "b")], [BATCH, "a", "c", "b"],
+                            {}, sizes)
+        # a step without the batch axis counts whole, fixed or not
+        with pytest.raises(ValueError, match=r"over 2 variables \(b, c\) needs 12 cells, more"):
+            ContractionTape([("a", "b"), ("a", "c")], ["b", "c"], {}, sizes)
 
 
 # -- decision tables -----------------------------------------------------------
