@@ -27,10 +27,11 @@ from .diagram import (
     ValueSpec,
 )
 from .inference import (
-    TIE_TOL,
+    TIE_TOL,  # noqa: F401  (ara.TIE_TOL names the rule that `ties` applies)
     CompiledModel,
     constant_policy,
     parent_tuples_of,
+    ties,
 )
 
 # Draws per generator, and so part of the random stream. One SeedSequence
@@ -144,9 +145,9 @@ def best_response(d_view: Diagram, agent: str,
 
     query = CompiledModel.compile(d_view).utility_query(
         agent, constant_policy(d_view, policy_part), evidence, [decision.id])
-    expected = dict(zip(decision.domain.labels, map(float, query.evaluate())))
-    top = max(expected.values())
-    optimal = tuple(lbl for lbl in decision.domain.labels if expected[lbl] >= top - TIE_TOL)
+    eu = query.evaluate()
+    expected = dict(zip(decision.domain.labels, map(float, eu)))
+    optimal = tuple(lbl for lbl, tie in zip(decision.domain.labels, ties(eu, eu.max())) if tie)
     return BestResponse(decision=decision.id, expected=expected, optimal=optimal)
 
 
@@ -450,14 +451,13 @@ class _DrawBlock:
 def _tally(eu: np.ndarray, lcm: int, block: int) -> np.ndarray:
     """Integer winner counts over the draw axis of one chunk's [draw, *context,
     alternative] expected utilities: each draw gives lcm to its one winner,
-    or lcm/k to each of k alternatives within TIE_TOL of its best. A best
+    or lcm/k to each of k alternatives that tie its best (`ties`). A best
     that is not finite raises ValueError naming the chunk's block."""
     top = eu.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise ValueError(f"the attacker's expected utility is not finite in block {block} "
                          f"(draws from {block * DRAW_BLOCK}): check the sampled parameters")
-    top -= TIE_TOL
-    winners = eu >= top
+    winners = ties(eu, top)
     # a finite best always wins, so as many winners as rows means no tie
     if np.count_nonzero(winners) == top.size:
         return lcm * np.count_nonzero(winners, axis=0)
@@ -480,7 +480,7 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     whatever `draws` is. Each block is contracted in chunks
     (`UtilityQuery.evaluate_chunks`): one planned contraction per chunk
     gives the attacker's expected utility in every observable context for
-    its draws. Alternatives within TIE_TOL of a draw's best split it. A
+    its draws. Alternatives that tie a draw's best (`ties`) split it. A
     draw whose best expected utility in some context is not finite (NaN or
     infinite, as sampled parameters that overflow give) raises ValueError.
     """
@@ -549,8 +549,8 @@ class DefenderSolution:
 
     @property
     def ties(self) -> tuple[RankedPolicy, ...]:
-        best = self.ranking[0].expected_utility
-        return tuple(r for r in self.ranking if r.expected_utility >= best - TIE_TOL)
+        eu = np.array([r.expected_utility for r in self.ranking])
+        return tuple(r for r, tie in zip(self.ranking, ties(eu, eu[0])) if tie)
 
 
 def _policy_sort_key(policy: Mapping[str, Mapping[tuple[str, ...], str]]) -> tuple:

@@ -9,7 +9,9 @@ reported by its diagnostics: `validate` prints them to stdout and no
 `error:` line; the other commands print them to stderr, then
 `error: <path> is not a valid model`. A belief file that does not parse
 is reported the same way, ending with `error: <path> is not a valid
-belief file`.
+belief file`. An error of several lines (a diagram's violations, which
+beliefs that are not a distribution give) prints its detail lines first
+and its first line last, as the `error:` line.
 """
 from __future__ import annotations
 
@@ -274,12 +276,14 @@ def main(argv: list[str] | None = None) -> int:
         header = {"schema_version": SCHEMA_VERSION, "command": args.command,
                   "input": {"path": args.file, "sha256": hashlib.sha256(raw).hexdigest()}}
         fields = args.func(args, diagram, header, started)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, KeyError) as exc:  # the library's model and domain errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    except (_CliError, ValueError, KeyError) as exc:  # ours, or the library's model errors
+        # a message's detail lines (a DiagramError's violations) go first,
+        # so the last line is always the `error:` one
+        head, *detail = str(exc).split("\n")
+        for line in detail:
+            print(line, file=sys.stderr)
+        print(f"error: {head.removesuffix(':')}", file=sys.stderr)
+        return exc.code if isinstance(exc, _CliError) else EXIT_MODEL
     _report(header, started, fields)
     return EXIT_OK
 

@@ -31,26 +31,30 @@ per chunk, and a normaliser planned as exactly 1 is not divided by. A
 forecast chunk on the shipped model thus runs one tape, the money
 value's (`AMV`): its normaliser and the cost value's (`ACV`) are planned.
 
-Each tape eliminates deepest-first, except in a batch of sampled
+Each tape is planned by one elimination walk over its factors, which
+fixes every step's operands and output and prices what the step adds per
+batch row. The walk eliminates deepest-first, except in a batch of sampled
 probability or score tables (the forecast): there the steps that read
-only fixed tables cost nothing per row, so the tape takes the order that
-is greedy by what each batch row adds, where that is strictly less in
-total. When the forecast samples every rule kind, `AMV`'s tape falls from
-680 to 304 multiply-adds per draw. Unbatched queries and the policy
-search, a batch of decision rules, keep deepest-first, so each policy's
-expected utility has the bits of evaluating it alone. No step may hold
-more than MAX_STEP_CELLS cells (per batch row); a plan that needs one is
-refused before any step runs.
+only fixed tables cost nothing per row, so a second walk, greedy by what
+each batch row adds and bounded by the first walk's total, is taken where
+it is strictly cheaper. When the forecast samples every rule kind,
+`AMV`'s tape falls from 680 to 304 multiply-adds per draw. Unbatched
+queries and the policy search, a batch of decision rules, keep
+deepest-first, so each policy's expected utility has the bits of
+evaluating it alone. No step may hold more than MAX_STEP_CELLS cells (per
+batch row); a plan that needs one is refused before any step runs. The
+steps on fixed tables alone then run once, each freeing its operands.
 
-A step that eliminates a variable from a batched table and a fixed table
-one-hot along it (a deterministic node's, say) runs as `np.take` of the
-batched one at each row's 1. An entry times 1 plus zeros is the entry, so
-each finite cell has the einsum's bits; the take is kept only where it
-leaves the einsum's layout, so later steps sum in the same order. A picked
--0.0 (the sum gives +0.0) and an unpicked inf or NaN (0 * inf is NaN in
-the sum) are all that differ. On the shipped plans one step gathers:
-`AMV`'s sum over the defender's cost `DC` when the forecast samples
-`AMV`'s scale or root.
+A step that eliminates a variable from a batched table and a fixed input
+one-hot along it (a deterministic node's table, say) runs as `np.take` of
+the batched one at each row's 1. The walk marks such steps against fixed
+inputs only, never against a hoisted intermediate. An entry times 1 plus
+zeros is the entry, so each finite cell has the einsum's bits; the take
+is kept only where it leaves the einsum's layout, so later steps sum in
+the same order. A picked -0.0 (the sum gives +0.0) and an unpicked inf or
+NaN (0 * inf is NaN in the sum) are all that differ. On the shipped plans
+one step gathers: `AMV`'s sum over the defender's cost `DC` when the
+forecast samples `AMV`'s scale or root.
 """
 from __future__ import annotations
 
@@ -78,6 +82,8 @@ DecisionRule = Mapping[tuple[str, ...], str]
 Policy = Mapping[str, DecisionRule]
 Evidence = Mapping[str, str]
 
+# Both tolerances scale with the size of what they compare (`_scaled_tol`):
+# utilities scaled by a power of two keep every tie and every cell.
 EU_AGREEMENT_TOL = 1e-9  # spread allowed when several opponent fixings define a cell
 TIE_TOL = 1e-12  # alternatives within this of the best are all optimal
 BATCH = "#batch"  # batch axis of batched tables; '#' opens a .maid comment, so no node has it
@@ -93,9 +99,26 @@ CHUNK_BYTES = 128 * 1024
 # tape has a batch axis; a plan with a larger step is refused before any
 # step runs. On a k x k grid of binary chance nodes (each with its upper and
 # left neighbour as parents), k = 16 plans a largest step of 2**22 cells
-# (32 MiB) and evaluates with a 353 MiB `tracemalloc` peak in 0.6 s; k = 20
-# would plan one of 2**30 cells (8 GiB).
+# (32 MiB) and evaluates with a 48 MiB `tracemalloc` peak in 0.4-0.6 s, since
+# each intermediate is freed after its one read; k = 20 would plan one of
+# 2**30 cells (8 GiB).
 MAX_STEP_CELLS = 2**22
+
+
+def _scaled_tol(tol: float, size):
+    """`tol` relative to the size of what it bounds: tol * max(1, |size|)
+    elementwise, so `tol` itself wherever |size| <= 1. An infinite size
+    counts as the largest float, so an infinite best still ties itself."""
+    size = np.abs(size)
+    # sizes within [-1, 1] (every utility of the shipped model) skip the
+    # clip, most of what the rule would add to a 512-draw tally
+    return tol if size.max() <= 1.0 else tol * np.clip(size, 1.0, np.finfo(float).max)
+
+
+def ties(values, best):
+    """Where `values` tie `best`, the best of them: within
+    TIE_TOL * max(1, |best|) below it. Arrays broadcast."""
+    return values >= best - _scaled_tol(TIE_TOL, best)
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -186,11 +209,14 @@ class Factor:
 class ContractionTape:
     """Planned sum-product: the elimination schedule, replayable on new tables.
 
-    Variables outside `keep` are eliminated deepest-first (reverse
-    topological), ties broken by how few factors mention them, then by id.
-    With `by_row_cost`, a batched tape takes instead the order that is
-    greedy by the work each batch row adds (`_by_row_cost`), if its total
-    is strictly less: steps that read only fixed tables run once, here, so
+    One elimination walk (`_Elimination`) plans the tape: it eliminates the
+    variables outside `keep` in turn, each from the factors that mention it,
+    and fixes every step's operands, output variables and price per batch
+    row. Its order is deepest-first (reverse topological), ties broken by
+    how few factors mention a variable, then by id. With `by_row_cost`, a
+    batched tape also walks the order that is greedy by what each batch row
+    adds, bounded by the deepest-first walk's total, and takes it if it is
+    strictly cheaper: steps that read only fixed tables run once, here, so
     the order that matters is the one that leaves the least per row.
     `CompiledModel.utility_query` asks for it on a batch of sampled
     probability or score tables (the forecast). Unbatched queries (tables,
@@ -213,15 +239,15 @@ class ContractionTape:
     (`missing_axes`). With no factor at all it is 1.
 
     `fixed` gives the tables of the inputs that never change, by position.
-    Every step that reads only those and their results runs once, here;
-    `steps` keeps the rest. `execute` then takes the other inputs, in
-    order, followed by `constants`: the fixed results that a kept step or
-    the output reads. When every input is fixed, no step is left and
-    `result` holds the whole result, C-contiguous (None otherwise), so the
-    tape need not be executed at all.
+    Every step that reads only those and their results runs once, here,
+    after every step has been checked; `steps` keeps the rest. `execute`
+    then takes the other inputs, in order, followed by `constants`: the
+    fixed results that a kept step or the output reads. When every input
+    is fixed, no step is left and `result` holds the whole result,
+    C-contiguous (None otherwise), so the tape need not be executed at all.
     `gathers` stands beside `steps`, one entry per step: None for an
     einsum, or how the step runs as `np.take` (see `_gather`): a step with
-    two operands that eliminates v against a fixed table one-hot along v,
+    two operands that eliminates v against a fixed input one-hot along v,
     whose other variables the other operand does not have. `steps` keeps
     its (spec, operand slots) pair and the one-hot table stays among
     `constants`, so every step can still be read, or run, as an einsum.
@@ -235,41 +261,35 @@ class ContractionTape:
     batched operand or output of the kept steps, or the varying input the
     result views, in cells without the batch axis (`sizes` gives each
     variable's extent). Without a batch axis, the whole execution is one
-    row and every operand counts. `row_ops` is the work of the kept steps
-    per batch row, counted the same way: each einsum step's output cells
-    times the extent of the variable it sums out (a last product's output
-    cells), and each gather's output cells (one copy each).
+    row and every operand counts. `row_ops` is the walk's price of the
+    kept steps per batch row: each einsum step's output cells times the
+    extent of the variable it sums out (a last product's output cells),
+    and a step the walk marks as a take one copy of its output cells, even
+    where `_gather`'s layout probe keeps it an einsum.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
                  elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
                  fixed: Mapping[int, np.ndarray] | None = None, *, by_row_cost: bool = False):
         fixed = fixed or {}
-        all_vars = list(dict.fromkeys(v for vs in var_lists for v in vs))
         keep_set = set(keep)
-        elim = [v for v in all_vars if v not in keep_set]
-        elim.sort(key=lambda v: (elim_priority.get(v, (0,)),
-                                 sum(v in vs for vs in var_lists), v))
-        one_hot: dict[tuple[int, int], bool] = {}  # for `_by_row_cost` and `_gather`
+        elim = sorted({v for vs in var_lists for v in vs if v not in keep_set},
+                      key=lambda v: (elim_priority.get(v, (0,)),
+                                     sum(v in vs for vs in var_lists), v))
+        walk = _Elimination(var_lists, keep, fixed, sizes)
+        chosen = walk(elim)
         if by_row_cost and BATCH in keep_set and len(fixed) < len(var_lists):
-            elim = _by_row_cost(var_lists, elim, fixed, sizes, one_hot)
+            chosen = walk(elim, greedy=True, below=chosen[0]) or chosen
+        self.row_ops, steps, (out_slot, out_vars) = chosen
 
-        # slots: initial factors first, step results appended after; a step
-        # is (spec, operand var lists, output vars, operand slots, the variable
-        # it eliminates or None). A variable not in `keep` stays in some live
-        # factor until it is eliminated.
         # Each variable holds one einsum letter from the first step that reads
         # it to the step that eliminates it, so a letter names one variable in
         # every step that mentions it, and an eliminated variable's letter is
-        # free for reuse.
-        plan: list[tuple[str, tuple[tuple[str, ...], ...], tuple[str, ...], tuple[int, ...],
-                         str | None]] = []
+        # free for reuse. Every step is checked before any runs.
         letters: dict[str, str] = {}
         spare = list(reversed(string.ascii_letters))
-
-        def step(group: list[tuple[int, tuple[str, ...]]], out: tuple[str, ...],
-                 v: str | None = None) -> None:
-            ins = tuple(vs for _, vs in group)
+        specs = []
+        for v, _, ins, out, _, _ in steps:
             for w in itertools.chain(*ins):
                 if w not in letters:
                     if not spare:
@@ -285,73 +305,48 @@ class ContractionTape:
                                  f"{' per batch row' if BATCH in out else ''}, more than "
                                  f"MAX_STEP_CELLS = {MAX_STEP_CELLS:,}")
             spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
-            plan.append((spec + "->" + "".join([letters[w] for w in out]), ins, out,
-                         tuple(s for s, _ in group), v))
+            specs.append(spec + "->" + "".join([letters[w] for w in out]))
+            if v is not None:
+                spare.append(letters.pop(v))
 
-        live: list[tuple[int, tuple[str, ...]]] = list(enumerate(var_lists))
-        next_slot = len(var_lists)
-        for v in elim:
-            group = [(s, vs) for s, vs in live if v in vs]
-            out_vars = _step_vars([vs for _, vs in group], v)
-            step(group, out_vars, v)
-            spare.append(letters.pop(v))
-            live = [(s, vs) for s, vs in live if v not in vs] + [(next_slot, out_vars)]
-            next_slot += 1
-
-        present = tuple(v for v in keep if any(v in vs for _, vs in live))
-        if len(live) > 1:
-            step(live, present)
-            live = [(next_slot, present)]
-        self.missing_axes = [i for i, v in enumerate(keep) if v not in present]
-        out_slot, out_vars = live[0] if live else (None, ())
-        self.out_axes = tuple(out_vars.index(w) for w in present)
-        kept = self._hoist(len(var_lists), plan, fixed, sizes, out_slot, one_hot)
-        # every input fixed: the whole result is planned here
-        planned = len(fixed) == len(var_lists)
-        self.result = np.asarray(self._output(self.constants), order="C") if planned else None
-
-        batched = BATCH in all_vars  # with no batch axis, every term counts
-        # a result that views a varying input reads it whole
-        terms = [t for ins, out, _ in kept for t in (*ins, out)] + ([] if planned else [out_vars])
-        self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH) for t in terms
-                              if BATCH in t or not batched), default=1)
-        self.row_ops = sum(math.prod(sizes[w] for w in out if w != BATCH) * extent
-                           for _, out, extent in kept)
-
-    def _hoist(self, n_inputs: int, plan: list, fixed: Mapping[int, np.ndarray],
-               sizes: Mapping[str, int], out_slot: int | None,
-               one_hot: dict[tuple[int, int], bool]) -> list:
-        """Run the steps that read fixed slots alone; renumber the rest and
-        the output slot, and plan which steps gather. Returns the kept
-        steps' operand var lists, output vars and how many products each
-        output cell sums (1 for a gather or a product that eliminates
-        nothing)."""
+        # run the steps that read fixed slots alone; each slot is read by one
+        # step (or is the output), so an operand is freed once its step runs
+        n_inputs = len(var_lists)
         values = dict(fixed)
         kept = []
-        for slot, (spec, ins, out, operands, v) in enumerate(plan, start=n_inputs):
-            if all(i in values for i in operands):
-                values[slot] = np.einsum(spec, *(values[i] for i in operands))
+        for slot, (spec, (v, operands, ins, out, varying, take)) in enumerate(
+                zip(specs, steps), start=n_inputs):
+            if varying:
+                kept.append((slot, spec, v, operands, ins, out, take))
             else:
-                kept.append((slot, spec, operands, ins, out, v))
-        read = sorted({i for _, _, operands, *_ in kept for i in operands if i in values}
-                      | ({out_slot} & values.keys()))
-        order = [i for i in range(n_inputs) if i not in values] + read
-        index = {slot: i for i, slot in enumerate(order)}
+                values[slot] = np.einsum(spec, *[values.pop(i) for i in operands])
+        read = sorted(values)  # what a kept step or the output reads
+        index = {slot: i for i, slot in enumerate(
+            [i for i in range(n_inputs) if i not in fixed] + read)}
         self.steps: list[tuple[str, tuple[int, ...]]] = []
         self.gathers: list[tuple[int, tuple[int, ...], int, np.ndarray] | None] = []
-        shapes = []
-        for slot, spec, operands, ins, out, v in kept:
+        terms = []
+        for slot, spec, v, operands, ins, out, take in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
-            self.gathers.append(_gather(spec, v, ins, out, [(index[i], values.get(i))
-                                                            for i in operands], sizes, one_hot))
+            self.gathers.append(take and _gather(spec, v, ins, take, fixed[operands[take[0]]],
+                                                 index[operands[1 - take[0]]], sizes))
             index[slot] = len(index)
-            # a gather copies one entry per output cell
-            shapes.append((ins, out, 1 if v is None or self.gathers[-1] else sizes[v]))
+            terms += [*ins, out]
         self.out_slot = index.get(out_slot)
+        self.out_axes = tuple(out_vars.index(w) for w in keep if w in out_vars)
+        self.missing_axes = [i for i, w in enumerate(keep) if w not in out_vars]
         # C-contiguous copies: a hoisted result can come out in any layout,
         # and an einsum reads a contiguous operand faster
-        self.constants = [np.array(values[i], order="C") for i in read]
-        return shapes
+        self.constants = [np.array(values.pop(i), order="C") for i in read]
+        # every input fixed: the whole result is planned here
+        planned = len(fixed) == n_inputs
+        self.result = np.asarray(self._output(self.constants), order="C") if planned else None
+
+        batched = BATCH in walk.bit  # with no batch axis, every term counts
+        # a result that views a varying input reads it whole
+        self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH)
+                              for t in terms + ([] if planned else [out_vars])
+                              if BATCH in t or not batched), default=1)
 
     def execute(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """Run the steps on the varying inputs followed by `constants`."""
@@ -390,52 +385,131 @@ def _step_vars(ins: Iterable[tuple[str, ...]], v: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _take_order(v: str, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...], k: int,
-                sizes: Mapping[str, int]) -> tuple[int, tuple[str, ...]] | None:
-    """The part of `_gather`'s test that reads no table: for a step that
-    eliminates v from two operands, where operand k would be the one-hot
-    one, (where k's other variables sit in `out`, and `out` with v in
-    their place), or None if the other operand shares one of them, `out`
-    does not hold them together in k's order, or a variable of the take
-    has extent 1."""
-    rest = tuple(w for w in ins[k] if w != v)
-    start = out.index(rest[0]) if rest else 0
-    order = out[:start] + (v,) + out[start + len(rest):]
-    if (set(rest) & set(ins[1 - k]) or out[start:start + len(rest)] != rest
-            or any(sizes[w] == 1 for w in order if w != BATCH)):
-        return None
-    return start, order
+class _Elimination:
+    """The elimination walk over one tape's factors (`ContractionTape`).
+
+    A walk eliminates each variable, as one step, from the factors that
+    mention it, in the order it is given or, greedy, cheapest first, and
+    then multiplies the factors left, if more than one, in a last step over
+    the kept variables they hold, in keep order. It gives its total price
+    per batch row, its steps, and the (slot, variables) of the factor the
+    result views, (None, ()) if there is none. Slots number the inputs
+    first, then each step's output in step order. A step is (the variable
+    it eliminates, None for a last product; its operand slots; their
+    variables; its output variables; whether an operand varies; the take
+    it may run as, or None). Each factor is an operand of one step only.
+
+    A step costs what one batch row adds: nothing if no operand varies
+    (it is hoisted), one copy of its output if it may run as a take, and
+    otherwise its output cells times the extent of the variable it
+    eliminates; a last product costs its output cells. A step that
+    eliminates v may run as a take when it has two operands: a fixed input
+    that is 0/1 with one 1 along v in each row, and a varying one that has
+    none of the fixed input's other variables, which `out` holds together
+    in the fixed input's order, and no variable of either has extent 1.
+    Its take is (the fixed operand's position, where its other variables
+    sit in `out`, and `out` with v in their place). Variable sets are bit
+    masks; BATCH has a bit of extent 1, so masks count cells per row.
+    """
+
+    def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
+                 fixed: Mapping[int, np.ndarray], sizes: Mapping[str, int]):
+        self.keep, self.fixed, self.sizes = keep, fixed, sizes
+        self.bit = {w: 1 << i for i, w in enumerate(dict.fromkeys(itertools.chain(*var_lists)))}
+        self.extent = {b: 1 if w == BATCH else sizes[w] for w, b in self.bit.items()}
+        # the variables of extent 1 but BATCH: a take over one is not kept
+        self.unit = sum(b for w, b in self.bit.items() if w != BATCH and sizes[w] == 1)
+        # a factor: (variable mask, vars, varying, slot)
+        self.inputs = [(sum(self.bit[w] for w in set(vs)), vs, i not in fixed, i)
+                       for i, vs in enumerate(var_lists)]
+        self.known: dict[int, int] = {}  # cells by mask
+        self.one_hot: dict[tuple[int, str], bool] = {}  # by (fixed input, v)
+
+    def cells(self, mask: int) -> int:
+        if mask not in self.known:
+            self.known[mask] = math.prod(e for b, e in self.extent.items() if mask & b)
+        return self.known[mask]
+
+    def __call__(self, order: Sequence[str], greedy: bool = False, below: float = math.inf
+                 ) -> tuple[int, list[tuple], tuple[int | None, tuple[str, ...]]] | None:
+        """The walk along `order`, or the walk that is greedy by per-row
+        cost, ties to the earlier variable of `order`; None once its total
+        reaches `below`."""
+        n = len(self.inputs)
+        live, left, steps, total = list(self.inputs), list(order), [], 0
+        while left:
+            best = None
+            for v in left if greedy else left[:1]:
+                b, mask, varying, group = self.bit[v], 0, False, []
+                for f in live:
+                    if f[0] & b:
+                        mask |= f[0]
+                        varying |= f[2]
+                        group.append(f)
+                c, take = 0, None
+                if varying:
+                    c = self.cells(mask)
+                    take = self._take(v, group, mask) if len(group) == 2 else None
+                    if take:
+                        c //= self.sizes[v]
+                if best is None or c < best[0]:
+                    best = c, v, group, mask, varying, take
+                    if not c:  # none is cheaper, and ties go to the earlier
+                        break
+            c, v, group, mask, varying, take = best
+            total += c
+            if total >= below:
+                return None
+            left.remove(v)
+            ins = tuple(f[1] for f in group)
+            steps.append((v, tuple(f[3] for f in group), ins, _step_vars(ins, v), varying, take))
+            live = [f for f in live if f not in group]
+            live.append((mask & ~self.bit[v], steps[-1][3], varying, n + len(steps) - 1))
+        if len(live) > 1:  # every variable left is kept
+            out = tuple(w for w in self.keep if any(w in f[1] for f in live))
+            mask, varying = sum(self.bit[w] for w in out), any(f[2] for f in live)
+            total += self.cells(mask) if varying else 0
+            steps.append((None, tuple(f[3] for f in live), tuple(f[1] for f in live), out,
+                          varying, None))
+            live = [(mask, out, varying, n + len(steps) - 1)]
+        if total >= below:
+            return None
+        return total, steps, (live[0][3], live[0][1]) if live else (None, ())
+
+    def _take(self, v: str, group: list[tuple], mask: int) -> tuple | None:
+        """The take a step that eliminates v from two operands, one of
+        which varies, may run as (see the class), or None."""
+        k = 0 if group[0][3] in self.fixed else 1
+        fmask, vs, _, i = group[k]
+        if i not in self.fixed or fmask & group[1 - k][0] & ~self.bit[v] or mask & self.unit:
+            return None
+        if (i, v) not in self.one_hot:
+            # every row sums to 1, so has a nonzero entry, and there are only
+            # as many nonzero entries as rows, so each row's is its only one
+            table, axis = self.fixed[i], vs.index(v)
+            self.one_hot[i, v] = (np.count_nonzero(table) * table.shape[axis] == table.size
+                                  and bool((table.sum(axis=axis) == 1.0).all()))
+        if not self.one_hot[i, v]:
+            return None
+        out = _step_vars((group[0][1], group[1][1]), v)
+        rest = tuple(w for w in vs if w != v)
+        start = out.index(rest[0]) if rest else 0
+        if out[start:start + len(rest)] != rest:
+            return None
+        return k, start, out[:start] + (v,) + out[start + len(rest):]
 
 
-def _one_hot(table: np.ndarray, axis: int, known: dict[tuple[int, int], bool]) -> bool:
-    """Whether `table` is 0/1 with one 1 along `axis` in each row: every row
-    sums to 1, so has a nonzero entry, and there are only as many nonzero
-    entries as rows, so each row's is its only one, and 1. `known` keeps the
-    answers by (id(table), axis) while the tables live."""
-    key = id(table), axis
-    if key not in known:
-        known[key] = (np.count_nonzero(table) * table.shape[axis] == table.size
-                      and bool((table.sum(axis=axis) == 1.0).all()))
-    return known[key]
-
-
-def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tuple[str, ...],
-            operands: Sequence[tuple[int, np.ndarray | None]], sizes: Mapping[str, int],
-            one_hot: dict[tuple[int, int], bool]
+def _gather(spec: str, v: str, ins: tuple[tuple[str, ...], ...], take: tuple,
+            table: np.ndarray, other: int, sizes: Mapping[str, int]
             ) -> tuple[int, tuple[int, ...], int, np.ndarray] | None:
-    """How a step that eliminates `v` from two operands runs as `np.take`,
-    or None where it must stay an einsum.
-
-    It can when one operand is a fixed table that is one-hot along v (0/1,
-    one 1 per row: a deterministic node's table, say) and the other shares
-    none of its other variables (`_take_order`). Each output cell is
-    then the other operand's entry at the row's 1. `operands` gives each
-    operand's slot and, if fixed, its table; `one_hot` keeps `_one_hot`'s
-    answers for the tape. Returns (the other operand's
-    slot, the axis order that puts v where the fixed table's other
-    variables sit in `out`, that position, and the index of each row's 1
-    over those variables): the take comes out in `out` order, C-ordered,
-    so a last batch axis is at stride 1.
+    """How a step that the walk marked with `take` (k, start, order) runs
+    as `np.take`, or None where it must stay an einsum: operand k is the
+    fixed input `table`, one-hot along v, and `other` the varying operand's
+    slot. Each output cell is the other operand's entry at the row's 1.
+    Returns (`other`, the axis order that puts v where the fixed table's
+    other variables sit in the output, that position, and the index of
+    each row's 1 over those variables): the take comes out in output
+    order, C-ordered, so a last batch axis is at stride 1.
 
     An einsum lays its output out after its operands, and a later einsum
     sums in an order that follows its operands' layout, so the take must
@@ -444,14 +518,7 @@ def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tup
     keeps the gather only if the einsum's output comes out C-ordered too;
     `execute` takes only an operand whose strides fall along that order
     with no axis of 1, the same layout up to its extents."""
-    if v is None or len(ins) != 2:
-        return None
-    k = 0 if operands[0][1] is not None else 1
-    table = operands[k][1]
-    found = None if table is None else _take_order(v, ins, out, k, sizes)
-    if found is None or not _one_hot(table, ins[k].index(v), one_hot):
-        return None
-    start, order = found
+    k, start, order = take
     axes = tuple(ins[1 - k].index(w) for w in order)
     # `other`'s axes, memory in `order` (an argsort here paged in enough
     # of numpy's sort code to raise the forecast's peak RSS by 0.3 MB)
@@ -460,97 +527,7 @@ def _gather(spec: str, v: str | None, ins: tuple[tuple[str, ...], ...], out: tup
     taken = np.einsum(spec, *((table, probe) if k == 0 else (probe, table)))
     if taken.strides != np.empty(taken.shape).strides:
         return None
-    return operands[1 - k][0], axes, start, table.argmax(axis=ins[k].index(v))
-
-
-def _by_row_cost(var_lists: Sequence[tuple[str, ...]], elim: list[str],
-                 fixed: Mapping[int, np.ndarray], sizes: Mapping[str, int],
-                 one_hot: dict[tuple[int, int], bool]) -> list[str]:
-    """The order of `elim` that is greedy by per-row cost, ties to the
-    earlier variable of `elim`, if its total is strictly below `elim`'s
-    own; else `elim`. BATCH must not be in `elim`.
-
-    A step costs what one batch row adds: nothing if every operand is
-    fixed (it is hoisted), one copy of its output if it would run as a
-    gather (a fixed input one-hot along the variable, see `_gather`; the
-    layout probe aside), and otherwise its output cells times the extent
-    of the variable it eliminates. A last product of the factors left
-    costs its output cells. Variable sets are bit masks."""
-    # a factor: [variable mask, vars, every input fixed, the position of a
-    # fixed input, the (v, factors) that a step's output was made of]; a
-    # step's output gets its vars in order only when a gather test reads them.
-    # BATCH has a bit of extent 1, so masks count cells per row.
-    bit: dict[str, int] = {}
-    extent: dict[int, int] = {}
-    inputs = []
-    for i, vs in enumerate(var_lists):
-        mask = 0
-        for w in vs:
-            if w not in bit:
-                bit[w] = 1 << len(bit)
-                extent[bit[w]] = 1 if w == BATCH else sizes[w]
-            mask |= bit[w]
-        inputs.append([mask, vs, i in fixed, i if i in fixed else None, None])
-    known: dict[int, int] = {}
-
-    def cells(mask: int) -> int:
-        if mask not in known:
-            c, rest = 1, mask
-            while rest:
-                low = rest & -rest
-                c *= extent[low]
-                rest ^= low
-            known[mask] = c
-        return known[mask]
-
-    def vars_of(f: list) -> tuple[str, ...]:
-        if f[1] is None:
-            v, group = f[4]
-            f[1] = _step_vars([vars_of(g) for g in group], v)
-        return f[1]
-
-    def run(greedy: bool, bound: float) -> tuple[float, list[str]]:
-        """The cost and order of the greedy search, or of `elim`; the
-        latter stops, costed as infinite, once its total passes `bound`."""
-        live, left, order, total = inputs, list(elim), [], 0
-        while left:
-            best = None
-            for v in left if greedy else left[:1]:
-                b, mask, varying, group = bit[v], 0, False, []
-                for f in live:
-                    if f[0] & b:
-                        mask |= f[0]
-                        varying |= not f[2]
-                        group.append(f)
-                c = cells(mask) if varying else 0
-                # a gather: a fixed input one-hot along v and one varying factor
-                if c and len(group) == 2 and (group[0][3] is None) != (group[1][3] is None):
-                    k = 0 if group[1][3] is None else 1
-                    i = group[k][3]
-                    if _one_hot(fixed[i], var_lists[i].index(v), one_hot):
-                        ins = (vars_of(group[0]), vars_of(group[1]))
-                        if _take_order(v, ins, _step_vars(ins, v), k, sizes):
-                            c //= sizes[v]
-                if best is None or c < best[0]:
-                    best = c, v, group, mask, varying
-                    if not c:  # none is cheaper, and ties go to the earlier
-                        break
-            c, v, group, mask, varying = best
-            total += c
-            if total > bound:
-                return math.inf, elim
-            order.append(v)
-            left.remove(v)
-            live = [f for f in live if not f[0] & bit[v]]
-            live.append([mask & ~bit[v], None, not varying, None, (v, group)])
-        mask, varying = 0, False
-        for f in live:
-            mask |= f[0]
-            varying |= not f[2]
-        return total + (cells(mask) if varying and len(live) > 1 else 0), order
-
-    cost, order = run(True, math.inf)
-    return order if order != elim and cost < run(False, cost)[0] else elim
+    return other, axes, start, table.argmax(axis=ins[k].index(v))
 
 
 # ---------------------------------------------------------------------------
@@ -941,12 +918,14 @@ def _cell_values(eu: np.ndarray, possible: np.ndarray, axes: Sequence[str],
     """Each cell's value from [*cell, filling] utilities and their mask: the
     first possible filling's utility, picked, not computed, so its bits are
     the query's. A cell with no possible filling, or whose possible fillings
-    spread by more than EU_AGREEMENT_TOL, fails: the first failing one in
+    spread by more than EU_AGREEMENT_TOL (`_scaled_tol` by the largest of
+    them in size), fails: the first failing one in
     key order (`keys`, labels over `axes`) raises. A NaN spread fails no check."""
     values = np.take_along_axis(eu, possible.argmax(-1)[..., None], -1)[..., 0]
-    spread = np.where(possible, eu, -np.inf).max(-1) - np.where(possible, eu, np.inf).min(-1)
+    top, bottom = np.where(possible, eu, -np.inf).max(-1), np.where(possible, eu, np.inf).min(-1)
     impossible = ~possible.any(-1)
-    failing = (impossible | (spread > EU_AGREEMENT_TOL)).ravel()
+    spread_tol = _scaled_tol(EU_AGREEMENT_TOL, np.maximum(np.abs(top), np.abs(bottom)))
+    failing = (impossible | (top - bottom > spread_tol)).ravel()
     if failing.any():
         first = int(failing.argmax())
         cell = dict(zip(axes, keys[first]))
@@ -968,7 +947,7 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
     nor in `fixed`: decision axes are free, chance axes are conditioned on,
     and a cell is an index into the result. Along the unfixed opponent
     axes, every filling that keeps the cell possible must yield the same
-    utility (within EU_AGREEMENT_TOL), otherwise the cell is ambiguous; the
+    utility (within EU_AGREEMENT_TOL, scaled), otherwise the cell is ambiguous; the
     first possible filling gives the cell's value.
     """
     axis_nodes = []
@@ -998,7 +977,7 @@ def decision_table(d: Diagram, agent: str, axes: Sequence[str],
 
     own = tuple(i for i, a in enumerate(axes)
                 if a in decision_axes and d.nodes[a].owner == agent)
-    marked = values >= values.max(axis=own, keepdims=True) - TIE_TOL
+    marked = ties(values, values.max(axis=own, keepdims=True))
     return EuTable(agent=agent, axes=tuple(axes), labels=labels,
                    cells=dict(zip(keys, values.ravel().tolist())),
                    argmax=frozenset(k for k, m in zip(keys, marked.ravel()) if m))

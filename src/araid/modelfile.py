@@ -17,7 +17,10 @@ One statement per line, `#` starts a comment, UTF-8. Statement kinds:
 
 Statement order is free except that cpt/det/value-table rows must follow
 their node declaration. Parent order (the key order of every table) is the
-order arcs are declared in. The parser reports *all* diagnostics, with
+order arcs are declared in, and the forecast's draws follow it: a sampled
+table's draws are laid out in declared parent order, and a row's in
+domain order, so reordering the arcs into a sampled node moves a seeded
+forecast (though no table and no exact query). The parser reports *all* diagnostics, with
 1-based line and column; each is an error. The serializer emits a canonical
 form that parses back to an identical diagram.
 

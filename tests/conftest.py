@@ -267,7 +267,11 @@ def replayed(tape, tables):
 
 def deepest_first(run):
     """run(), with every contraction tape eliminating deepest-first."""
-    with mock.patch.object(inference, "_by_row_cost", lambda var_lists, elim, *_: elim):
+    walk = inference._Elimination.__call__
+
+    def along(self, order, greedy=False, below=None):  # no greedy walk gets below
+        return None if greedy else walk(self, order)
+    with mock.patch.object(inference._Elimination, "__call__", along):
         return run()
 
 

@@ -149,6 +149,13 @@ def test_each_command_keeps_the_failure_contract(tmp_path, command):
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.splitlines() == [f"{beliefs}:1:18: error: malformed number 'nan'",
                                             f"error: {beliefs} is not a valid belief file"]
+        # one that parses but is no distribution: the view's violation, then `error:`
+        beliefs.write_text("cpt DT | : avoid=-1,share=1,accept=1\ncpt DR | : continue=1,stop=0\n")
+        proc = run_cli(command, DRILLING, *COMMAND_ARGS[command], "--beliefs", str(beliefs))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "  - non-stochastic row: node 'DT' row (): probability outside [0, 1]",
+            "error: invalid diagram (1 violation(s))"]
 
 
 # -- tables -----------------------------------------------------------------
