@@ -29,6 +29,7 @@ from .diagram import (
 from .inference import (
     TIE_TOL,  # noqa: F401  (ara.TIE_TOL names the rule that `ties` applies)
     CompiledModel,
+    _checked,
     constant_policy,
     parent_tuples_of,
     ties,
@@ -131,8 +132,6 @@ def best_response(d_view: Diagram, agent: str,
         node = d_view.nodes.get(nid)
         if node is None:
             raise ValueError(f"unknown context node {nid!r}")
-        if nid == decision.id:
-            continue  # the decision itself stays the free axis
         if node.kind == NodeKind.DECISION:
             policy_part[nid] = label
         else:
@@ -143,8 +142,10 @@ def best_response(d_view: Diagram, agent: str,
     if uncovered:
         raise ValueError(f"context must pin decision(s) {uncovered}")
 
-    query = CompiledModel.compile(d_view).utility_query(
-        agent, constant_policy(d_view, policy_part), evidence, [decision.id])
+    policy = constant_policy(d_view, policy_part)
+    policy.pop(decision.id, None)  # its label is checked; the decision stays the free axis
+    _checked(d_view, policy, evidence, every_decision=False)
+    query = CompiledModel.compile(d_view).utility_query(agent, policy, evidence, [decision.id])
     eu = query.evaluate()
     expected = dict(zip(decision.domain.labels, map(float, eu)))
     optimal = tuple(lbl for lbl, tie in zip(decision.domain.labels, ties(eu, eu.max())) if tie)

@@ -1,10 +1,12 @@
 """Command-line front end: validate, tables, solve, evaluate.
 
-Exit codes: 0 success, 1 model/domain error, 2 I/O error. Everything
-printed to stdout is deterministic (fixed seed in, identical bytes out).
-On success the run report (wall-clock duration and, for `solve`, per-phase
-timings) goes to stderr as one JSON line. A failure prints no report, and
-its last stderr line is `error: <message>`. A model that does not parse is
+Exit codes: 0 success, 1 model/domain or usage error, 2 I/O error.
+Everything printed to stdout is deterministic (fixed seed in, identical
+bytes out). On success the run report (wall-clock duration and, for
+`solve`, per-phase timings) goes to stderr as one JSON line. A failure
+prints no report, and its last stderr line is `error: <message>`; a usage
+error (an option value argparse refuses, an unknown flag, a missing
+argument) is a failure like any other. A model that does not parse is
 reported by its diagnostics: `validate` prints them to stdout and no
 `error:` line; the other commands print them to stderr, then
 `error: <path> is not a valid model`. A belief file that does not parse
@@ -46,6 +48,15 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_MODEL):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a bad option value, an
+    unknown flag, a missing argument) raise `_CliError`, so they end like
+    every other failure; `--help` still exits 0."""
+
+    def error(self, message: str):
+        raise _CliError(message)
 
 
 def _read_file(path: str) -> bytes:
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused by
     every `main` call in the process: building it takes about half as long
     as reading the shipped model, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="araid",
         description="Influence-diagram engine with an adversarial risk analysis solver.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         raw = _read_file(args.file)
         diagram, diags = try_parse_model(raw)
         if diagram is None:

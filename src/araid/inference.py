@@ -47,14 +47,19 @@ steps on fixed tables alone then run once, each freeing its operands.
 
 A step that eliminates a variable from a batched table and a fixed input
 one-hot along it (a deterministic node's table, say) runs as `np.take` of
-the batched one at each row's 1. The walk marks such steps against fixed
-inputs only, never against a hoisted intermediate. An entry times 1 plus
-zeros is the entry, so each finite cell has the einsum's bits; the take
-is kept only where it leaves the einsum's layout, so later steps sum in
-the same order. A picked -0.0 (the sum gives +0.0) and an unpicked inf or
-NaN (0 * inf is NaN in the sum) are all that differ. On the shipped plans
-one step gathers: `AMV`'s sum over the defender's cost `DC` when the
-forecast samples `AMV`'s scale or root.
+the batched one at each row's 1. The walk plans such a step whole, against
+fixed inputs only, never against a hoisted intermediate: the operand it
+reads, that operand's axis order, the take axis and each row's 1. An
+entry times 1 plus zeros is the entry, so each finite cell has the
+einsum's bits. The take comes out C-ordered, and later steps sum in an
+order that follows their operands' layout, so `execute` takes only from
+an operand whose strides fall along that axis order, with no axis of
+extent 1: the layout in which the einsum's output is C-ordered too. That
+per-call check is the only layout guard; any other operand runs the
+einsum. A picked -0.0 (the sum gives +0.0) and an unpicked inf or NaN
+(0 * inf is NaN in the sum) are all that differ. On the shipped plans one
+step gathers: `AMV`'s sum over the defender's cost `DC` when the forecast
+samples `AMV`'s scale or root.
 """
 from __future__ import annotations
 
@@ -246,11 +251,17 @@ class ContractionTape:
     is fixed, no step is left and `result` holds the whole result,
     C-contiguous (None otherwise), so the tape need not be executed at all.
     `gathers` stands beside `steps`, one entry per step: None for an
-    einsum, or how the step runs as `np.take` (see `_gather`): a step with
-    two operands that eliminates v against a fixed input one-hot along v,
-    whose other variables the other operand does not have. `steps` keeps
-    its (spec, operand slots) pair and the one-hot table stays among
-    `constants`, so every step can still be read, or run, as an einsum.
+    einsum, or the take the walk planned whole for a step with two
+    operands that eliminates v against a fixed input one-hot along v,
+    whose other variables the other operand does not have: (the other
+    operand's slot, the axis order that puts v where the fixed input's
+    other variables sit in the output, that position, and the index of
+    each row's 1 over those variables). `execute` takes only from an
+    operand whose strides fall along that order with no axis of extent 1,
+    its one layout guard, and runs the einsum on any other. `steps` keeps
+    the step's (spec, operand slots) pair and the one-hot table stays
+    among `constants`, so every step can still be read, or run, as an
+    einsum.
     Einsum letters are reused once their variable is eliminated, so a tape
     may span any number of variables; one that needs more than 52 letters
     at once raises ValueError. So does a step whose output would hold more
@@ -264,8 +275,8 @@ class ContractionTape:
     row and every operand counts. `row_ops` is the walk's price of the
     kept steps per batch row: each einsum step's output cells times the
     extent of the variable it sums out (a last product's output cells),
-    and a step the walk marks as a take one copy of its output cells, even
-    where `_gather`'s layout probe keeps it an einsum.
+    and a step the walk plans as a take one copy of its output cells, even
+    where `execute` meets another layout and runs its einsum.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -314,10 +325,10 @@ class ContractionTape:
         n_inputs = len(var_lists)
         values = dict(fixed)
         kept = []
-        for slot, (spec, (v, operands, ins, out, varying, take)) in enumerate(
+        for slot, (spec, (_, operands, ins, out, varying, take)) in enumerate(
                 zip(specs, steps), start=n_inputs):
             if varying:
-                kept.append((slot, spec, v, operands, ins, out, take))
+                kept.append((slot, spec, operands, ins, out, take))
             else:
                 values[slot] = np.einsum(spec, *[values.pop(i) for i in operands])
         read = sorted(values)  # what a kept step or the output reads
@@ -326,10 +337,9 @@ class ContractionTape:
         self.steps: list[tuple[str, tuple[int, ...]]] = []
         self.gathers: list[tuple[int, tuple[int, ...], int, np.ndarray] | None] = []
         terms = []
-        for slot, spec, v, operands, ins, out, take in kept:
+        for slot, spec, operands, ins, out, take in kept:
             self.steps.append((spec, tuple(index[i] for i in operands)))
-            self.gathers.append(take and _gather(spec, v, ins, take, fixed[operands[take[0]]],
-                                                 index[operands[1 - take[0]]], sizes))
+            self.gathers.append(take and (index[operands[take[0]]], *take[1:]))
             index[slot] = len(index)
             terms += [*ins, out]
         self.out_slot = index.get(out_slot)
@@ -352,17 +362,16 @@ class ContractionTape:
         """Run the steps on the varying inputs followed by `constants`."""
         slots = list(tables)
         for (spec, operands), gather in zip(self.steps, self.gathers):
-            if gather is None:
-                slots.append(np.einsum(spec, *(slots[i] for i in operands)))
-            else:
+            if gather is not None:
                 operand, axes, axis, index = gather
                 other = slots[operand].transpose(axes)
                 strides = other.strides
-                # the layout the plan checked: no axis of 1, strides falling
-                if 1 in other.shape or not all(a > b > 0 for a, b in zip(strides, strides[1:])):
-                    slots.append(np.einsum(spec, *(slots[i] for i in operands)))
-                else:
+                # taken only as laid out in `axes` order (no axis of 1, strides
+                # falling), where it leaves the einsum's layout
+                if 1 not in other.shape and all(a > b > 0 for a, b in zip(strides, strides[1:])):
                     slots.append(np.take(other, index, axis=axis))
+                    continue
+            slots.append(np.einsum(spec, *(slots[i] for i in operands)))
         return self._output(slots)
 
     def _output(self, slots: Sequence[np.ndarray]) -> np.ndarray:
@@ -397,7 +406,7 @@ class _Elimination:
     first, then each step's output in step order. A step is (the variable
     it eliminates, None for a last product; its operand slots; their
     variables; its output variables; whether an operand varies; the take
-    it may run as, or None). Each factor is an operand of one step only.
+    it runs as, or None). Each factor is an operand of one step only.
 
     A step costs what one batch row adds: nothing if no operand varies
     (it is hoisted), one copy of its output if it may run as a take, and
@@ -407,9 +416,14 @@ class _Elimination:
     that is 0/1 with one 1 along v in each row, and a varying one that has
     none of the fixed input's other variables, which `out` holds together
     in the fixed input's order, and no variable of either has extent 1.
-    Its take is (the fixed operand's position, where its other variables
-    sit in `out`, and `out` with v in their place). Variable sets are bit
-    masks; BATCH has a bit of extent 1, so masks count cells per row.
+    The walk plans that take whole, as `ContractionTape.gathers` holds it
+    but with the varying operand's position in the step for its slot: the
+    varying operand's axes in `out`'s order with v where the fixed input's
+    other variables sit (a fixed input over v alone: where v sits in the
+    varying operand, BATCH last), that position, and the index of each
+    row's 1. The plan probes no layout: `execute`'s stride check is the
+    one guard. Variable sets are bit masks; BATCH has a bit of extent 1,
+    so masks count cells per row.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -423,7 +437,8 @@ class _Elimination:
         self.inputs = [(sum(self.bit[w] for w in set(vs)), vs, i not in fixed, i)
                        for i, vs in enumerate(var_lists)]
         self.known: dict[int, int] = {}  # cells by mask
-        self.one_hot: dict[tuple[int, str], bool] = {}  # by (fixed input, v)
+        # each row's 1 by (fixed input, v); None where the input is not one-hot
+        self.one_hot: dict[tuple[int, str], np.ndarray | None] = {}
 
     def cells(self, mask: int) -> int:
         if mask not in self.known:
@@ -478,7 +493,7 @@ class _Elimination:
 
     def _take(self, v: str, group: list[tuple], mask: int) -> tuple | None:
         """The take a step that eliminates v from two operands, one of
-        which varies, may run as (see the class), or None."""
+        which varies, runs as (see the class), or None."""
         k = 0 if group[0][3] in self.fixed else 1
         fmask, vs, _, i = group[k]
         if i not in self.fixed or fmask & group[1 - k][0] & ~self.bit[v] or mask & self.unit:
@@ -487,47 +502,22 @@ class _Elimination:
             # every row sums to 1, so has a nonzero entry, and there are only
             # as many nonzero entries as rows, so each row's is its only one
             table, axis = self.fixed[i], vs.index(v)
-            self.one_hot[i, v] = (np.count_nonzero(table) * table.shape[axis] == table.size
-                                  and bool((table.sum(axis=axis) == 1.0).all()))
-        if not self.one_hot[i, v]:
+            self.one_hot[i, v] = table.argmax(axis=axis) if (
+                np.count_nonzero(table) * table.shape[axis] == table.size
+                and (table.sum(axis=axis) == 1.0).all()) else None
+        index = self.one_hot[i, v]
+        if index is None:
             return None
+        other = group[1 - k][1]
         out = _step_vars((group[0][1], group[1][1]), v)
         rest = tuple(w for w in vs if w != v)
-        start = out.index(rest[0]) if rest else 0
+        # a one-hot vector over v alone is taken along v where v sits in the
+        # other operand, BATCH last: a batch-innermost operand's own layout
+        start = out.index(rest[0]) if rest else [w for w in other if w != BATCH].index(v)
         if out[start:start + len(rest)] != rest:
             return None
-        return k, start, out[:start] + (v,) + out[start + len(rest):]
-
-
-def _gather(spec: str, v: str, ins: tuple[tuple[str, ...], ...], take: tuple,
-            table: np.ndarray, other: int, sizes: Mapping[str, int]
-            ) -> tuple[int, tuple[int, ...], int, np.ndarray] | None:
-    """How a step that the walk marked with `take` (k, start, order) runs
-    as `np.take`, or None where it must stay an einsum: operand k is the
-    fixed input `table`, one-hot along v, and `other` the varying operand's
-    slot. Each output cell is the other operand's entry at the row's 1.
-    Returns (`other`, the axis order that puts v where the fixed table's
-    other variables sit in the output, that position, and the index of
-    each row's 1 over those variables): the take comes out in output
-    order, C-ordered, so a last batch axis is at stride 1.
-
-    An einsum lays its output out after its operands, and a later einsum
-    sums in an order that follows its operands' layout, so the take must
-    leave the layout the einsum would. The plan runs the einsum once on an
-    other operand whose memory follows that axis order (2 batch rows) and
-    keeps the gather only if the einsum's output comes out C-ordered too;
-    `execute` takes only an operand whose strides fall along that order
-    with no axis of 1, the same layout up to its extents."""
-    k, start, order = take
-    axes = tuple(ins[1 - k].index(w) for w in order)
-    # `other`'s axes, memory in `order` (an argsort here paged in enough
-    # of numpy's sort code to raise the forecast's peak RSS by 0.3 MB)
-    probe = np.zeros([2 if w == BATCH else sizes[w] for w in order]).transpose(
-        [axes.index(i) for i in range(len(axes))])
-    taken = np.einsum(spec, *((table, probe) if k == 0 else (probe, table)))
-    if taken.strides != np.empty(taken.shape).strides:
-        return None
-    return other, axes, start, table.argmax(axis=ins[k].index(v))
+        order = out[:start] + (v,) + out[start + len(rest):]
+        return 1 - k, tuple(other.index(w) for w in order), start, index
 
 
 # ---------------------------------------------------------------------------

@@ -1294,6 +1294,15 @@ def constant_fc(d, **changes):
      r"expected exactly one free decision for 'defender', found \['DF', 'DP', 'DT', 'DR'\]"),
     (lambda d: best_response(shipped_view(d), "attacker", {"DP": "additional"}),
      r"context must pin decision\(s\) \['DF'\]"),
+    (lambda d: best_response(shipped_view(d), "attacker",
+                             {"DP": "additional", "DF": "forensic", "AMV": "junk"}),
+     "evidence keys must be chance/deterministic nodes, got 'AMV'"),
+    (lambda d: best_response(shipped_view(d), "attacker",
+                             {"DP": "additional", "DF": "forensic", "UC": "bogus"}),
+     "evidence label 'bogus' not in domain of 'UC'"),
+    (lambda d: best_response(shipped_view(d), "attacker",
+                             {"DP": "additional", "DF": "forensic", "AP": "junk"}),
+     "'junk' is not an alternative of 'AP'"),
     (forecast_with(("belief", "URH")),
      "belief targets must be parentless chance nodes in the attacker view"),
     (forecast_with(("cpt_row", "URH", ("casualties", "nope"))), "no such CPT row"),
@@ -1316,7 +1325,8 @@ def constant_fc(d, **changes):
     (lambda d: apply_forecast(d, constant_fc(d, alternatives=("no_perpetrate", "perpetrate"))),
      "forecast alternatives do not match the decision's domain"),
 ], ids=["one_attacker", "belief_not_decision", "belief_own_decision", "belief_alternatives",
-        "one_free_decision", "pin_decisions", "belief_parentless", "cpt_row", "weights_utility",
+        "one_free_decision", "pin_decisions", "context_value_node", "context_label",
+        "context_own_label", "belief_parentless", "cpt_row", "weights_utility",
         "attacker_weights", "scalar_analytic", "scalar_rule", "target_kind", "draws_positive",
         "one_attacker_decision", "draws_int64", "forecast_contexts", "forecast_alternatives"])
 def test_each_setup_view_target_and_forecast_refusal_names_its_cause(drilling, call, message):

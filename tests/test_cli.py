@@ -142,6 +142,14 @@ def test_each_command_keeps_the_failure_contract(tmp_path, command):
     assert proc.stderr.startswith("error: cannot read ")
     assert_no_run_report(proc.stderr)
 
+    # a usage error is a failure like any other: exit 1 and one `error:` line;
+    # asking for help is none
+    proc = run_cli(command, DRILLING, *COMMAND_ARGS[command], "--bogus")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: unrecognized arguments: --bogus"]
+    proc = run_cli(command, "--help")
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout.startswith("usage: ")
+
     if command == "solve":  # a belief file that does not parse reads as a model's does
         beliefs = tmp_path / "beliefs"
         beliefs.write_text("cpt DT | : avoid=nan,share=0.5,accept=0.5\n")
@@ -504,7 +512,8 @@ SESSION = [
     ["evaluate", DRILLING, "--agent", "defender", *POLICY],
     ["tables", DRILLING, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA", "--out", "json"],
     ["solve", DRILLING, "--draws", "300", "--seed", "3", "--out", "csv"],
-    ["tables", DRILLING, "--agent", "defender"],                  # no --axes: argparse exits 2
+    ["tables", DRILLING, "--agent", "defender"],                  # no --axes: a usage error, exit 1
+    ["validate", "missing.maid"],                                 # exit 2
 ]
 
 
@@ -533,7 +542,7 @@ def test_repeated_calls_in_one_process_repeat_their_output():
     for argv in SESSION:   # each on a parser built for it alone
         cli.build_parser.cache_clear()
         fresh.append(main_in_process(argv))
-    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0, 0, 2]
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0, 0, 1, 2]
     assert fresh[3][1] != fresh[4][1]   # the evidence mattered
     for _ in range(2):   # then twice through, on one parser
         assert [main_in_process(argv) for argv in SESSION] == fresh

@@ -3,9 +3,9 @@
 Every `cli.main` call on a mutated model file, a mutated belief file or
 fuzzed option values must return 0, 1 or 2 with no exception escaping,
 and every failure but `validate`'s diagnostics must end stderr with an
-`error: <message>` line. The argv is always one that argparse accepts, so
-argparse's own usage errors are out of scope. Each call runs under a
-time alarm. The reader alone is fuzzed in `test_format.py`.
+`error: <message>` line. The fuzzed argv include usage errors: values
+that argparse refuses, unknown flags and dropped arguments. Each call
+runs under a time alarm. The reader alone is fuzzed in `test_format.py`.
 """
 import contextlib
 import io
@@ -110,8 +110,7 @@ def test_a_mutated_belief_file_keeps_the_failure_contract(tmp_path_factory, text
                     "--seed", str(seed)])
 
 
-words = st.sampled_from(NODES + LABELS + TOKENS + ["", "defender", "attacker"]).filter(
-    lambda w: not w.startswith("-"))
+words = st.sampled_from(NODES + LABELS + TOKENS + ["", "defender", "attacker", "--bogus"])
 # node=label pairs, mostly of a label in the node's domain
 pairs = st.lists(st.one_of(
     st.sampled_from(NODES).flatmap(lambda n: st.sampled_from(DOMAINS[n]).map(f"{n}={{}}".format)),
@@ -124,19 +123,30 @@ ARGV = st.one_of(
     st.builds(lambda agent, axes, fix, out: ["tables", DRILLING, "--agent", agent, "--axes",
                                              ",".join(axes), "--fix", *fix, "--out", out],
               agents, st.lists(st.one_of(st.sampled_from(NODES), words), max_size=7), pairs,
-              st.sampled_from(["csv", "json"])),
+              st.sampled_from(["csv", "json", "text"])),
     st.builds(lambda agent, policy, evidence: ["evaluate", DRILLING, "--agent", agent,
                                                "--policy", *policy, "--evidence", *evidence],
               agents, pairs, pairs),
     st.builds(lambda draws, seed, out: ["solve", DRILLING, "--draws", str(draws),
                                         "--seed", str(seed), "--out", out],
-              st.one_of(st.integers(-2, 200), st.sampled_from([cli.MAX_DRAWS + 1, 2**63])),
-              st.one_of(st.integers(-5, 2**40), st.sampled_from([-(2**70), 2**70])),
-              st.sampled_from(["text", "csv", "json"])),
+              st.one_of(st.integers(-2, 200), st.sampled_from([cli.MAX_DRAWS + 1, 2**63,
+                                                                "abc", "1.5", ""])),
+              st.one_of(st.integers(-5, 2**40), st.sampled_from([-(2**70), 2**70, "0x1"])),
+              st.sampled_from(["text", "csv", "json", "xml"])),
 )
 
 
+@st.composite
+def slipped(draw, argv: list[str]) -> list[str]:
+    """`argv` as given, or with one argument dropped or one flag put in."""
+    i = draw(st.integers(0, len(argv)))
+    how = draw(st.sampled_from(["keep"] * 5 + ["drop", "--bogus", "--draws", "-x"]))
+    if how == "keep" or (how == "drop" and i == len(argv)):
+        return argv
+    return argv[:i] + argv[i + 1:] if how == "drop" else argv[:i] + [how] + argv[i:]
+
+
 @FUZZ
-@given(argv=ARGV)
+@given(argv=ARGV.flatmap(slipped))
 def test_fuzzed_option_values_keep_the_failure_contract(argv):
     check_contract(argv)

@@ -572,7 +572,7 @@ def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
     for m, child, weights, plan, tables in sampled_child_queries(np.random.default_rng(1818), 150):
         query = plan()
         for rows in (1, 6):
-            for layout in tables(rows):
+            for batch_inner, layout in zip((True, False), tables(rows)):
                 tapes = [(query.norm_tape, query.norm_inputs),
                          *((query.value_tapes[v], query.value_inputs[v]) for v in weights)]
                 for tape, inputs in tapes:
@@ -583,6 +583,8 @@ def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
                     with spy:
                         got = tape.execute(tables_in)
                     assert same_bits(got, replayed(tape, tables_in))
+                    if batch_inner and rows > 1:  # the forecast's layout: every planned take runs
+                        assert len(takes) == sum(g is not None for g in tape.gathers)
                     seen["gathers"] += len(takes)
                     seen["einsums"] += sum(g is None for g in tape.gathers)
     assert seen["gathers"] > 25 and seen["einsums"] > 100, seen
@@ -638,6 +640,25 @@ def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unp
         with np.errstate(invalid="ignore"):
             assert same_bits(tape.execute([other] + tape.constants),
                              replayed(tape, [other] + tape.constants))
+
+
+@pytest.mark.parametrize("var_lists, fixed, takes", [
+    ([(BATCH, "c", "b"), ("a", "b")], 1, 1),  # the take puts b where a sits: c, b, batch
+    ([("a", "b"), (BATCH, "c", "b")], 0, 0),  # b, c, batch is not the operand's layout
+])
+def test_a_gathered_step_reads_the_varying_operand_in_either_place(var_lists, fixed, takes):
+    # the fixed operand may come first or second in the step; the take reads
+    # the other, and runs where that operand is laid out in the take's order
+    tape = ContractionTape(var_lists, [BATCH, "c", "a"], {}, {"a": 3, "b": 4, "c": 2},
+                           fixed={fixed: np.eye(4)[[2, 0, 3]]})
+    assert tape.gathers[0] is not None and tape.gathers[0][0] == 0
+    x = np.moveaxis(np.random.default_rng(4).random((2, 4, 5)), -1, 0)  # [batch, c, b]
+    tables = [x] + tape.constants
+    calls, spy = spy_on(np, "take")
+    with spy:
+        got = tape.execute(tables)
+    assert len(calls) == takes and same_bits(got, replayed(tape, tables))
+    assert same_bits(got, x[:, :, [2, 0, 3]])
 
 
 @pytest.mark.parametrize("fixed, var_lists, reason", [

@@ -5,20 +5,27 @@ so scaling one agent's value tables by a power of two, which is exact in
 binary floating point, must leave every decision, tie and forecast as it
 was. A model's statements may come in any order, but the draws follow the
 declared parent order, so moving a sampled node's parents moves the
-forecast and nothing else.
+forecast and nothing else; a shuffle that keeps every parent order, or a
+chance node that nothing reads, changes no output at all.
 """
 import contextlib
 import io
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from araid import cli
 from araid.ara import ParameterUncertainty, best_response, forecast_attack, solve_defender
-from araid.inference import decision_table
+from araid.diagram import NodeKind
+from araid.drilling import default_beliefs
+from araid.inference import decision_table, expected_utility
 from araid.modelfile import try_parse_model
 from araid.resources import data_path
+
+from conftest import random_diagram, random_policy
 
 SCALES = (0, 10, 20, 30, 40)
 
@@ -128,3 +135,83 @@ def test_the_draws_follow_the_declared_parent_order(tmp_path):
         [list(c["probabilities"].values()) for c in moved["contexts"]],
         [list(c["probabilities"].values()) for c in forecast["contexts"]], atol=0.05)
     assert same_policy == policy and same_tables == tables
+
+
+def test_scaling_a_random_diagrams_values_by_a_power_of_two_scales_every_answer():
+    # every score of the player's value tables times 2**k: each expected
+    # utility is the unscaled one times 2**k, bit for bit, and every
+    # decision table marks the same cells
+    rng = np.random.default_rng(2323)
+    for _ in range(40):
+        d = random_diagram(rng)
+        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        policy = random_policy(rng, d)
+        eu, table = expected_utility(d, "player", policy), decision_table(d, "player", decisions)
+        for k in SCALES:
+            scaled = d.replace_nodes(
+                replace(n, payload=replace(n.payload, rows={key: x * 2.0**k for key, x
+                                                            in n.payload.rows.items()}))
+                for n in d.nodes.values() if n.kind == NodeKind.VALUE)
+            assert expected_utility(scaled, "player", policy) == eu * 2.0**k
+            assert decision_table(scaled, "player", decisions).argmax == table.argmax
+
+
+POLICY = ["--policy", "DP=no_additional", "DF=no_forensic", "DT=accept", "DR=continue",
+          "AP=perpetrate"]
+BELIEFS = "".join(f"cpt {nid} | : " + ",".join(f"{label}={p!r}" for label, p in row.items())
+                  + "\n" for nid, row in default_beliefs().items())
+
+
+def outputs(path: str, *solve_args: str) -> list[str]:
+    """Stdout of validate, both tables, evaluate with evidence, and solve in
+    text and csv."""
+    return [run(argv) for argv in (
+        ["validate", path],
+        ["tables", path, "--agent", "defender", "--axes", "DP,DF,DT,DR,UC,UA"],
+        ["tables", path, "--agent", "attacker", "--axes", "AP,UC,DP,DF",
+         "--fix", "DT=accept", "DR=continue"],
+        ["evaluate", path, "--agent", "defender", *POLICY, "--evidence", "UC=normal"],
+        ["solve", path, "--seed", "1", *solve_args],
+        ["solve", path, "--seed", "1", "--out", "csv", *solve_args])]
+
+
+def test_a_shuffle_that_keeps_every_parent_order_changes_no_output(tmp_path):
+    # agents first and nodes second, every group shuffled; the arcs into
+    # each node keep their relative order, so every parent order holds
+    lines = data_path("drilling.maid").read_text().splitlines()
+    want = outputs(str(data_path("drilling.maid")))
+    rng = np.random.default_rng(23)
+    for i in range(3):
+        groups = [[line for line in lines if line.split()[0] == "agent"],
+                  [line for line in lines if line.split()[0] == "node"],
+                  [line for line in lines if line.split()[0] not in ("agent", "node")]]
+        groups = [[group[j] for j in rng.permutation(len(group))] for group in groups]
+        # put each node's arcs back in their declared order, in the places
+        # the shuffle gave that node's arcs
+        rest, into = groups[2], {}
+        for line in lines:
+            if line.startswith("arc "):
+                into.setdefault(line.split()[-1], []).append(line)
+        rest[:] = [into[line.split()[-1]].pop(0) if line.startswith("arc ") else line
+                   for line in rest]
+        assert sum(groups, []) != lines
+        path = tmp_path / f"shuffled{i}.maid"
+        path.write_text("\n".join(sum(groups, [])) + "\n")
+        assert outputs(str(path)) == want
+
+
+def test_a_chance_node_that_nothing_reads_changes_no_output(tmp_path):
+    # its row sums to 1 - 2**-53 in floats, in any order, so a contraction
+    # that read it would move the bits; the node roster differs from the
+    # shipped one, so both models solve on the same belief file
+    beliefs = tmp_path / "beliefs"
+    beliefs.write_text(BELIEFS)
+    shipped = data_path("drilling.maid").read_text()
+    agents = shipped.index("node ")
+    extra = tmp_path / "extra.maid"
+    extra.write_text(shipped[:agents] + "node ZX kind=chance domain=a,b,c\n"
+                     "cpt ZX | : a=0.086,b=0.344,c=0.57\n" + shipped[agents:])
+    assert {sum(row) for row in itertools.permutations((0.086, 0.344, 0.57))} == {1 - 2**-53}
+    assert "ZX" in parsed(extra.read_text()).nodes
+    assert outputs(str(extra), "--beliefs", str(beliefs)) == outputs(
+        str(data_path("drilling.maid")), "--beliefs", str(beliefs))

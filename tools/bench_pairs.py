@@ -25,7 +25,9 @@ more than BENCHMARK.json's bound, as a fraction of the parent's median
 (`worse_beyond_bound`), and whether a gain is shown (`gain_shown`): the
 change better in at least 9 of every 10 pairs, and its median better by
 more than the parent's q3 - q1. It also holds
-each side's line count of the Python source under src/araid.
+each side's line count of the Python source under src/araid, and its
+code lines as `tools/count_lines.py` counts them (no blank, comment-only
+or docstring lines), the column a claim of less code rests on.
 """
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from count_lines import count  # tools/count_lines.py, beside this script
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -61,10 +65,11 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def source_lines(tree: Path) -> int:
-    """Lines of the Python source under src/araid, as `wc -l` counts them."""
-    return sum(path.read_text(encoding="utf-8").count("\n")
-               for path in (tree / "src" / "araid").rglob("*.py"))
+def source_lines(tree: Path) -> tuple[int, int]:
+    """Lines of the Python source under src/araid, as `wc -l` counts them,
+    and its code lines, as `tools/count_lines.py` counts them."""
+    texts = [path.read_text(encoding="utf-8") for path in (tree / "src" / "araid").rglob("*.py")]
+    return sum(text.count("\n") for text in texts), sum(count(text)[1] for text in texts)
 
 
 def run_once(tree: Path, seed: int, seconds: float) -> dict[str, dict]:
@@ -158,11 +163,13 @@ def main(argv=None) -> int:
         "statistic": f"per metric: median and quartiles (inclusive method) over the "
                      f"{len(seeds)} runs of each side, the runs in seed order, and the pairs "
                      f"in which the change is better",
-        "src_araid_lines": lines,
+        "src_araid_lines": {side: lines[side][0] for side in SIDES},
+        "src_araid_code_lines": {side: lines[side][1] for side in SIDES},
         "results": record(runs, spec),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"src/araid lines: parent {lines['parent']} -> change {lines['change']}")
+    print(f"src/araid lines: parent {lines['parent'][0]} -> change {lines['change'][0]}; "
+          f"code lines: parent {lines['parent'][1]} -> change {lines['change'][1]}")
     for workload, metrics in doc["results"].items():
         for name in (m["name"] for m in spec["end_to_end"]):
             m = metrics[name]
