@@ -10,7 +10,9 @@ Diagrams are immutable after construction. `build_diagram` refuses to hand
 out anything that fails validation; `validate_diagram` reports every
 violation it can find instead of stopping at the first, and each one once:
 an information arc that breaks temporal order gives one `temporal-order`
-violation, and a repeated agent id one `duplicate-id`.
+violation, and a repeated agent id one `duplicate-id`. `Diagram.replace_nodes`
+runs the same list of checks past the agents' own, on the nodes a swap can
+break.
 """
 from __future__ import annotations
 
@@ -207,7 +209,8 @@ class Diagram:
         decision order. This diagram must be valid (as `build_diagram`
         makes it): a node's own checks read only it, its parents and the
         agents, so only the swapped nodes and their children are checked
-        again, with the graph and the decision orders in full. Raises the
+        again, with the graph and the decision orders in full: the list of
+        checks `validate_diagram` runs after the agents'. Raises the
         DiagramError that `build_diagram` raises on the merged nodes.
         """
         swapped = {n.id: n for n in new_nodes}
@@ -216,11 +219,8 @@ class Diagram:
                  for a, seq in self.decision_order.items()}
         d = Diagram(agents=tuple(sorted(self.agents, key=lambda a: a.id)), nodes=merged,
                     decision_order={a: seq for a, seq in order.items() if seq})
-        player_ids, nature_ids = _agent_ids(d)
-        violations = [x for n in merged.values()
-                      if n.id in swapped or not swapped.keys().isdisjoint(n.parents)
-                      for x in _check_node_shape(d, n, player_ids, nature_ids)]
-        violations += _check_graph(d) + _check_decision_orders(d)
+        violations = _checks(d, [n for n in merged.values() if n.id in swapped
+                                 or not swapped.keys().isdisjoint(n.parents)])
         if violations:
             raise DiagramError(violations)
         return d
@@ -268,22 +268,18 @@ def validate_diagram(d: Diagram) -> list[Violation]:
     agent_ids = [a.id for a in d.agents]
     for a_id in dict.fromkeys(a for a in agent_ids if agent_ids.count(a) > 1):
         v.append(Violation("duplicate-id", f"duplicate agent id {a_id!r}"))
-    player_ids, nature_ids = _agent_ids(d)
     if sum(a.kind == AgentKind.NATURE for a in d.agents) > 1:
         v.append(Violation("multiple-nature", "more than one nature agent declared"))
-
-    for n in d.nodes.values():
-        v.extend(_check_node_shape(d, n, player_ids, nature_ids))
-
-    v.extend(_check_graph(d))
-    v.extend(_check_decision_orders(d))
-    return v
+    return v + _checks(d, d.nodes.values())
 
 
-def _agent_ids(d: Diagram) -> tuple[set[str], set[str]]:
-    """The ids of the player (defender and attacker) agents and of the nature ones."""
-    nature = {a.id for a in d.agents if a.kind == AgentKind.NATURE}
-    return {a.id for a in d.agents if a.kind != AgentKind.NATURE}, nature
+def _checks(d: Diagram, nodes: Iterable[Node]) -> list[Violation]:
+    """The shape violations of `nodes`, then those of the graph and of the
+    decision orders: every check of a diagram past its agents'."""
+    nature_ids = {a.id for a in d.agents if a.kind == AgentKind.NATURE}
+    player_ids = {a.id for a in d.agents if a.kind != AgentKind.NATURE}
+    v = [x for n in nodes for x in _check_node_shape(d, n, player_ids, nature_ids)]
+    return v + _check_graph(d) + _check_decision_orders(d)
 
 
 def _check_node_shape(d: Diagram, n: Node, player_ids: set[str],
@@ -323,28 +319,12 @@ def _check_node_shape(d: Diagram, n: Node, player_ids: set[str],
     if any(pid not in d.nodes for pid in n.parents):
         return v  # table checks need resolvable parents
 
-    if n.kind == NodeKind.CHANCE:
-        if not isinstance(n.payload, Cpt):
-            v.append(Violation("missing-table", f"chance node {n.id!r} needs a CPT", node=n.id))
-        elif n.domain is not None:
-            v.extend(_check_cpt(d, n))
-    elif n.kind == NodeKind.DETERMINISTIC:
-        if not isinstance(n.payload, DetTable):
-            v.append(Violation("missing-table",
-                               f"deterministic node {n.id!r} needs a table", node=n.id))
-        elif n.domain is not None:
-            v.extend(_check_det(d, n))
-    elif n.kind == NodeKind.VALUE:
-        if not isinstance(n.payload, ValueSpec):
-            v.append(Violation("missing-spec", f"value node {n.id!r} needs a value spec", node=n.id))
-        else:
-            v.extend(_check_value(d, n))
-    elif n.kind == NodeKind.UTILITY:
-        if not isinstance(n.payload, UtilitySpec):
-            v.append(Violation("missing-spec",
-                               f"utility node {n.id!r} needs a utility spec", node=n.id))
-        else:
-            v.extend(_check_utility(d, n))
+    if n.kind in _PAYLOADS:
+        payload, code, noun, check = _PAYLOADS[n.kind]
+        if not isinstance(n.payload, payload):
+            v.append(Violation(code, f"{n.kind.value} node {n.id!r} needs {noun}", node=n.id))
+        elif n.domain is not None or not needs_domain:  # a missing domain is reported
+            v.extend(check(d, n))
     elif n.kind == NodeKind.DECISION and n.payload is not None:
         v.append(Violation("unexpected-payload",
                            f"decision node {n.id!r} must not carry a table", node=n.id))
@@ -521,6 +501,16 @@ def _check_utility(d: Diagram, n: Node) -> list[Violation]:
         v.append(Violation("weight-sum",
                            f"utility node {n.id!r}: weights sum to {total:.10g}", node=n.id))
     return v
+
+
+# each payload-carrying node kind: its payload's type, the code and noun of
+# the violation when it has none, and the payload's own check
+_PAYLOADS = {
+    NodeKind.CHANCE: (Cpt, "missing-table", "a CPT", _check_cpt),
+    NodeKind.DETERMINISTIC: (DetTable, "missing-table", "a table", _check_det),
+    NodeKind.VALUE: (ValueSpec, "missing-spec", "a value spec", _check_value),
+    NodeKind.UTILITY: (UtilitySpec, "missing-spec", "a utility spec", _check_utility),
+}
 
 
 def ancestors(d: Diagram, targets: Iterable[str], stop: Collection[str] = ()) -> set[str]:

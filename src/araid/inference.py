@@ -412,10 +412,11 @@ class _Elimination:
     (it is hoisted), one copy of its output if it may run as a take, and
     otherwise its output cells times the extent of the variable it
     eliminates; a last product costs its output cells. A step that
-    eliminates v may run as a take when it has two operands: a fixed input
-    that is 0/1 with one 1 along v in each row, and a varying one that has
-    none of the fixed input's other variables, which `out` holds together
-    in the fixed input's order, and no variable of either has extent 1.
+    eliminates v may run as a take when it has two operands: a fixed input,
+    over distinct variables and not BATCH, that is 0/1 with one 1 along v
+    in each row, and a varying one that has none of the fixed input's other
+    variables, so that `out` holds them together in the fixed input's
+    order, and no variable of either has extent 1.
     The walk plans that take whole, as `ContractionTape.gathers` holds it
     but with the varying operand's position in the step for its slot: the
     varying operand's axes in `out`'s order with v where the fixed input's
@@ -436,14 +437,11 @@ class _Elimination:
         # a factor: (variable mask, vars, varying, slot)
         self.inputs = [(sum(self.bit[w] for w in set(vs)), vs, i not in fixed, i)
                        for i, vs in enumerate(var_lists)]
-        self.known: dict[int, int] = {}  # cells by mask
         # each row's 1 by (fixed input, v); None where the input is not one-hot
         self.one_hot: dict[tuple[int, str], np.ndarray | None] = {}
 
     def cells(self, mask: int) -> int:
-        if mask not in self.known:
-            self.known[mask] = math.prod(e for b, e in self.extent.items() if mask & b)
-        return self.known[mask]
+        return math.prod(e for b, e in self.extent.items() if mask & b)
 
     def __call__(self, order: Sequence[str], greedy: bool = False, below: float = math.inf
                  ) -> tuple[int, list[tuple], tuple[int | None, tuple[str, ...]]] | None:
@@ -496,7 +494,8 @@ class _Elimination:
         which varies, runs as (see the class), or None."""
         k = 0 if group[0][3] in self.fixed else 1
         fmask, vs, _, i = group[k]
-        if i not in self.fixed or fmask & group[1 - k][0] & ~self.bit[v] or mask & self.unit:
+        if (i not in self.fixed or BATCH in vs or len(set(vs)) < len(vs)
+                or fmask & group[1 - k][0] & ~self.bit[v] or mask & self.unit):
             return None
         if (i, v) not in self.one_hot:
             # every row sums to 1, so has a nonzero entry, and there are only
@@ -514,8 +513,6 @@ class _Elimination:
         # a one-hot vector over v alone is taken along v where v sits in the
         # other operand, BATCH last: a batch-innermost operand's own layout
         start = out.index(rest[0]) if rest else [w for w in other if w != BATCH].index(v)
-        if out[start:start + len(rest)] != rest:
-            return None
         order = out[:start] + (v,) + out[start + len(rest):]
         return 1 - k, tuple(other.index(w) for w in order), start, index
 

@@ -427,6 +427,19 @@ def test_solve_without_beliefs_needs_known_model(tmp_path):
     assert "no --beliefs" in proc.stderr
 
 
+def test_solve_without_beliefs_on_a_valid_model_that_is_not_drilling_exits_1(tmp_path, capsys):
+    from araid import cli
+    model = tmp_path / "attacker_only.maid"
+    model.write_text(attacker_only_model())
+    assert cli.main(["validate", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", str(model), "--draws", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: no --beliefs file given and the model has no built-in defaults")
+
+
 @pytest.mark.parametrize("rows, diagnostic", [
     ("cpt DR | : continue=0.7,continue=0.5,stop=0.5\n",
      "2:25: error: outcome repeats label 'continue'"),

@@ -8,11 +8,13 @@ from araid.diagram import (
     Agent,
     AgentKind,
     Cpt,
+    DetTable,
     Diagram,
     DiagramError,
     Domain,
     Node,
     NodeKind,
+    ValueSpec,
     ancestors,
     build_diagram,
     topological_order,
@@ -234,6 +236,60 @@ def test_an_analytic_value_is_scored_at_every_tag(drilling, params, score):
         ("non-finite-score", ("10000",),
          f"value node 'AMV' scores parent label '10000' (tag 10000.0) as {score}, "
          f"not a finite real number")]
+
+
+DEF = Agent("def", AgentKind.DEFENDER)
+TAGGED = Node("p", NodeKind.CHANCE, domain=Domain(("a", "b"), numeric_tags=(1.0, 2.0)),
+              payload=Cpt({(): (0.5, 0.5)}))
+
+
+def value(payload, parents=()):
+    return Node("v", NodeKind.VALUE, owner="def", parents=tuple(parents), payload=payload)
+
+
+@pytest.mark.parametrize("agents, nodes, order, code, message", [
+    ([Agent("n1", AgentKind.NATURE), Agent("n2", AgentKind.NATURE)], [], {},
+     "multiple-nature", "more than one nature agent declared"),
+    ([], [chance("p", ["a"], {(): (1.0,)}), chance("x", ["a"], {("a", "a"): (1.0,)}, ["p", "p"])],
+     {}, "duplicate-parent", "node 'x' lists a parent twice"),
+    ([], [Node("x", NodeKind.CHANCE, domain=Domain(("a",)))], {},
+     "missing-table", "chance node 'x' needs a CPT"),
+    ([], [Node("x", NodeKind.DETERMINISTIC, domain=Domain(("a",)), payload=Cpt({(): (1.0,)}))],
+     {}, "missing-table", "deterministic node 'x' needs a table"),
+    ([DEF], [Node("u", NodeKind.UTILITY, owner="def")], {},
+     "missing-spec", "utility node 'u' needs a utility spec"),
+    ([DEF], [value(ValueSpec("table"))], {},
+     "missing-spec", "value node 'v': table form without rows"),
+    ([DEF], [Node("d", NodeKind.DECISION, owner="def", domain=Domain(("a",)),
+                  payload=DetTable({(): "a"}))], {"def": ["d"]},
+     "unexpected-payload", "decision node 'd' must not carry a table"),
+    ([DEF], [Node("d", NodeKind.DECISION, owner="def", domain=Domain(()))], {"def": ["d"]},
+     "empty-domain", "node 'd' has an empty domain"),
+    ([], [Node("x", NodeKind.CHANCE, domain=Domain(("a", "b"), numeric_tags=(1.0,)),
+               payload=Cpt({(): (0.5, 0.5)}))], {},
+     "tag-arity", "node 'x': numeric tags must cover every label or none"),
+    ([], [chance("x", ["a", "b"], {(): (1.0,)})], {},
+     "row-arity", "node 'x' row (): 1 entries for 2 labels"),
+    ([DEF], [value(ValueSpec("cubic"))], {}, "bad-form", "value node 'v': unknown form 'cubic'"),
+    ([DEF], [value(ValueSpec("table", rows={(): float("inf")}))], {},
+     "non-finite-score", "value node 'v' row () is not finite"),
+    ([DEF], [TAGGED, value(ValueSpec("linear", scale=1.0), ["p"])], {},
+     "bad-parameter", "value node 'v': linear form needs an offset"),
+], ids=["multiple-nature", "duplicate-parent", "chance-without-cpt", "det-without-table",
+        "utility-without-spec", "table-without-rows", "decision-with-payload", "empty-domain",
+        "tag-arity", "row-arity", "bad-form", "infinite-table-score", "linear-without-offset"])
+def test_each_node_check_reports_its_code_and_message(agents, nodes, order, code, message):
+    with pytest.raises(DiagramError) as err:
+        build_diagram(agents, nodes, order)
+    assert [(v.code, str(v)) for v in err.value.violations] == [(code, message)]
+
+
+def test_topological_order_refuses_a_cycle():
+    # only build_diagram refuses a cycle; a Diagram made directly can hold one
+    d = Diagram(agents=(), nodes={"x": chance("x", ["a"], {("a",): (1.0,)}, ["y"]),
+                                  "y": chance("y", ["a"], {("a",): (1.0,)}, ["x"])})
+    with pytest.raises(ValueError, match=r"^diagram has a cycle; validate before ordering$"):
+        topological_order(d)
 
 
 def test_topological_order_chain_and_diamond():

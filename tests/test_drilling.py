@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,26 @@ def test_additive_cost_composition():
                          "loss_0") == 530_000
     assert defender_cost("no_additional", "no_forensic", "share", "stop",
                          "loss_0_1m") == 800_000
+
+
+@pytest.mark.parametrize("arg", range(5))
+def test_a_cost_label_outside_its_domain_is_refused(arg):
+    labels = ["no_additional", "no_forensic", "accept", "continue", "loss_0"]
+    labels[arg] = "bogus"
+    domain = (model.DP, model.DF, model.DT, model.DR, model.UM)[arg]
+    with pytest.raises(ValueError) as err:
+        defender_cost(*labels)
+    assert str(err.value) == f"'bogus' not in {domain}"
+
+
+@pytest.mark.parametrize("node", ["DT", "DR", "AP"])
+def test_a_relabelled_decision_is_not_the_drilling_model(drilling, node):
+    # the same 19 node ids, one decision's first label renamed
+    n = drilling.nodes[node]
+    labels = ("renamed",) + n.domain.labels[1:]
+    nodes = {**drilling.nodes, node: replace(n, domain=replace(n.domain, labels=labels))}
+    assert set(nodes) == ROSTER
+    assert not is_drilling_model(replace(drilling, nodes=nodes))
 
 
 def test_cost_components_match_shipped_transcription():

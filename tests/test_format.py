@@ -282,3 +282,27 @@ def test_one_leading_byte_order_mark_is_no_text():
     # a second mark is text
     _, diags = try_parse_model(2 * mark + text)
     assert (diags[0].line, diags[0].message) == (1, f"unknown keyword {mark + 'agent'!r}")
+
+
+SCORED_MODEL = ("agent def kind=defender\n"
+                "node C kind=chance domain=lo,hi money=0,10\n"
+                "cpt C | : lo=0.5,hi=0.5\n"
+                "node V kind=value agent=def\n"
+                "arc C -> V\n"
+                "value V form=linear scale=10 offset=1\n"
+                "node U kind=utility agent=def\n"
+                "arc V -> U\n"
+                "utility U weights V=1\n")
+
+
+@pytest.mark.parametrize("extra, line, column, message", [
+    ("value V form=table | C=lo : 0.5", 10, 1, "conflicting value forms for 'V'"),
+    ("utility U weights V=1", 10, 9, "duplicate utility statement for 'U'"),
+    # named at the node's declaration
+    ("utility C weights V=1", 2, 1, "weights given for non-utility node 'C'"),
+], ids=["conflicting-value-forms", "duplicate-utility", "weights-on-non-utility"])
+def test_a_misplaced_value_or_utility_statement_is_named(extra, line, column, message):
+    assert try_parse_model(SCORED_MODEL)[1] == []
+    diagram, diags = try_parse_model(SCORED_MODEL + extra + "\n")
+    assert diagram is None
+    assert [(d.line, d.column, d.message) for d in diags] == [(line, column, message)]

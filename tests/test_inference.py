@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from araid.diagram import NodeKind, ValueSpec, Node, build_diagram
+from araid.diagram import Cpt, Domain, NodeKind, ValueSpec, Node, build_diagram
 from araid import inference
 from araid.inference import (
     BATCH,
@@ -525,24 +525,38 @@ def test_tape_runs_a_final_relabel_as_a_view_and_reads_its_row_cost():
     assert np.array_equal(alone.execute([z]), z.T)
 
 
-def sampled_child_queries(rng: np.random.Generator, count: int):
+def sampled_child_queries(rng: np.random.Generator, count: int, wide: bool = False):
     """`count` random diagrams with a chance or value child of a deterministic
     node, picked at random. Yields the compiled model, that child, the
     weights of the value nodes to score, a `plan()` of the query that
     batches the child, and `tables(rows)`, which draws a [rows, *family]
     table of the child in both memory layouts (batch axis at stride 1, and
-    C-ordered)."""
+    C-ordered).
+
+    With `wide`, the deterministic node t0 has a parent, which the query
+    keeps, so t0's table stays an input over more than t0. A chance child
+    s0 of t0 is added too, kept when it is the child: its factor sorts
+    before t0's, where a value child's comes after."""
     found = 0
     while found < count:
         d = random_diagram(rng)
+        if wide:
+            if "t0" not in d.nodes or not d.nodes["t0"].parents:
+                continue
+            s0 = Node("s0", NodeKind.CHANCE, domain=Domain(("a", "b")), parents=("t0",),
+                      payload=Cpt({(label,): tuple(rng.dirichlet(np.ones(2)))
+                                   for label in d.nodes["t0"].domain.labels}))
+            d = build_diagram(d.agents, [*d.nodes.values(), s0], d.decision_order)
         children = [n for n in d.nodes.values() if "t0" in n.parents
                     and n.kind in (NodeKind.CHANCE, NodeKind.VALUE)]
         if not children:
             continue
         found += 1
         m = CompiledModel.compile(d)
-        decisions = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
+        keep = [n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION]
         child = children[int(rng.integers(len(children)))]
+        if wide:
+            keep += [*d.nodes["t0"].parents, *[child.id] * (child.kind == NodeKind.CHANCE)]
         weights = {v: 1.0 for v in d.utility_node_of("player").payload.weights}
         if child.kind == NodeKind.VALUE:
             weights = {child.id: 1.0}
@@ -550,8 +564,8 @@ def sampled_child_queries(rng: np.random.Generator, count: int):
         else:
             family = m.prob_factors[child.id].vars
 
-        def plan(m=m, decisions=decisions, weights=weights, child=child):
-            return m.utility_query("player", {}, {}, decisions, weights=weights,
+        def plan(m=m, keep=keep, weights=weights, child=child):
+            return m.utility_query("player", {}, {}, keep, weights=weights,
                                    batched={child.id})
 
         def tables(rows, shape=[m.sizes[v] for v in family], child=child):
@@ -588,6 +602,42 @@ def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
                     seen["gathers"] += len(takes)
                     seen["einsums"] += sum(g is None for g in tape.gathers)
     assert seen["gathers"] > 25 and seen["einsums"] > 100, seen
+
+
+def test_a_take_over_a_wider_fixed_input_gives_the_bits_of_its_einsum_on_random_diagrams():
+    """With t0's parents kept, t0's table stays an input over them and t0,
+    one-hot along t0, and a step that eliminates t0 against it and the
+    batched table alone is planned as a take along the parents' axes. A
+    value child's table reads it first, s0's second. With each taken input
+    laid out in its take's order, every such take must run and every tape
+    give the bits of its einsums."""
+    seen = {"first": 0, "second": 0}
+    for m, child, weights, plan, tables in sampled_child_queries(
+            np.random.default_rng(1919), 250, wide=True):
+        query = plan()
+        layout, _ = tables(6)
+        for tape, inputs in [(query.norm_tape, query.norm_inputs),
+                             *((query.value_tapes[v], query.value_inputs[v]) for v in weights)]:
+            if tape.result is not None:
+                continue
+            tables_in, picks = [layout for _ in inputs], []
+            for (spec, operands), gather in zip(tape.steps, tape.gathers):
+                if gather is None or gather[0] >= len(inputs):
+                    continue
+                fixed = 1 - operands.index(gather[0])
+                if len(spec.split("->")[0].split(",")[fixed]) > 1:
+                    axes = gather[1]
+                    tables_in[gather[0]] = np.ascontiguousarray(
+                        layout.transpose(axes)).transpose(np.argsort(axes))
+                    seen["first" if fixed == 0 else "second"] += 1
+                    picks.append(gather[3])
+            tables_in += tape.constants
+            takes, spy = spy_on(np, "take")
+            with spy:
+                got = tape.execute(tables_in)
+            assert same_bits(got, replayed(tape, tables_in))
+            assert all(any(index is args[1] for args in takes) for index in picks)
+    assert seen["first"] > 25 and seen["second"] > 200, seen
 
 
 def test_a_cost_ordered_tape_matches_its_deepest_first_tape_on_random_diagrams():
@@ -665,6 +715,10 @@ def test_a_gathered_step_reads_the_varying_operand_in_either_place(var_lists, fi
     (np.eye(4)[[2, 0, 3]] * 0.5, [("a", "b"), (BATCH, "b")], "not 0/1"),
     (np.array([[1.0, 1.0, 0.0, 0.0]] * 3), [("a", "b"), (BATCH, "b")], "two 1s in a row"),
     (np.eye(4)[[2, 0, 3]], [("a", "b"), (BATCH, "a", "b")], "the other operand has a"),
+    (np.eye(4)[[2, 0, 3]][None], [(BATCH, "a", "b"), ("b",)], "the fixed input has the batch"),
+    # one-hot along b at every (a, a) pair, the einsum's diagonal or not
+    (np.eye(4)[[[2, 1, 1], [1, 0, 1], [1, 1, 3]]].transpose(0, 2, 1),
+     [("a", "b", "a"), (BATCH, "b")], "the fixed input repeats a"),
 ])
 def test_a_step_the_gather_does_not_cover_stays_an_einsum(fixed, var_lists, reason):
     tape = ContractionTape(var_lists, [BATCH, "a"], {}, {"a": 3, "b": 4}, fixed={0: fixed})
