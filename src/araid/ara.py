@@ -249,16 +249,25 @@ class ParameterUncertainty:
     rules: Mapping[Target, SamplingRule] = field(default_factory=dict)
 
 
-def _check_vector_rule(rule: SamplingRule, length: int, target: Target) -> None:
-    if isinstance(rule, UniformRule):
+def _check_rule(rule: SamplingRule, target: Target, base: np.ndarray) -> None:
+    """Refuse a rule that the target, whose stated value is `base` (a scalar
+    or a vector), does not take by its type, or whose parameters the
+    generator cannot draw from. Each check fails a NaN too."""
+    if base.ndim == 0 and not isinstance(rule, (UniformRule, PointRule)):
+        raise ValueError(f"{target!r}: scalar targets take uniform/point rules")
+    if base.ndim == 1 and not isinstance(rule, (PointRule, DirichletRule, PerturbRule)):
         raise ValueError(f"{target!r}: vector targets take point/dirichlet/perturb rules")
-    if isinstance(rule, DirichletRule):
-        if len(rule.concentration) != length:
-            raise ValueError(f"{target!r}: concentration needs {length} entries")
-        if not all(a > 0 for a in rule.concentration):
-            raise ValueError(f"{target!r}: concentration must be positive")
-    if isinstance(rule, PerturbRule) and not rule.half_width >= 0:
-        raise ValueError(f"{target!r}: half_width must be nonnegative")
+    if isinstance(rule, DirichletRule) and len(rule.concentration) != len(base):
+        raise ValueError(f"{target!r}: concentration needs {len(base)} entries")
+    if isinstance(rule, DirichletRule) and not all(0 < a < math.inf for a in rule.concentration):
+        raise ValueError(f"{target!r}: concentration must be positive and finite")
+    # the generator draws uniform(low, high) only where high - low is finite
+    if isinstance(rule, PerturbRule) and not 0 <= 2 * rule.half_width < math.inf:
+        raise ValueError(f"{target!r}: half_width must be nonnegative, and twice it finite")
+    if isinstance(rule, UniformRule) and not rule.low <= rule.high:
+        raise ValueError(f"{target!r}: empty interval")
+    if isinstance(rule, UniformRule) and not 0 < rule.low <= rule.high < math.inf:
+        raise ValueError(f"{target!r}: bounds must stay positive and finite")
 
 
 def block_count(draws: int) -> int:
@@ -374,7 +383,6 @@ class _DrawBlock:
                 key = () if kind == "belief" else target[2]
                 if node.kind != NodeKind.CHANCE or key not in node.payload.rows:
                     raise ValueError(f"{target!r}: no such CPT row")
-                _check_vector_rule(rule, len(node.domain), target)
                 table = self.tables.setdefault(node.id, _draw_first(
                     compiled.prob_factors[node.id].table, rows))
                 self.slots.append(table[(slice(None),) + tuple(
@@ -382,7 +390,6 @@ class _DrawBlock:
             elif kind == "weights":
                 if node.kind != NodeKind.UTILITY:
                     raise ValueError(f"{target!r}: weights target must be a utility node")
-                _check_vector_rule(rule, len(node.parents), target)
                 if node.id != utility.id:
                     raise ValueError(f"{target!r}: only the attacker's utility weights "
                                      f"can be sampled")
@@ -394,18 +401,12 @@ class _DrawBlock:
                 if node.kind != NodeKind.VALUE or param not in ValueSpec.PARAMS.get(
                         node.payload.form, ()):
                     raise ValueError(f"{target!r}: scalar targets need a value form with a {param}")
-                if not isinstance(rule, (UniformRule, PointRule)):
-                    raise ValueError(f"{target!r}: scalar targets take uniform/point rules")
-                if isinstance(rule, UniformRule):
-                    if not rule.low <= rule.high:
-                        raise ValueError(f"{target!r}: empty interval")
-                    if not rule.low > 0:
-                        raise ValueError(f"{target!r}: bounds must stay positive")
                 pair = self.scalars.setdefault(node.id, _draw_first(np.array(
                     [node.payload.scale, node.payload.root], dtype=float), rows))
                 self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
             else:
                 raise ValueError(f"unknown uncertainty target kind {kind!r}")
+            _check_rule(rule, target, self.slots[-1][0])
         # each scalar node's parent tags, as a column over the parent's axis
         self.tags = {vid: np.array(view.nodes[view.nodes[vid].parents[0]].domain.numeric_tags)
                      [:, None] for vid in self.scalars}
@@ -487,6 +488,8 @@ def forecast_attack(d: Diagram, beliefs: AttackerBeliefs,
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     attacker = _agent(d, attacker, AgentKind.ATTACKER)
     own = d.decisions_of(attacker)
     if len(own) != 1:

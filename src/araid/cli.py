@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--draws", type=int, default=10_000,
                    help=f"Monte Carlo draws, 1 to {MAX_DRAWS:,} (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="0 or more (default: %(default)s)")
     p.add_argument("--beliefs", help=".maid-style cpt rows for the attacker's beliefs "
                                      "(point forecast); defaults exist for the shipped "
                                      "drilling model")

@@ -47,18 +47,9 @@ steps on fixed tables alone then run once, each freeing its operands.
 
 A step that eliminates a variable from a batched table and a fixed input
 one-hot along it (a deterministic node's table, say) runs as `np.take` of
-the batched one at each row's 1. The walk plans such a step whole, against
-fixed inputs only, never against a hoisted intermediate: the operand it
-reads, that operand's axis order, the take axis and each row's 1. An
-entry times 1 plus zeros is the entry, so each finite cell has the
-einsum's bits. The take comes out C-ordered, and later steps sum in an
-order that follows their operands' layout, so `execute` takes only from
-an operand whose strides fall along that axis order, with no axis of
-extent 1: the layout in which the einsum's output is C-ordered too. That
-per-call check is the only layout guard; any other operand runs the
-einsum. A picked -0.0 (the sum gives +0.0) and an unpicked inf or NaN
-(0 * inf is NaN in the sum) are all that differ. On the shipped plans one
-step gathers: `AMV`'s sum over the defender's cost `DC` when the forecast
+the batched one at each row's 1, with the einsum's bits; `_Elimination`
+gives the rule and its one layout guard. On the shipped plans one step
+takes: `AMV`'s sum over the defender's cost `DC` when the forecast
 samples `AMV`'s scale or root.
 """
 from __future__ import annotations
@@ -251,17 +242,12 @@ class ContractionTape:
     is fixed, no step is left and `result` holds the whole result,
     C-contiguous (None otherwise), so the tape need not be executed at all.
     `gathers` stands beside `steps`, one entry per step: None for an
-    einsum, or the take the walk planned whole for a step with two
-    operands that eliminates v against a fixed input one-hot along v,
-    whose other variables the other operand does not have: (the other
-    operand's slot, the axis order that puts v where the fixed input's
-    other variables sit in the output, that position, and the index of
-    each row's 1 over those variables). `execute` takes only from an
-    operand whose strides fall along that order with no axis of extent 1,
-    its one layout guard, and runs the einsum on any other. `steps` keeps
-    the step's (spec, operand slots) pair and the one-hot table stays
-    among `constants`, so every step can still be read, or run, as an
-    einsum.
+    einsum, or the take the walk planned for it (`_Elimination` gives the
+    rule): (the operand's slot, its axis order, the take axis, and the
+    index of each row's 1). `execute` takes only from an operand laid out
+    in that order and runs the einsum on any other. `steps` keeps the
+    step's (spec, operand slots) pair and the one-hot table stays among
+    `constants`, so every step can still be read, or run, as an einsum.
     Einsum letters are reused once their variable is eliminated, so a tape
     may span any number of variables; one that needs more than 52 letters
     at once raises ValueError. So does a step whose output would hold more
@@ -275,8 +261,7 @@ class ContractionTape:
     row and every operand counts. `row_ops` is the walk's price of the
     kept steps per batch row: each einsum step's output cells times the
     extent of the variable it sums out (a last product's output cells),
-    and a step the walk plans as a take one copy of its output cells, even
-    where `execute` meets another layout and runs its einsum.
+    and a take one copy of its output cells.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -365,10 +350,10 @@ class ContractionTape:
             if gather is not None:
                 operand, axes, axis, index = gather
                 other = slots[operand].transpose(axes)
-                strides = other.strides
-                # taken only as laid out in `axes` order (no axis of 1, strides
-                # falling), where it leaves the einsum's layout
-                if 1 not in other.shape and all(a > b > 0 for a, b in zip(strides, strides[1:])):
+                # taken only as laid out in `axes` order (strides falling, an
+                # axis of one entry aside), where it leaves the einsum's layout
+                strides = [s for s, n in zip(other.strides, other.shape) if n > 1]
+                if all(a > b for a, b in zip(strides, [*strides[1:], 0])):
                     slots.append(np.take(other, index, axis=axis))
                     continue
             slots.append(np.einsum(spec, *(slots[i] for i in operands)))
@@ -409,22 +394,31 @@ class _Elimination:
     it runs as, or None). Each factor is an operand of one step only.
 
     A step costs what one batch row adds: nothing if no operand varies
-    (it is hoisted), one copy of its output if it may run as a take, and
+    (it is hoisted), one copy of its output if it runs as a take, and
     otherwise its output cells times the extent of the variable it
-    eliminates; a last product costs its output cells. A step that
-    eliminates v may run as a take when it has two operands: a fixed input,
-    over distinct variables and not BATCH, that is 0/1 with one 1 along v
-    in each row, and a varying one that has none of the fixed input's other
-    variables, so that `out` holds them together in the fixed input's
-    order, and no variable of either has extent 1.
-    The walk plans that take whole, as `ContractionTape.gathers` holds it
-    but with the varying operand's position in the step for its slot: the
-    varying operand's axes in `out`'s order with v where the fixed input's
-    other variables sit (a fixed input over v alone: where v sits in the
-    varying operand, BATCH last), that position, and the index of each
-    row's 1. The plan probes no layout: `execute`'s stride check is the
-    one guard. Variable sets are bit masks; BATCH has a bit of extent 1,
-    so masks count cells per row.
+    eliminates; a last product costs its output cells. Variable sets are
+    bit masks; BATCH has a bit of extent 1, so masks count cells per row.
+
+    A step that eliminates v runs as a take when it has two operands, each
+    over distinct variables: a fixed input, not over BATCH, that is 0/1
+    with one 1 along v in each row, and a varying one that has none of the
+    fixed input's other variables. `np.take` reads the varying operand in
+    its own axis order with BATCH moved last, at each row's 1 along v, so
+    the fixed input's other variables come in v's place, in its order; that
+    is the step's `out`, so its einsum gives the same order. The walk plans
+    the take whole, against fixed inputs only, never a hoisted
+    intermediate, as `ContractionTape.gathers` holds it but with the
+    varying operand's position in the step for its slot: (that position,
+    the axis order, v's place in it, the index of each row's 1). An entry
+    times 1 plus zeros is the entry, so each finite cell has the einsum's
+    bits; a picked -0.0 (the sum gives +0.0) and an unpicked inf or NaN
+    (0 * inf is NaN in the sum) are all that differ. The take comes out
+    C-ordered, and later steps sum in an order that follows their operands'
+    layout, so `execute` takes only from an operand whose strides fall
+    along the axis order, axes of one entry aside: the layout in which the
+    einsum's output is C-ordered too. That per-call check is the one layout
+    guard; any other layout runs the einsum. The forecast's tables are
+    batch-innermost, and there every planned take runs.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
@@ -432,8 +426,6 @@ class _Elimination:
         self.keep, self.fixed, self.sizes = keep, fixed, sizes
         self.bit = {w: 1 << i for i, w in enumerate(dict.fromkeys(itertools.chain(*var_lists)))}
         self.extent = {b: 1 if w == BATCH else sizes[w] for w, b in self.bit.items()}
-        # the variables of extent 1 but BATCH: a take over one is not kept
-        self.unit = sum(b for w, b in self.bit.items() if w != BATCH and sizes[w] == 1)
         # a factor: (variable mask, vars, varying, slot)
         self.inputs = [(sum(self.bit[w] for w in set(vs)), vs, i not in fixed, i)
                        for i, vs in enumerate(var_lists)]
@@ -462,7 +454,7 @@ class _Elimination:
                 c, take = 0, None
                 if varying:
                     c = self.cells(mask)
-                    take = self._take(v, group, mask) if len(group) == 2 else None
+                    take = self._take(v, group) if len(group) == 2 else None
                     if take:
                         c //= self.sizes[v]
                 if best is None or c < best[0]:
@@ -475,7 +467,8 @@ class _Elimination:
                 return None
             left.remove(v)
             ins = tuple(f[1] for f in group)
-            steps.append((v, tuple(f[3] for f in group), ins, _step_vars(ins, v), varying, take))
+            take, out = take or (None, _step_vars(ins, v))
+            steps.append((v, tuple(f[3] for f in group), ins, out, varying, take))
             live = [f for f in live if f not in group]
             live.append((mask & ~self.bit[v], steps[-1][3], varying, n + len(steps) - 1))
         if len(live) > 1:  # every variable left is kept
@@ -489,13 +482,14 @@ class _Elimination:
             return None
         return total, steps, (live[0][3], live[0][1]) if live else (None, ())
 
-    def _take(self, v: str, group: list[tuple], mask: int) -> tuple | None:
+    def _take(self, v: str, group: list[tuple]) -> tuple | None:
         """The take a step that eliminates v from two operands, one of
-        which varies, runs as (see the class), or None."""
+        which varies, runs as, and the step's output in the take's order
+        (see the class), or None."""
         k = 0 if group[0][3] in self.fixed else 1
         fmask, vs, _, i = group[k]
-        if (i not in self.fixed or BATCH in vs or len(set(vs)) < len(vs)
-                or fmask & group[1 - k][0] & ~self.bit[v] or mask & self.unit):
+        if (i not in self.fixed or BATCH in vs or any(len(set(f[1])) < len(f[1]) for f in group)
+                or fmask & group[1 - k][0] & ~self.bit[v]):
             return None
         if (i, v) not in self.one_hot:
             # every row sums to 1, so has a nonzero entry, and there are only
@@ -508,13 +502,10 @@ class _Elimination:
         if index is None:
             return None
         other = group[1 - k][1]
-        out = _step_vars((group[0][1], group[1][1]), v)
-        rest = tuple(w for w in vs if w != v)
-        # a one-hot vector over v alone is taken along v where v sits in the
-        # other operand, BATCH last: a batch-innermost operand's own layout
-        start = out.index(rest[0]) if rest else [w for w in other if w != BATCH].index(v)
-        order = out[:start] + (v,) + out[start + len(rest):]
-        return 1 - k, tuple(other.index(w) for w in order), start, index
+        order = sorted(other, key=BATCH.__eq__)  # the take's axis order: BATCH last
+        axis = order.index(v)
+        out = (*order[:axis], *(w for w in vs if w != v), *order[axis + 1:])
+        return (1 - k, tuple(map(other.index, order)), axis, index), out
 
 
 # ---------------------------------------------------------------------------

@@ -621,12 +621,23 @@ def test_perturb_rule_gives_the_bits_of_summing_along_each_row(length, stacks, n
     (("belief", "DT"), DirichletRule((math.nan, 1.0, 1.0)), "concentration must be positive"),
     (("belief", "DT"), PerturbRule(math.nan), "half_width must be nonnegative"),
     (("value_root", "AMV"), UniformRule(math.nan, 2.0), "empty interval"),
-], ids=["dirichlet", "perturb", "uniform"])
+    # parameters the generator cannot draw from, and a rule of no rule type
+    (("belief", "DT"), DirichletRule((math.inf, 1.0, 1.0)),
+     "concentration must be positive and finite"),
+    (("belief", "DT"), PerturbRule(math.inf), "half_width must be nonnegative, and twice it finite"),
+    (("weights", "AU"), PerturbRule(1e308), "half_width must be nonnegative, and twice it finite"),
+    (("value_root", "AMV"), UniformRule(1.0, math.inf), "bounds must stay positive and finite"),
+    (("belief", "DT"), 0.5, "vector targets take point/dirichlet/perturb rules"),
+    (("value_scale", "AMV"), 0.5, "scalar targets take uniform/point rules"),
+], ids=["dirichlet", "perturb", "uniform", "dirichlet_inf", "perturb_inf", "perturb_range",
+        "uniform_inf", "vector_not_a_rule", "scalar_not_a_rule"])
 def test_a_nan_sampling_parameter_is_refused(drilling, target, rule, message):
-    # NaN fails every comparison, so each check is written to fail it too
+    # NaN fails every comparison, so each check is written to fail it too;
+    # each refusal names its target
     bad = ParameterUncertainty(rules={target: rule})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as refused:
         forecast_attack(drilling, default_beliefs(), bad, draws=1, seed=0)
+    assert str(refused.value).startswith(f"{target!r}: ")
 
 
 def test_a_constant_forecast_refuses_a_nan_probability(drilling):

@@ -363,6 +363,15 @@ def test_solve_rejects_nonpositive_draws(draws):
     assert "draws must be >= 1" in proc.stderr
 
 
+def test_solve_refuses_a_negative_seed_by_name_before_any_work(capsys):
+    from araid import ara, cli
+    with mock.patch.object(ara, "attacker_view", side_effect=AssertionError("work began")):
+        assert cli.main(["solve", DRILLING, "--seed", "-1", "--draws", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "error: seed must be >= 0, got -1"
+    assert "0 or more" in " ".join(run_cli("solve", "--help").stdout.split())
+
+
 def test_solve_refuses_draws_over_its_ceiling_before_sampling(capsys):
     from araid import ara, cli
     # a draw sampled fails the test at once, instead of running for an hour

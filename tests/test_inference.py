@@ -597,7 +597,7 @@ def test_a_gathered_step_gives_the_bits_of_its_einsum_on_random_diagrams():
                     with spy:
                         got = tape.execute(tables_in)
                     assert same_bits(got, replayed(tape, tables_in))
-                    if batch_inner and rows > 1:  # the forecast's layout: every planned take runs
+                    if batch_inner:  # the forecast's layout: every planned take runs
                         assert len(takes) == sum(g is not None for g in tape.gathers)
                     seen["gathers"] += len(takes)
                     seen["einsums"] += sum(g is None for g in tape.gathers)
@@ -608,10 +608,11 @@ def test_a_take_over_a_wider_fixed_input_gives_the_bits_of_its_einsum_on_random_
     """With t0's parents kept, t0's table stays an input over them and t0,
     one-hot along t0, and a step that eliminates t0 against it and the
     batched table alone is planned as a take along the parents' axes. A
-    value child's table reads it first, s0's second. With each taken input
-    laid out in its take's order, every such take must run and every tape
-    give the bits of its einsums."""
-    seen = {"first": 0, "second": 0}
+    value child's table reads it first, s0's second. On the forecast's own
+    layout, batch innermost, every tape must give the bits of its einsums
+    and every planned take must run: the walk prices each as one copy of
+    its output."""
+    seen = {"first": 0, "second": 0, "planned": 0}
     for m, child, weights, plan, tables in sampled_child_queries(
             np.random.default_rng(1919), 250, wide=True):
         query = plan()
@@ -620,24 +621,23 @@ def test_a_take_over_a_wider_fixed_input_gives_the_bits_of_its_einsum_on_random_
                              *((query.value_tapes[v], query.value_inputs[v]) for v in weights)]:
             if tape.result is not None:
                 continue
-            tables_in, picks = [layout for _ in inputs], []
+            picks = []
             for (spec, operands), gather in zip(tape.steps, tape.gathers):
                 if gather is None or gather[0] >= len(inputs):
                     continue
                 fixed = 1 - operands.index(gather[0])
                 if len(spec.split("->")[0].split(",")[fixed]) > 1:
-                    axes = gather[1]
-                    tables_in[gather[0]] = np.ascontiguousarray(
-                        layout.transpose(axes)).transpose(np.argsort(axes))
                     seen["first" if fixed == 0 else "second"] += 1
                     picks.append(gather[3])
-            tables_in += tape.constants
+            tables_in = [layout for _ in inputs] + tape.constants
             takes, spy = spy_on(np, "take")
             with spy:
                 got = tape.execute(tables_in)
             assert same_bits(got, replayed(tape, tables_in))
             assert all(any(index is args[1] for args in takes) for index in picks)
-    assert seen["first"] > 25 and seen["second"] > 200, seen
+            assert len(takes) == sum(g is not None for g in tape.gathers)
+            seen["planned"] += len(takes)
+    assert seen["first"] > 25 and seen["second"] > 200 and seen["planned"] > 500, seen
 
 
 def test_a_cost_ordered_tape_matches_its_deepest_first_tape_on_random_diagrams():
@@ -684,17 +684,19 @@ def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unp
         got, summed = tape.execute(tables), replayed(tape, tables)
     assert np.isnan(summed[3]).all() and same_bits(got[3], x[3, pick])
     assert same_bits(np.delete(got, 3, axis=0), np.delete(summed, 3, axis=0))
-    # batch first in memory, or one batch row, the step stays an einsum:
-    # a take would not leave the einsum's layout
-    for other in (np.ascontiguousarray(x), x[:1]):
-        with np.errstate(invalid="ignore"):
+    # batch first in memory, the step stays an einsum: a take would not
+    # leave the einsum's layout. One batch row, batch innermost, takes
+    for other, takes in ((np.ascontiguousarray(x), 0), (x[:1], 1)):
+        calls, spy = spy_on(np, "take")
+        with np.errstate(invalid="ignore"), spy:
             assert same_bits(tape.execute([other] + tape.constants),
                              replayed(tape, [other] + tape.constants))
+        assert len(calls) == takes
 
 
 @pytest.mark.parametrize("var_lists, fixed, takes", [
-    ([(BATCH, "c", "b"), ("a", "b")], 1, 1),  # the take puts b where a sits: c, b, batch
-    ([("a", "b"), (BATCH, "c", "b")], 0, 0),  # b, c, batch is not the operand's layout
+    ([(BATCH, "c", "b"), ("a", "b")], 1, 1),  # the take reads c, b, batch; a comes in b's place
+    ([("a", "b"), (BATCH, "c", "b")], 0, 1),  # the same take, the fixed operand first
 ])
 def test_a_gathered_step_reads_the_varying_operand_in_either_place(var_lists, fixed, takes):
     # the fixed operand may come first or second in the step; the take reads
@@ -711,6 +713,27 @@ def test_a_gathered_step_reads_the_varying_operand_in_either_place(var_lists, fi
     assert same_bits(got, x[:, :, [2, 0, 3]])
 
 
+@pytest.mark.parametrize("sizes", [{"a": 1, "b": 4, "c": 2}, {"a": 3, "b": 1, "c": 2},
+                                   {"a": 3, "b": 4, "c": 1}])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_a_take_over_a_variable_of_one_label_or_one_batch_row_gives_its_einsums_bits(sizes, rows):
+    # an axis of one entry has any stride; in either layout the step must
+    # give its einsum's bits, and batch innermost it runs as the take
+    pick = np.random.default_rng(7).integers(sizes["b"], size=sizes["a"])
+    tape = ContractionTape([("a", "b"), (BATCH, "c", "b")], [BATCH, "c", "a"], {}, sizes,
+                           fixed={0: np.eye(sizes["b"])[pick]})
+    x = np.random.default_rng(8).random((sizes["c"], sizes["b"], rows))
+    for inner, layout in ((True, np.moveaxis(x, -1, 0)),
+                          (False, np.ascontiguousarray(np.moveaxis(x, -1, 0)))):
+        tables = [layout] + tape.constants
+        calls, spy = spy_on(np, "take")
+        with spy:
+            got = tape.execute(tables)
+        assert same_bits(got, replayed(tape, tables)) and same_bits(got, layout[:, :, pick])
+        if inner:
+            assert len(calls) == sum(g is not None for g in tape.gathers) == 1
+
+
 @pytest.mark.parametrize("fixed, var_lists, reason", [
     (np.eye(4)[[2, 0, 3]] * 0.5, [("a", "b"), (BATCH, "b")], "not 0/1"),
     (np.array([[1.0, 1.0, 0.0, 0.0]] * 3), [("a", "b"), (BATCH, "b")], "two 1s in a row"),
@@ -719,6 +742,7 @@ def test_a_gathered_step_reads_the_varying_operand_in_either_place(var_lists, fi
     # one-hot along b at every (a, a) pair, the einsum's diagonal or not
     (np.eye(4)[[[2, 1, 1], [1, 0, 1], [1, 1, 3]]].transpose(0, 2, 1),
      [("a", "b", "a"), (BATCH, "b")], "the fixed input repeats a"),
+    (np.eye(4)[[2, 0, 3]], [("a", "b"), (BATCH, "b", "b")], "the other operand repeats b"),
 ])
 def test_a_step_the_gather_does_not_cover_stays_an_einsum(fixed, var_lists, reason):
     tape = ContractionTape(var_lists, [BATCH, "a"], {}, {"a": 3, "b": 4}, fixed={0: fixed})
