@@ -84,7 +84,9 @@ def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
     Defender decisions he cannot observe become parentless chance nodes
     with his assumed distribution; observed ones stay decisions, to be
     pinned per context. Everything else, including the defender's value
-    and utility nodes, is retained.
+    and utility nodes, is retained. The view is derived from `d`'s compiled
+    form (`CompiledModel.with_nodes`), so compiling it costs only the
+    belief nodes' factors.
     """
     attacker = _agent(d, attacker, AgentKind.ATTACKER)
     _check_beliefs(d, beliefs, attacker)
@@ -103,7 +105,7 @@ def attacker_view(d: Diagram, beliefs: AttackerBeliefs,
         row = tuple(float(dist[lbl]) for lbl in old.domain.labels)
         new_nodes.append(Node(nid, NodeKind.CHANCE, owner=None, domain=old.domain,
                               parents=(), payload=Cpt({(): row})))
-    return d.replace_nodes(new_nodes)
+    return CompiledModel.compile(d).with_nodes(new_nodes).diagram
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,23 @@ class PerturbRule:
         length = base.shape[-1]
         jittered = rng.uniform(-self.half_width, self.half_width,
                                size=base.shape[:-1] + (n, length))
-        # u + base is base + u bit for bit
-        if length < 8:
-            jittered = np.add(np.moveaxis(jittered, -1, -2), base[..., None], order="C")
-            np.maximum(jittered, 0.0, out=jittered)
-            total = jittered[..., :1, :].copy()
-            for j in range(1, length):
-                total += jittered[..., j:j + 1, :]
-        else:
-            jittered += base[..., None, :]
-            np.maximum(jittered, 0.0, out=jittered)
-            total = jittered.sum(axis=-1, keepdims=True)
+        # u + base is base + u bit for bit; a mass past the largest float,
+        # which a half-width that `_check_rule` takes can give, is refused below
+        with np.errstate(over="ignore"):
+            if length < 8:
+                jittered = np.add(np.moveaxis(jittered, -1, -2), base[..., None], order="C")
+                np.maximum(jittered, 0.0, out=jittered)
+                total = jittered[..., :1, :].copy()
+                for j in range(1, length):
+                    total += jittered[..., j:j + 1, :]
+            else:
+                jittered += base[..., None, :]
+                np.maximum(jittered, 0.0, out=jittered)
+                total = jittered.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ValueError("perturbed vector collapsed to zero mass")
+        if np.any(total == np.inf):
+            raise ValueError("perturbed vector's mass overflowed")
         jittered /= total
         return np.moveaxis(jittered, -2, -1) if length < 8 else jittered
 
@@ -356,8 +362,10 @@ class _DrawBlock:
     DRAW_BLOCK values and keeps the first `rows` in its own view (`slots`)
     of these arrays, so draw i depends on (seed, i) alone. A run of
     consecutive targets under one drawing rule (`runs`) draws in one call,
-    which gives the same numbers. The pass that gives each target its slot
-    checks it and its rule; `tables` and `scalars` hold the batched nodes.
+    which gives the same numbers; a run that refuses its draws raises
+    ValueError naming its targets and the block. The pass that gives each
+    target its slot checks it and its rule; `tables` and `scalars` hold the
+    batched nodes.
     """
 
     def __init__(self, view: Diagram, compiled: CompiledModel,
@@ -383,9 +391,9 @@ class _DrawBlock:
                 key = () if kind == "belief" else target[2]
                 if node.kind != NodeKind.CHANCE or key not in node.payload.rows:
                     raise ValueError(f"{target!r}: no such CPT row")
-                table = self.tables.setdefault(node.id, _draw_first(
-                    compiled.prob_factors[node.id].table, rows))
-                self.slots.append(table[(slice(None),) + tuple(
+                if node.id not in self.tables:
+                    self.tables[node.id] = _draw_first(compiled.prob_factors[node.id].table, rows)
+                self.slots.append(self.tables[node.id][(slice(None),) + tuple(
                     view.nodes[p].domain.index(lbl) for p, lbl in zip(node.parents, key))])
             elif kind == "weights":
                 if node.kind != NodeKind.UTILITY:
@@ -401,9 +409,10 @@ class _DrawBlock:
                 if node.kind != NodeKind.VALUE or param not in ValueSpec.PARAMS.get(
                         node.payload.form, ()):
                     raise ValueError(f"{target!r}: scalar targets need a value form with a {param}")
-                pair = self.scalars.setdefault(node.id, _draw_first(np.array(
-                    [node.payload.scale, node.payload.root], dtype=float), rows))
-                self.slots.append(pair[:, 0 if kind == "value_scale" else 1])
+                if node.id not in self.scalars:
+                    self.scalars[node.id] = _draw_first(np.array(
+                        [node.payload.scale, node.payload.root], dtype=float), rows)
+                self.slots.append(self.scalars[node.id][:, 0 if kind == "value_scale" else 1])
             else:
                 raise ValueError(f"unknown uncertainty target kind {kind!r}")
             _check_rule(rule, target, self.slots[-1][0])
@@ -414,23 +423,28 @@ class _DrawBlock:
         bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in self.slots]
         # consecutive targets under one drawing rule with bases of one shape
         # draw in one call, on their stacked bases
-        runs: list[tuple[SamplingRule, list, list[np.ndarray]]] = []
+        runs: list[tuple[SamplingRule, list, list[np.ndarray], list[Target]]] = []
         for target, base, slot in zip(self.targets, bases, self.slots):
             rule = uncertainty.rules[target]
             if (runs and not isinstance(rule, PointRule) and rule == runs[-1][0]
                     and np.shape(base) == np.shape(runs[-1][1][0])):
                 runs[-1][1].append(base)
                 runs[-1][2].append(slot)
+                runs[-1][3].append(target)
             else:
-                runs.append((rule, [base], [slot]))
-        self.runs = [(rule, run[0] if len(run) == 1 else np.stack(run), slots)
-                     for rule, run, slots in runs]
+                runs.append((rule, [base], [slot], [target]))
+        self.runs = [(rule, run[0] if len(run) == 1 else np.stack(run), slots, targets)
+                     for rule, run, slots, targets in runs]
 
     def sample(self, seed: int, block: int) -> None:
         """Block `block`, draws block*DRAW_BLOCK onwards, into the rows."""
         rng = _draw_rng(seed, block)
-        for rule, base, slots in self.runs:
-            drawn = rule.sample(base, rng, DRAW_BLOCK)
+        for rule, base, slots, targets in self.runs:
+            try:
+                drawn = rule.sample(base, rng, DRAW_BLOCK)
+            except ValueError as exc:
+                raise ValueError(f"sampling {', '.join(map(repr, targets))} in block {block} "
+                                 f"(draws from {block * DRAW_BLOCK}): {exc}") from exc
             for slot, values in zip(slots, drawn if len(slots) > 1 else (drawn,)):
                 slot[:] = values[:len(slot)]
 
@@ -557,12 +571,9 @@ class DefenderSolution:
         return tuple(r for r, tie in zip(self.ranking, ties(eu, eu[0])) if tie)
 
 
-def _policy_sort_key(policy: Mapping[str, Mapping[tuple[str, ...], str]]) -> tuple:
-    return tuple((dec, tuple(sorted(policy[dec].items()))) for dec in sorted(policy))
-
-
 def apply_forecast(d: Diagram, forecast: AttackForecast) -> Diagram:
-    """Replace the forecast decision with a chance node driven by it."""
+    """Replace the forecast decision with a chance node driven by it,
+    derived from `d`'s compiled form as `attacker_view` is."""
     node = d.nodes.get(forecast.decision)
     if node is None or node.kind != NodeKind.DECISION:
         raise ValueError(f"{forecast.decision!r} is not a decision node")
@@ -578,7 +589,7 @@ def apply_forecast(d: Diagram, forecast: AttackForecast) -> Diagram:
         rows[key] = tuple(forecast.probabilities[key])
     chance = Node(node.id, NodeKind.CHANCE, owner=None, domain=node.domain,
                   parents=node.parents, payload=Cpt(rows))
-    return d.replace_nodes([chance])
+    return CompiledModel.compile(d).with_nodes([chance]).diagram
 
 
 def _all_rules(d: Diagram, decision: str):
@@ -646,5 +657,11 @@ def solve_defender(d: Diagram, forecast: AttackForecast,
 
     eus = np.concatenate(list(query.evaluate_chunks(len(policies), inputs)))
     ranked = [RankedPolicy(policy=p, expected_utility=float(eu)) for p, eu in zip(policies, eus)]
-    ranked.sort(key=lambda r: (-r.expected_utility, _policy_sort_key(r.policy)))
+    # ties in EU go by policy content: each decision's rule as its sorted
+    # items, decisions in sorted order; each rule's items are sorted once
+    items = [[tuple(sorted(rule.items())) for rule in dec_rules] for dec_rules in rules]
+    picked = which.T.tolist()
+    order = sorted(range(len(ranked)), key=lambda p: (
+        -ranked[p].expected_utility, [keys[i] for keys, i in zip(items, picked[p])]))
+    ranked = [ranked[p] for p in order]
     return DefenderSolution(optimal=ranked[0], ranking=tuple(ranked))

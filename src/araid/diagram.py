@@ -6,13 +6,15 @@ nature; decision, value and utility nodes belong to a defender or attacker
 agent. All tables are total over the Cartesian product of their parents'
 domains, and parent order is the key order for every table lookup.
 
-Diagrams are immutable after construction. `build_diagram` refuses to hand
-out anything that fails validation; `validate_diagram` reports every
-violation it can find instead of stopping at the first, and each one once:
-an information arc that breaks temporal order gives one `temporal-order`
-violation, and a repeated agent id one `duplicate-id`. `Diagram.replace_nodes`
-runs the same list of checks past the agents' own, on the nodes a swap can
-break.
+Diagrams are immutable after construction: a diagram is compiled once
+(`inference.CompiledModel.compile`), so one must not be mutated after
+`build_diagram`. `build_diagram` refuses to hand out anything that fails
+validation; `validate_diagram` reports every violation it can find instead
+of stopping at the first, and each one once: an information arc that breaks
+temporal order gives one `temporal-order` violation, and a repeated agent id
+one `duplicate-id`. `Diagram.replace_nodes` runs the same list of checks past
+the agents' own on the nodes a swap can break, or, for a swap that can break
+only the swapped nodes, their own checks alone.
 """
 from __future__ import annotations
 
@@ -185,11 +187,21 @@ class Diagram:
     `decision_order[agent_id]` is the temporal sequence in which that
     agent's decisions are taken; a decision's parents are the information
     observed at decision time.
+
+    A diagram is compiled once: the first `inference.CompiledModel.compile`
+    of it keeps its sizes, factors and elimination priority in `_compiled`,
+    which takes no part in `==` or `repr` and holds no reference back to the
+    diagram, and every later compile reads them. So a diagram must not be
+    mutated after `build_diagram` (or `replace_nodes`) gives it out, and
+    repeated `forecast_attack` and `solve_defender` calls on one diagram pay
+    the compile once. Their swapped models come from `replace_nodes`, which
+    re-checks only the swapped nodes when the swap can break nothing else.
     """
 
     agents: tuple[Agent, ...]
     nodes: Mapping[str, Node]
     decision_order: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def decisions_of(self, agent_id: str) -> list[Node]:
         return [n for n in self.nodes.values()
@@ -203,15 +215,28 @@ class Diagram:
         return found[0]
 
     def replace_nodes(self, new_nodes: Iterable[Node]) -> "Diagram":
-        """Copy with some nodes swapped out (same ids); revalidates.
+        """Copy with some nodes swapped in; checks what the swap can break.
 
         A replaced decision that is no longer a decision leaves its agent's
         decision order. This diagram must be valid (as `build_diagram`
-        makes it): a node's own checks read only it, its parents and the
-        agents, so only the swapped nodes and their children are checked
-        again, with the graph and the decision orders in full: the list of
-        checks `validate_diagram` runs after the agents'. Raises the
-        DiagramError that `build_diagram` raises on the merged nodes.
+        makes it) and never mutated, since it is compiled once. The copy is
+        a new diagram, which `inference.CompiledModel.with_nodes` compiles
+        from this one's factors, so repeated `forecast_attack` and
+        `solve_defender` calls on one diagram pay its compile once.
+
+        When every swapped node replaces an existing node, keeps its domain
+        and a subset of its parents, and either keeps its kind and owner or
+        turns from a decision into a chance node (an attacker's view, an
+        applied forecast), only the swapped nodes' own checks run. Such a
+        swap breaks nothing else: a child's checks read only a parent's
+        domain, kind and owner; a new cycle would need an arc p -> n into a
+        decision n turned chance with n upstream of p, which the
+        temporal-order check refused; and a decision that stays one keeps
+        its owner, so the decision orders hold. Any other swap checks the
+        swapped nodes and their children again, with the graph and the
+        decision orders in full: the list of checks `validate_diagram` runs
+        after the agents'. Raises the DiagramError that `build_diagram`
+        raises on the merged nodes.
         """
         swapped = {n.id: n for n in new_nodes}
         merged = {**self.nodes, **swapped}
@@ -219,11 +244,21 @@ class Diagram:
                  for a, seq in self.decision_order.items()}
         d = Diagram(agents=tuple(sorted(self.agents, key=lambda a: a.id)), nodes=merged,
                     decision_order={a: seq for a, seq in order.items() if seq})
-        violations = _checks(d, [n for n in merged.values() if n.id in swapped
-                                 or not swapped.keys().isdisjoint(n.parents)])
+        local = all(_breaks_only_itself(self.nodes.get(nid), n) for nid, n in swapped.items())
+        violations = _checks(d, [n for n in merged.values() if n.id in swapped or (
+            not local and not swapped.keys().isdisjoint(n.parents))], graph=not local)
         if violations:
             raise DiagramError(violations)
         return d
+
+
+def _breaks_only_itself(old: Node | None, new: Node) -> bool:
+    """Whether swapping `new` in for `old` in a valid diagram can break only
+    `new`'s own checks (see `Diagram.replace_nodes`)."""
+    return (old is not None and new.domain == old.domain
+            and set(new.parents) <= set(old.parents)
+            and ((new.kind, new.owner) == (old.kind, old.owner)
+                 or (old.kind, new.kind) == (NodeKind.DECISION, NodeKind.CHANCE)))
 
 
 def parent_tuples(diagram_nodes: Mapping[str, Node], node: Node) -> Iterable[tuple[str, ...]]:
@@ -273,13 +308,14 @@ def validate_diagram(d: Diagram) -> list[Violation]:
     return v + _checks(d, d.nodes.values())
 
 
-def _checks(d: Diagram, nodes: Iterable[Node]) -> list[Violation]:
-    """The shape violations of `nodes`, then those of the graph and of the
-    decision orders: every check of a diagram past its agents'."""
+def _checks(d: Diagram, nodes: Iterable[Node], graph: bool = True) -> list[Violation]:
+    """The shape violations of `nodes`, then, with `graph`, those of the
+    graph and of the decision orders: every check of a diagram past its
+    agents'."""
     nature_ids = {a.id for a in d.agents if a.kind == AgentKind.NATURE}
     player_ids = {a.id for a in d.agents if a.kind != AgentKind.NATURE}
     v = [x for n in nodes for x in _check_node_shape(d, n, player_ids, nature_ids)]
-    return v + _check_graph(d) + _check_decision_orders(d)
+    return v + _check_graph(d) + _check_decision_orders(d) if graph else v
 
 
 def _check_node_shape(d: Diagram, n: Node, player_ids: set[str],

@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -512,32 +512,71 @@ class _Elimination:
 # compiled model
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledModel:
-    """Diagram lowered to numpy factors, ready for repeated queries."""
+    """Diagram lowered to numpy factors, ready for repeated queries.
+
+    `compile` lowers each diagram once: the first call keeps the sizes,
+    factors and elimination priority with the diagram (`Diagram._compiled`,
+    which holds no reference back to it), and every later call reads them.
+    Every CompiledModel of one diagram shares them, and the factor tables
+    are read-only. `with_nodes` derives a swapped diagram's compiled form
+    from its parent's: it builds the swapped nodes' factors and shares every
+    other.
+    """
 
     diagram: Diagram
-    sizes: dict[str, int] = field(default_factory=dict)
-    prob_factors: dict[str, Factor] = field(default_factory=dict)
-    value_factors: dict[str, Factor] = field(default_factory=dict)
-    elim_priority: dict[str, tuple] = field(default_factory=dict)
+    sizes: Mapping[str, int]
+    prob_factors: Mapping[str, Factor]
+    value_factors: Mapping[str, Factor]
+    elim_priority: Mapping[str, tuple]
 
     @classmethod
     def compile(cls, d: Diagram) -> "CompiledModel":
-        m = cls(diagram=d)
+        """`d` lowered to factors on the first call, read back on later ones."""
+        if d._compiled is None:
+            return cls._lower(d, {})
+        return cls(d, *d._compiled)
+
+    def with_nodes(self, nodes: Iterable[Node]) -> "CompiledModel":
+        """The compiled form of `self.diagram.replace_nodes(nodes)`, which
+        checks the swap, kept with that diagram. The factors of the swapped
+        nodes, and of the children of one whose domain changed, are built;
+        every other is this model's. The elimination priority comes from
+        the swapped diagram's own order."""
+        nodes = list(nodes)
+        d = self.diagram.replace_nodes(nodes)
+        old = self.diagram.nodes
+        resized = {n.id for n in nodes if n.id not in old or n.domain != old[n.id].domain}
+        built = {n.id for n in nodes} | {n.id for n in d.nodes.values()
+                                         if not resized.isdisjoint(n.parents)}
+        kept = {nid: f for factors in (self.prob_factors, self.value_factors)
+                for nid, f in factors.items() if nid not in built}
+        return self._lower(d, kept)
+
+    @classmethod
+    def _lower(cls, d: Diagram, kept: Mapping[str, Factor]) -> "CompiledModel":
+        """Compile `d`, taking the factors in `kept` as they are, and keep
+        what it built with `d`."""
         topo = topological_order(d)
-        depth = {nid: i for i, nid in enumerate(topo)}
-        m.elim_priority = {nid: (-depth[nid],) for nid in topo}
+        m = cls(d, {n.id: len(n.domain) for n in d.nodes.values() if n.domain is not None},
+                {}, {}, {nid: (-depth,) for depth, nid in enumerate(topo)})
         for n in d.nodes.values():
-            if n.domain is not None:
-                m.sizes[n.id] = len(n.domain)
-        for n in d.nodes.values():
-            if n.kind == NodeKind.CHANCE:
-                m.prob_factors[n.id] = m._cpt_factor(n)
-            elif n.kind == NodeKind.DETERMINISTIC:
-                m.prob_factors[n.id] = m.rule_factor(n.id, n.payload.rows)
-            elif n.kind == NodeKind.VALUE:
-                m.value_factors[n.id] = m._value_factor(n)
+            factors = m.value_factors if n.kind == NodeKind.VALUE else m.prob_factors
+            f = kept.get(n.id)
+            if f is None:
+                if n.kind == NodeKind.CHANCE:
+                    f = m._cpt_factor(n)
+                elif n.kind == NodeKind.DETERMINISTIC:
+                    f = m.rule_factor(n.id, n.payload.rows)
+                elif n.kind == NodeKind.VALUE:
+                    f = m._value_factor(n)
+                else:
+                    continue
+                f.table.flags.writeable = False
+            factors[n.id] = f
+        object.__setattr__(d, "_compiled", (m.sizes, m.prob_factors, m.value_factors,
+                                            m.elim_priority))
         return m
 
     def _family(self, n: Node, cell: Callable[[tuple[str, ...]], object],

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -29,6 +31,7 @@ from araid.diagram import (Agent, AgentKind, Cpt, DiagramError, Node, NodeKind, 
                            validate_diagram)
 from araid.drilling import default_beliefs, default_uncertainty
 from araid.modelfile import parse_model, serialize_model
+from araid.resources import data_path
 from araid import inference
 from araid.inference import (CompiledModel, ContractionTape, ImpossibleEvidenceError,
                              UtilityQuery, constant_policy, decision_table,
@@ -1029,8 +1032,30 @@ def test_policy_search_builds_each_rule_table_once(drilling):
             assert weights is None
             lo += len(chunk)
         assert lo == len(policies) == 48
-        assert sorted(map(ara._policy_sort_key, (r.policy for r in solution.ranking))) == \
-            sorted(map(ara._policy_sort_key, policies))
+        assert sorted(map(policy_content, (r.policy for r in solution.ranking))) == \
+            sorted(map(policy_content, policies))
+
+
+def policy_content(policy) -> tuple:
+    """A policy's content as the search orders ties in EU: each decision's
+    rule as its sorted items, decisions in sorted order."""
+    return tuple((dec, tuple(sorted(policy[dec].items()))) for dec in sorted(policy))
+
+
+def test_the_ranking_orders_ties_by_policy_content(drilling):
+    forecast = AttackForecast.constant(drilling, "AP", {"perpetrate": 0.35,
+                                                        "no_perpetrate": 0.65})
+    ranking = solve_defender(drilling, forecast).ranking
+    assert [r.policy for r in ranking] == [r.policy for r in sorted(
+        ranking, key=lambda r: (-r.expected_utility, policy_content(r.policy)))]
+    # every policy ties when D's value scores each alternative 1; labels x0
+    # to x11 sort x0, x1, x10, x11, x2, ..., not in the order enumerated
+    d, forecast = wide_search(12)
+    v = d.nodes["V"]
+    flat = d.replace_nodes([replace(v, payload=replace(v.payload, scale=math.inf))])
+    ranking = solve_defender(flat, forecast).ranking
+    assert len({r.expected_utility for r in ranking}) == 1
+    assert [r.policy["D"][()] for r in ranking] == sorted(f"x{i}" for i in range(12))
 
 
 def wide_search(alternatives: int):
@@ -1104,7 +1129,8 @@ def test_batched_sampling_equals_one_target_at_a_time(drilling, seed, block, row
     view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
     block_of = ara._DrawBlock(view, CompiledModel.compile(view), ParameterUncertainty(rules),
                               view.utility_node_of("attacker"), rows)
-    assert [len(slots) for _, _, slots in block_of.runs] == [1, 1, 2, 8, 2, 1]
+    assert [len(slots) for _, _, slots, _ in block_of.runs] == [1, 1, 2, 8, 2, 1]
+    assert [t for *_, targets in block_of.runs for t in targets] == block_of.targets
     bases = [slot[0].copy() if slot.ndim > 1 else float(slot[0]) for slot in block_of.slots]
     block_of.sample(seed, block)
     rng = ara._draw_rng(seed, block)
@@ -1118,6 +1144,48 @@ def test_a_collapsed_row_inside_a_stacked_run_is_rejected():
     bases = np.array([[0.5, 0.5], [0.005, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match="zero mass"):
         PerturbRule(0.01).sample(bases, np.random.default_rng(0), ara.DRAW_BLOCK)
+
+
+def test_a_refused_draw_names_its_targets_and_block(drilling):
+    rules = {("belief", "DT"): PerturbRule(1e6)}
+    with pytest.raises(ValueError, match=r"^sampling \('belief', 'DT'\) in block 0 \(draws "
+                                         r"from 0\): perturbed vector collapsed to zero mass$"):
+        forecast_attack(drilling, default_beliefs(), ParameterUncertainty(rules),
+                        draws=2000, seed=0)
+    # a run of stacked rows names every target in it, and a later block its number
+    rows = [("cpt_row", "UM", row) for row in drilling.nodes["UM"].payload.rows]
+    view = attacker_view(drilling, default_beliefs(), observed={"DP", "DF"})
+    block = ara._DrawBlock(view, CompiledModel.compile(view),
+                           ParameterUncertainty({t: PerturbRule(1e6) for t in rows}),
+                           view.utility_node_of("attacker"), 10)
+    assert len(block.runs) == 1 and sorted(block.targets) == sorted(rows)
+    with pytest.raises(ValueError, match="zero mass") as refused:
+        block.sample(0, 7)
+    assert str(refused.value).startswith(
+        f"sampling {', '.join(map(repr, block.targets))} in block 7 (draws from 7168): ")
+
+
+@pytest.mark.parametrize("length", [7, 10])  # summed left to right, and by numpy
+def test_perturb_rule_refuses_a_mass_past_the_largest_float_without_a_warning(length):
+    # a half-width that `_check_rule` takes: twice it is finite
+    rule, base = PerturbRule(8e307), np.full(length, 1 / length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed"):
+            rule.sample(base, np.random.default_rng(0), 4)
+
+
+def test_no_numpy_warning_reaches_the_cli_for_a_huge_perturbation():
+    code = ("import sys; from araid import ara, cli, drilling; "
+            "drilling.default_uncertainty = lambda: ara.ParameterUncertainty("
+            "{('belief', 'DT'): ara.PerturbRule(8e307)}); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "solve", str(data_path("drilling.maid")),
+                           "--draws", "2000", "--seed", "0"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(
+        "error: sampling ('belief', 'DT') in block 0 (draws from 0): perturbed vector")
 
 
 def test_dirichlet_rule_rejects_a_length_mismatch():

@@ -1,9 +1,11 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from araid import diagram as diagram_module
 from araid.diagram import (
     Agent,
     AgentKind,
@@ -14,14 +16,16 @@ from araid.diagram import (
     Domain,
     Node,
     NodeKind,
+    UtilitySpec,
     ValueSpec,
     ancestors,
     build_diagram,
     topological_order,
     validate_diagram,
 )
+from araid.modelfile import parse_model
 
-from conftest import random_diagram
+from conftest import attacker_only_model, random_diagram, wide_decision_model, wide_observer_model
 
 
 def chance(nid, labels, rows, parents=()):
@@ -415,3 +419,84 @@ def test_a_swap_on_random_diagrams_gives_what_a_full_build_gives():
                 assert got == rebuilt(d, [new])
                 seen["valid" if isinstance(got, Diagram) else "invalid"] += 1
     assert seen["valid"] > 100 and seen["invalid"] > 100, seen
+
+
+def admitted_swap(rng, d, node):
+    """A random swap of `node` that `replace_nodes` checks alone: the same
+    id and domain, a subset of its parents (in any order), and its kind and
+    owner, or a decision turned chance. About a third of them carry a
+    broken table or an owner a chance node may not have."""
+    parents = tuple(p for p in node.parents if rng.random() < 0.7)
+    if rng.random() < 0.3:
+        parents = parents[::-1]
+    bad = rng.random() < 0.3
+    kind = node.kind
+    keys = [] if kind == NodeKind.UTILITY else list(
+        itertools.product(*(d.nodes[p].domain.labels for p in parents)))
+    if kind == NodeKind.CHANCE or (kind == NodeKind.DECISION and rng.random() < 0.6):
+        size = len(node.domain)
+        rows = {k: tuple(rng.dirichlet(np.ones(size))) for k in keys}
+        # a decision turned chance keeps its owner, which no chance node may have
+        owner = node.owner if kind == NodeKind.CHANCE or (bad and rng.random() < 0.5) else None
+        if bad and owner is None:
+            rows[keys[0]] = (1.0,) * size
+        return Node(node.id, NodeKind.CHANCE, owner=owner, domain=node.domain,
+                    parents=parents, payload=Cpt(rows))
+    if kind == NodeKind.DECISION:
+        return replace(node, parents=parents)
+    if kind == NodeKind.DETERMINISTIC:
+        rows = {k: node.domain.labels[int(rng.integers(len(node.domain)))] for k in keys}
+        if bad:
+            rows[keys[0]] = "no-such-label"
+        return replace(node, parents=parents, payload=DetTable(rows))
+    if kind == NodeKind.VALUE and node.payload.form == "table":
+        rows = {k: float(rng.uniform(0, 1)) for k in keys}
+        if bad:
+            rows[keys[0]] = float("nan")
+        return replace(node, parents=parents, payload=ValueSpec("table", rows=rows))
+    if kind == NodeKind.VALUE:  # an analytic form needs its one parent
+        return replace(node, parents=parents)
+    weights = rng.dirichlet(np.ones(len(parents))) if parents else []
+    spec = UtilitySpec({p: float(w) for p, w in zip(parents, weights)})
+    return replace(node, parents=parents,
+                   payload=UtilitySpec({**spec.weights, "extra": 0.5}) if bad else spec)
+
+
+def test_a_swap_the_rule_admits_reports_what_a_full_validation_reports(drilling):
+    # the slow oracle: `build_diagram`, which validates the merged diagram
+    # in full; the swap runs the swapped nodes' own checks and no graph check
+    rng = np.random.default_rng(2626)
+    diagrams = [random_diagram(rng) for _ in range(40)] + [
+        parse_model(wide_observer_model()), parse_model(wide_decision_model(3)),
+        parse_model(attacker_only_model()), drilling]
+    seen = {"valid": 0, "invalid": 0}
+    for d in diagrams:
+        for _ in range(15):
+            ids = rng.choice(list(d.nodes), size=int(rng.integers(1, 4)), replace=False)
+            new = [admitted_swap(rng, d, d.nodes[nid]) for nid in ids]
+            assert all(diagram_module._breaks_only_itself(d.nodes[n.id], n) for n in new)
+            with mock.patch.object(diagram_module, "_check_graph") as graph:
+                got = swapped(d, new)
+            assert not graph.called
+            assert got == rebuilt(d, new)
+            seen["valid" if isinstance(got, Diagram) else "invalid"] += 1
+    assert seen["valid"] > 150 and seen["invalid"] > 150, seen
+
+
+def test_a_swap_the_rule_does_not_admit_runs_every_check(drilling):
+    n = drilling.nodes
+    three = Domain(("riskier", "normal", "calm"))
+    cases = {
+        "changed domain": ([replace(n["UC"], domain=three, payload=Cpt({(): (0.2, 0.3, 0.5)}))],
+                           "incomplete-table"),
+        "added parent": ([cpt_over(drilling, replace(n["UC"], parents=("UH",)),
+                                   lambda key: (0.5, 0.5))], "cycle"),
+        "chance turned decision": ([Node("UC", NodeKind.DECISION, owner="defender",
+                                         domain=n["UC"].domain)], "order-coverage"),
+        "new id": ([Node("DX", NodeKind.DECISION, owner="defender", domain=n["DP"].domain)],
+                   "order-coverage"),
+    }
+    for name, (nodes, code) in cases.items():
+        assert not all(diagram_module._breaks_only_itself(n.get(x.id), x) for x in nodes), name
+        got, want = swapped(drilling, nodes), rebuilt(drilling, nodes)
+        assert got == want and code in {v.code for v in got}, name

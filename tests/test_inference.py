@@ -1,6 +1,9 @@
+import contextlib
+import gc
 import itertools
 import math
 import time
+import weakref
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from araid.diagram import Cpt, Domain, NodeKind, ValueSpec, Node, build_diagram
+from araid.diagram import Cpt, Diagram, Domain, NodeKind, ValueSpec, Node, build_diagram
 from araid import inference
 from araid.inference import (
     BATCH,
@@ -30,7 +33,9 @@ from araid.inference import (
     marginal_distribution,
 )
 
-from araid.ara import _all_rules, _tally
+from araid.ara import (AttackForecast, _all_rules, _tally, apply_forecast, attacker_view,
+                       forecast_attack, solve_defender)
+from araid.drilling import build_drilling_model, default_beliefs, default_uncertainty
 from araid.modelfile import try_parse_model
 
 from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, deepest_first, executed_expected,
@@ -661,6 +666,26 @@ def test_a_cost_ordered_tape_matches_its_deepest_first_tape_on_random_diagrams()
     assert reordered >= 40
 
 
+def test_a_greedy_walk_that_ties_deepest_first_keeps_deepest_first():
+    # deepest-first eliminates a (9 per row), b (fixed tables only: 0) and
+    # c (3); greedy takes b first, then a and c: 12 per row either way. Only
+    # a strictly cheaper greedy walk replaces deepest-first
+    var_lists = [(BATCH, "a", "c"), ("c", "b"), ("b",)]
+    sizes = {"a": 3, "b": 2, "c": 3}
+    fixed = {1: np.full((3, 2), 0.25), 2: np.array([0.5, 2.0])}
+    walk = inference._Elimination(var_lists, [BATCH], fixed, sizes)
+    deepest, greedy = walk(["a", "b", "c"]), walk(["a", "b", "c"], greedy=True)
+    assert deepest[0] == greedy[0] == 12
+    assert [s[0] for s in deepest[1]] == ["a", "b", "c"]
+    assert [s[0] for s in greedy[1]] == ["b", "a", "c"]
+    priority = {"a": (-2,), "b": (-1,), "c": (0,)}
+    tape = ContractionTape(var_lists, [BATCH], priority, sizes, fixed, by_row_cost=True)
+    plain = ContractionTape(var_lists, [BATCH], priority, sizes, fixed)
+    assert tape.row_ops == plain.row_ops == 12 and tape.steps == plain.steps
+    x = np.random.default_rng(4).random((5, 3, 3))
+    assert same_bits(tape.execute([x] + tape.constants), plain.execute([x] + plain.constants))
+
+
 def test_a_gathered_step_differs_from_its_einsum_only_at_a_signed_zero_or_an_unpicked_inf():
     # b is a deterministic function of a; eliminating b against [batch, b]
     # takes each row's entry at pick[a]
@@ -1108,3 +1133,126 @@ def test_renaming_nodes_preserves_results(drilling):
 def test_each_rule_evidence_and_axis_refusal_names_its_cause(drilling, call, message):
     with pytest.raises(ValueError, match=message):
         call(drilling)
+
+
+# -- one compile per diagram -----------------------------------------------------
+
+def fresh(d: Diagram) -> Diagram:
+    """An equal diagram that was never compiled."""
+    return Diagram(d.agents, dict(d.nodes), d.decision_order)
+
+
+def assert_compiles_alike(m: CompiledModel, want: CompiledModel) -> None:
+    assert m.sizes == want.sizes and m.elim_priority == want.elim_priority
+    for got, ref in ((m.prob_factors, want.prob_factors), (m.value_factors, want.value_factors)):
+        assert list(got) == list(ref)
+        for nid, f in ref.items():
+            assert got[nid].vars == f.vars and same_bits(got[nid].table, f.table), nid
+
+
+@contextlib.contextmanager
+def factor_builds():
+    """The ids of the nodes whose factors `CompiledModel` builds in the
+    block, filled when it ends."""
+    spies = [spy_on(CompiledModel, name) for name in ("_cpt_factor", "_value_factor",
+                                                      "rule_factor")]
+    built = []
+    with contextlib.ExitStack() as stack:
+        for _, spy in spies:
+            stack.enter_context(spy)
+        yield built
+    built += [getattr(args[1], "id", args[1]) for calls, _ in spies for args in calls]
+
+
+def test_a_diagram_is_compiled_once(drilling):
+    d = fresh(drilling)
+    assert d._compiled is None
+    first = CompiledModel.compile(d)
+    with factor_builds() as built:
+        again = CompiledModel.compile(d)
+    assert built == []
+    assert again.diagram is d and again.prob_factors is first.prob_factors
+    assert again.value_factors is first.value_factors and again.sizes is first.sizes
+    assert again.elim_priority is first.elim_priority
+
+
+def test_repeated_forecasts_and_searches_build_only_the_swapped_factors(drilling):
+    d = fresh(drilling)
+    forecast_attack(d, default_beliefs(), default_uncertainty(), draws=10, seed=1)
+    for _ in range(2):
+        with factor_builds() as built:
+            forecast = forecast_attack(d, default_beliefs(), default_uncertainty(),
+                                       draws=10, seed=1)
+            solve_defender(d, forecast)
+        assert built == ["DT", "DR", "AP"]  # the view's two beliefs, the attack forecast
+
+
+def test_a_derived_compile_equals_a_compile_of_the_derived_diagram(drilling):
+    d = fresh(drilling)
+    view = attacker_view(d, default_beliefs(), {"DP", "DF"})
+    forecast = AttackForecast.constant(d, "AP", {"perpetrate": 0.35, "no_perpetrate": 0.65})
+    solved = apply_forecast(d, forecast)
+    for derived in (view, solved):
+        assert derived._compiled is not None
+        assert_compiles_alike(CompiledModel.compile(derived), CompiledModel.compile(fresh(derived)))
+    # DR loses its parent UA in the view, so its depths are its own
+    assert CompiledModel.compile(view).elim_priority != CompiledModel.compile(d).elim_priority
+    # new money tags on DC, whose children read them: AMV's factor is rebuilt
+    dc = d.nodes["DC"]
+    tags = tuple(2 * t for t in dc.domain.numeric_tags)
+    richer = CompiledModel.compile(d).with_nodes([replace(dc, domain=Domain(dc.domain.labels, tags))])
+    assert_compiles_alike(richer, CompiledModel.compile(fresh(richer.diagram)))
+    assert not np.array_equal(richer.value_factors["AMV"].table,
+                              CompiledModel.compile(d).value_factors["AMV"].table)
+    # random swaps on random diagrams: new tables over a subset of the
+    # parents, decisions turned chance, several nodes at once
+    rng = np.random.default_rng(2626)
+    for _ in range(40):
+        r = random_diagram(rng, with_money=True)
+        ids = [n.id for n in r.nodes.values() if n.kind in (NodeKind.CHANCE, NodeKind.DECISION)]
+        picked = rng.choice(ids, size=int(rng.integers(1, min(3, len(ids)) + 1)), replace=False)
+        swaps = []
+        for nid in picked:
+            n = r.nodes[nid]
+            parents = tuple(p for p in n.parents if rng.random() < 0.6)
+            keys = itertools.product(*(r.nodes[p].domain.labels for p in parents))
+            swaps.append(Node(nid, NodeKind.CHANCE, domain=n.domain, parents=parents,
+                              payload=Cpt({k: tuple(rng.dirichlet(np.ones(len(n.domain))))
+                                           for k in keys})))
+        m = CompiledModel.compile(r).with_nodes(swaps)
+        assert_compiles_alike(m, CompiledModel.compile(fresh(m.diagram)))
+        kept = set(r.nodes) - set(picked)
+        parent = CompiledModel.compile(r)
+        assert all(m.prob_factors[nid] is parent.prob_factors[nid]
+                   for nid in kept & set(parent.prob_factors))
+
+
+def test_a_compiled_diagram_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        d = build_drilling_model()
+        m = CompiledModel.compile(d)
+        view = attacker_view(d, default_beliefs(), {"DP", "DF"})
+        refs = [weakref.ref(x) for x in (d, m, view, m.prob_factors["UC"],
+                                         m.value_factors["AMV"].table,
+                                         CompiledModel.compile(view).prob_factors["DT"].table)]
+        del d, m, view
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_compiled_factor_tables_are_read_only(drilling):
+    view = attacker_view(drilling, default_beliefs(), {"DP", "DF"})
+    m = CompiledModel.compile(view)
+    for f in [*m.prob_factors.values(), *m.value_factors.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            f.table[(0,) * f.table.ndim] = 0.5
+
+
+def test_the_compiled_form_takes_no_part_in_equality_or_repr(drilling):
+    d, other = fresh(drilling), fresh(drilling)
+    CompiledModel.compile(d)
+    assert d._compiled is not None and other._compiled is None
+    assert d == other and repr(d) == repr(other) and "_compiled" not in repr(d)
