@@ -189,13 +189,17 @@ class Diagram:
     observed at decision time.
 
     A diagram is compiled once: the first `inference.CompiledModel.compile`
-    of it keeps its sizes, factors and elimination priority in `_compiled`,
-    which takes no part in `==` or `repr` and holds no reference back to the
-    diagram, and every later compile reads them. So a diagram must not be
-    mutated after `build_diagram` (or `replace_nodes`) gives it out, and
-    repeated `forecast_attack` and `solve_defender` calls on one diagram pay
-    the compile once. Their swapped models come from `replace_nodes`, which
-    re-checks only the swapped nodes when the swap can break nothing else.
+    of it keeps its sizes, factors, elimination priority and plan memo in
+    `_compiled`, which takes no part in `==` or `repr` and holds no
+    reference back to the diagram, and every later compile reads them. So a
+    diagram must not be mutated after `build_diagram` (or `replace_nodes`)
+    gives it out, and repeated `forecast_attack` and `solve_defender` calls
+    on one diagram pay the compile once. Their swapped models come from
+    `replace_nodes`, which re-checks only the swapped nodes when the swap
+    can break nothing else. The diagram and every model derived from it
+    share one memo of contraction plans, so those calls also plan each
+    contraction once; the memo holds structure only, no table, and lives
+    as long as the diagrams do.
     """
 
     agents: tuple[Agent, ...]

@@ -43,7 +43,10 @@ queries and the policy search, a batch of decision rules, keep
 deepest-first, so each policy's expected utility has the bits of
 evaluating it alone. No step may hold more than MAX_STEP_CELLS cells (per
 batch row); a plan that needs one is refused before any step runs. The
-steps on fixed tables alone then run once, each freeing its operands.
+steps on fixed tables alone then run once, each freeing its operands. A
+plan depends on the factors' scopes, not their values, so a diagram and
+every model derived from it share a memo of plans (`CompiledModel.plans`),
+and a repeated forecast or search replays its walks.
 
 A step that eliminates a variable from a batched table and a fixed input
 one-hot along it (a deterministic node's table, say) runs as `np.take` of
@@ -57,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -262,48 +265,41 @@ class ContractionTape:
     kept steps per batch row: each einsum step's output cells times the
     extent of the variable it sums out (a last product's output cells),
     and a take one copy of its output cells.
+
+    A plan depends on the factors' scopes, not on their values, so `plans`
+    (a dict, as `CompiledModel.plans` is) memoizes it. The key is
+    everything the walk reads but the tables: the var lists, `keep`, which
+    inputs are fixed, `by_row_cost`, and each variable's size and
+    elimination priority. The entry is the walk's result, the einsum
+    specs, and the one-hot facts the walk looked at: for each (fixed
+    input, variable) pair, the index of each row's 1, or None. A tape
+    whose key is memoized recomputes those facts on its own fixed tables
+    and replays the plan if they match; otherwise it plans afresh and
+    replaces the entry. Either way the steps on fixed tables, `constants`,
+    `result` and `row_cells` come from its own tables, so a replayed tape
+    is the fresh one bit for bit. The entry holds no table or constant,
+    only structure and the takes' index arrays, and a refused plan is
+    never kept. Without `plans`, the tape is planned afresh.
     """
 
     def __init__(self, var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
                  elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
-                 fixed: Mapping[int, np.ndarray] | None = None, *, by_row_cost: bool = False):
+                 fixed: Mapping[int, np.ndarray] | None = None, *, by_row_cost: bool = False,
+                 plans: dict | None = None):
         fixed = fixed or {}
-        keep_set = set(keep)
-        elim = sorted({v for vs in var_lists for v in vs if v not in keep_set},
-                      key=lambda v: (elim_priority.get(v, (0,)),
-                                     sum(v in vs for vs in var_lists), v))
-        walk = _Elimination(var_lists, keep, fixed, sizes)
-        chosen = walk(elim)
-        if by_row_cost and BATCH in keep_set and len(fixed) < len(var_lists):
-            chosen = walk(elim, greedy=True, below=chosen[0]) or chosen
-        self.row_ops, steps, (out_slot, out_vars) = chosen
-
-        # Each variable holds one einsum letter from the first step that reads
-        # it to the step that eliminates it, so a letter names one variable in
-        # every step that mentions it, and an eliminated variable's letter is
-        # free for reuse. Every step is checked before any runs.
-        letters: dict[str, str] = {}
-        spare = list(reversed(string.ascii_letters))
-        specs = []
-        for v, _, ins, out, _, _ in steps:
-            for w in itertools.chain(*ins):
-                if w not in letters:
-                    if not spare:
-                        needed = len(letters.keys() | set(itertools.chain(*ins)))
-                        raise ValueError(f"a contraction needs {needed} einsum letters at once, "
-                                         f"more than the {len(string.ascii_letters)} there are")
-                    letters[w] = spare.pop()
-            cells = math.prod(sizes[w] for w in out if w != BATCH)
-            if cells > MAX_STEP_CELLS:
-                held = [w for w in out if w != BATCH]
-                raise ValueError(f"a contraction step over {len(held)} variables "
-                                 f"({', '.join(held)}) needs {cells:,} cells"
-                                 f"{' per batch row' if BATCH in out else ''}, more than "
-                                 f"MAX_STEP_CELLS = {MAX_STEP_CELLS:,}")
-            spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
-            specs.append(spec + "->" + "".join([letters[w] for w in out]))
-            if v is not None:
-                spare.append(letters.pop(v))
+        plan = key = None
+        if plans is not None:
+            # everything the walk reads but the tables (see the class)
+            key = (tuple(map(tuple, var_lists)), tuple(keep), tuple(sorted(fixed)), by_row_cost,
+                   tuple((sizes.get(w), elim_priority.get(w))
+                         for w in dict.fromkeys(itertools.chain(*var_lists))))
+            plan = plans.get(key)
+        if plan is None or not all(_same_index(_one_hot(fixed[i], var_lists[i].index(v)), index)
+                                   for (i, v), index in plan[2].items()):
+            plan = _plan(var_lists, keep, elim_priority, sizes, fixed, by_row_cost)
+            if plans is not None:
+                plans[key] = plan
+        (self.row_ops, steps, (out_slot, out_vars)), specs, _ = plan
 
         # run the steps that read fixed slots alone; each slot is read by one
         # step (or is the output), so an operand is freed once its step runs
@@ -337,7 +333,7 @@ class ContractionTape:
         planned = len(fixed) == n_inputs
         self.result = np.asarray(self._output(self.constants), order="C") if planned else None
 
-        batched = BATCH in walk.bit  # with no batch axis, every term counts
+        batched = any(BATCH in vs for vs in var_lists)  # with no batch axis, every term counts
         # a result that views a varying input reads it whole
         self.row_cells = max((math.prod(sizes[w] for w in t if w != BATCH)
                               for t in terms + ([] if planned else [out_vars])
@@ -366,6 +362,64 @@ class ContractionTape:
         result = (np.array(1.0) if self.out_slot is None else slots[self.out_slot]
                   ).transpose(self.out_axes)
         return np.expand_dims(result, self.missing_axes) if self.missing_axes else result
+
+
+def _plan(var_lists: Sequence[tuple[str, ...]], keep: Sequence[str],
+          elim_priority: Mapping[str, tuple], sizes: Mapping[str, int],
+          fixed: Mapping[int, np.ndarray], by_row_cost: bool) -> tuple:
+    """A tape's plan: the chosen walk (`_Elimination`), each step's einsum
+    spec, and the one-hot facts the walks looked at, by (fixed input,
+    variable). Raises ValueError as `ContractionTape` says."""
+    keep_set = set(keep)
+    elim = sorted({v for vs in var_lists for v in vs if v not in keep_set},
+                  key=lambda v: (elim_priority.get(v, (0,)),
+                                 sum(v in vs for vs in var_lists), v))
+    walk = _Elimination(var_lists, keep, fixed, sizes)
+    chosen = walk(elim)
+    if by_row_cost and BATCH in keep_set and len(fixed) < len(var_lists):
+        chosen = walk(elim, greedy=True, below=chosen[0]) or chosen
+
+    # Each variable holds one einsum letter from the first step that reads
+    # it to the step that eliminates it, so a letter names one variable in
+    # every step that mentions it, and an eliminated variable's letter is
+    # free for reuse. Every step is checked before any runs.
+    letters: dict[str, str] = {}
+    spare = list(reversed(string.ascii_letters))
+    specs = []
+    for v, _, ins, out, _, _ in chosen[1]:
+        for w in itertools.chain(*ins):
+            if w not in letters:
+                if not spare:
+                    needed = len(letters.keys() | set(itertools.chain(*ins)))
+                    raise ValueError(f"a contraction needs {needed} einsum letters at once, "
+                                     f"more than the {len(string.ascii_letters)} there are")
+                letters[w] = spare.pop()
+        cells = math.prod(sizes[w] for w in out if w != BATCH)
+        if cells > MAX_STEP_CELLS:
+            held = [w for w in out if w != BATCH]
+            raise ValueError(f"a contraction step over {len(held)} variables "
+                             f"({', '.join(held)}) needs {cells:,} cells"
+                             f"{' per batch row' if BATCH in out else ''}, more than "
+                             f"MAX_STEP_CELLS = {MAX_STEP_CELLS:,}")
+        spec = ",".join(["".join([letters[w] for w in vs]) for vs in ins])
+        specs.append(spec + "->" + "".join([letters[w] for w in out]))
+        if v is not None:
+            spare.append(letters.pop(v))
+    return chosen, specs, walk.one_hot
+
+
+def _one_hot(table: np.ndarray, axis: int) -> np.ndarray | None:
+    """The index of each row's 1 along `axis` where `table` is 0/1 with one
+    1 in each row, else None."""
+    # every row sums to 1, so has a nonzero entry, and there are only as
+    # many nonzero entries as rows, so each row's is its only one
+    return table.argmax(axis=axis) if (
+        np.count_nonzero(table) * table.shape[axis] == table.size
+        and (table.sum(axis=axis) == 1.0).all()) else None
+
+
+def _same_index(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 def _step_vars(ins: Iterable[tuple[str, ...]], v: str) -> tuple[str, ...]:
@@ -492,12 +546,7 @@ class _Elimination:
                 or fmask & group[1 - k][0] & ~self.bit[v]):
             return None
         if (i, v) not in self.one_hot:
-            # every row sums to 1, so has a nonzero entry, and there are only
-            # as many nonzero entries as rows, so each row's is its only one
-            table, axis = self.fixed[i], vs.index(v)
-            self.one_hot[i, v] = table.argmax(axis=axis) if (
-                np.count_nonzero(table) * table.shape[axis] == table.size
-                and (table.sum(axis=axis) == 1.0).all()) else None
+            self.one_hot[i, v] = _one_hot(self.fixed[i], vs.index(v))
         index = self.one_hot[i, v]
         if index is None:
             return None
@@ -517,12 +566,19 @@ class CompiledModel:
     """Diagram lowered to numpy factors, ready for repeated queries.
 
     `compile` lowers each diagram once: the first call keeps the sizes,
-    factors and elimination priority with the diagram (`Diagram._compiled`,
-    which holds no reference back to it), and every later call reads them.
-    Every CompiledModel of one diagram shares them, and the factor tables
-    are read-only. `with_nodes` derives a swapped diagram's compiled form
-    from its parent's: it builds the swapped nodes' factors and shares every
-    other.
+    factors, elimination priority and plan memo with the diagram
+    (`Diagram._compiled`, which holds no reference back to it), and every
+    later call reads them. Every CompiledModel of one diagram shares them,
+    and the factor tables are read-only. `with_nodes` derives a swapped
+    diagram's compiled form from its parent's: it builds the swapped nodes'
+    factors and shares every other.
+
+    `plans` memoizes the tapes' plans (`ContractionTape`) for a diagram
+    family: a parsed or built diagram and every model `with_nodes` derives
+    from it, such as the attacker's view and each forecast-applied model,
+    share one memo. So repeated forecasts and searches on one diagram
+    replay their elimination walks instead of planning them again. The
+    memo holds structure only, no table, and lives as long as the family.
     """
 
     diagram: Diagram
@@ -530,12 +586,13 @@ class CompiledModel:
     prob_factors: Mapping[str, Factor]
     value_factors: Mapping[str, Factor]
     elim_priority: Mapping[str, tuple]
+    plans: dict = field(repr=False, compare=False)  # the family's tape plans
 
     @classmethod
     def compile(cls, d: Diagram) -> "CompiledModel":
         """`d` lowered to factors on the first call, read back on later ones."""
         if d._compiled is None:
-            return cls._lower(d, {})
+            return cls._lower(d, {}, {})
         return cls(d, *d._compiled)
 
     def with_nodes(self, nodes: Iterable[Node]) -> "CompiledModel":
@@ -552,15 +609,15 @@ class CompiledModel:
                                          if not resized.isdisjoint(n.parents)}
         kept = {nid: f for factors in (self.prob_factors, self.value_factors)
                 for nid, f in factors.items() if nid not in built}
-        return self._lower(d, kept)
+        return self._lower(d, kept, self.plans)
 
     @classmethod
-    def _lower(cls, d: Diagram, kept: Mapping[str, Factor]) -> "CompiledModel":
-        """Compile `d`, taking the factors in `kept` as they are, and keep
-        what it built with `d`."""
+    def _lower(cls, d: Diagram, kept: Mapping[str, Factor], plans: dict) -> "CompiledModel":
+        """Compile `d`, taking the factors in `kept` as they are and sharing
+        the plan memo `plans`, and keep what it built with `d`."""
         topo = topological_order(d)
         m = cls(d, {n.id: len(n.domain) for n in d.nodes.values() if n.domain is not None},
-                {}, {}, {nid: (-depth,) for depth, nid in enumerate(topo)})
+                {}, {}, {nid: (-depth,) for depth, nid in enumerate(topo)}, plans)
         for n in d.nodes.values():
             factors = m.value_factors if n.kind == NodeKind.VALUE else m.prob_factors
             f = kept.get(n.id)
@@ -576,7 +633,7 @@ class CompiledModel:
                 f.table.flags.writeable = False
             factors[n.id] = f
         object.__setattr__(d, "_compiled", (m.sizes, m.prob_factors, m.value_factors,
-                                            m.elim_priority))
+                                            m.elim_priority, plans))
         return m
 
     def _family(self, n: Node, cell: Callable[[tuple[str, ...]], object],
@@ -709,7 +766,7 @@ class CompiledModel:
             fixed = {i: f.table for i, (nid, f) in enumerate(picked) if nid not in batched}
             return (tuple(nid for nid, _ in picked if nid in batched),
                     ContractionTape(var_lists, out, self.elim_priority, self.sizes, fixed,
-                                    by_row_cost=by_row_cost))
+                                    by_row_cost=by_row_cost, plans=self.plans))
 
         norm_inputs, norm_tape = plan(ancestors(self.diagram, targets, stop=free), [])
         value_inputs, value_tapes = {}, {}
@@ -1036,7 +1093,10 @@ def _iter_joint(d: Diagram, policy: Policy):
             yield from walk(i + 1, assignment, prob)
             del assignment[n.id]
 
-    yield from walk(0, {}, 1.0)
+    try:
+        yield from walk(0, {}, 1.0)
+    finally:
+        del walk  # it refers to itself, so it would hold `d` until a collection
 
 
 def _enumerate(d: Diagram, policy: Policy, evidence: Evidence,

@@ -266,13 +266,49 @@ def replayed(tape, tables):
 
 
 def deepest_first(run):
-    """run(), with every contraction tape eliminating deepest-first."""
-    walk = inference._Elimination.__call__
+    """run(), with every contraction tape eliminating deepest-first. Each
+    tape is planned afresh and its plan kept in no memo, so the run neither
+    replays a plan memoized before it nor leaves one behind."""
+    walk, init = inference._Elimination.__call__, inference.ContractionTape.__init__
 
     def along(self, order, greedy=False, below=None):  # no greedy walk gets below
         return None if greedy else walk(self, order)
-    with mock.patch.object(inference._Elimination, "__call__", along):
+
+    def unmemoized(self, *args, plans=None, **kwargs):
+        init(self, *args, **kwargs)
+    with mock.patch.object(inference._Elimination, "__call__", along), \
+            mock.patch.object(inference.ContractionTape, "__init__", unmemoized):
         return run()
+
+
+def fresh(d: Diagram) -> Diagram:
+    """An equal diagram that was never compiled, so has an empty plan memo."""
+    return Diagram(d.agents, dict(d.nodes), d.decision_order)
+
+
+def assert_tapes_alike(tape, want) -> None:
+    """Two tapes of one query agree on every step, take (index arrays
+    included) and cost, and on their constants and planned result bit for bit."""
+    assert tape.steps == want.steps and tape.row_ops == want.row_ops
+    assert tape.row_cells == want.row_cells and tape.out_slot == want.out_slot
+    assert tape.out_axes == want.out_axes and tape.missing_axes == want.missing_axes
+    assert len(tape.gathers) == len(want.gathers)
+    for got, ref in zip(tape.gathers, want.gathers):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got[:3] == ref[:3] and np.array_equal(got[3], ref[3])
+    assert len(tape.constants) == len(want.constants)
+    assert all(same_bits(a, b) for a, b in zip(tape.constants, want.constants))
+    assert (tape.result is None) == (want.result is None)
+    assert tape.result is None or same_bits(tape.result, want.result)
+
+
+def assert_queries_alike(query, want) -> None:
+    """Two utility queries agree tape by tape (`assert_tapes_alike`)."""
+    assert list(query.value_tapes) == list(want.value_tapes)
+    for tape, ref in [(query.norm_tape, want.norm_tape),
+                      *((query.value_tapes[v], want.value_tapes[v]) for v in want.value_tapes)]:
+        assert_tapes_alike(tape, ref)
 
 
 def spy_on(owner, name):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import subprocess
@@ -37,8 +38,9 @@ from araid.inference import (CompiledModel, ContractionTape, ImpossibleEvidenceE
                              UtilityQuery, constant_policy, decision_table,
                              enumerate_expected_utility, expected_utility)
 
-from conftest import (chain_model, deepest_first, executed_expected, random_diagram, replayed,
-                      same_bits, spy_on, wide_decision_model, wide_observer_model)
+from conftest import (assert_queries_alike, chain_model, deepest_first, executed_expected, fresh,
+                      random_diagram, replayed, same_bits, spy_on, wide_decision_model,
+                      wide_observer_model)
 
 DP_DF = list(itertools.product(("additional", "no_additional"),
                                ("forensic", "no_forensic")))
@@ -919,6 +921,107 @@ def test_the_shipped_plans_per_row_cost(drilling):
         ("search", "planned"): {"DCV": (282, 48), "DHV": (162, 24)},
         ("search", "deepest"): {"DCV": (282, 48), "DHV": (162, 24)},
     }
+
+
+@contextlib.contextmanager
+def planned_afresh():
+    """Each query planned in the block, with the same query planned on a
+    diagram that was never compiled, so through an empty plan memo: a list
+    of (query, fresh query) pairs, filled when the block ends."""
+    planned, pairs, plan = [], [], CompiledModel.utility_query
+
+    def spy(self, *args, **kwargs):
+        planned.append((self.diagram, args, kwargs, plan(self, *args, **kwargs)))
+        return planned[-1][-1]
+    with mock.patch.object(CompiledModel, "utility_query", spy):
+        yield pairs
+    pairs += [(query, plan(CompiledModel.compile(fresh(d)), *args, **kwargs))
+              for d, args, kwargs, query in planned]
+
+
+def walks(run):
+    """The elimination walks `run()` makes, and its result."""
+    calls, spy = spy_on(inference._Elimination, "__call__")
+    with spy:
+        result = run()
+    return len(calls), result
+
+
+def arrays_in(value):
+    """Every numpy array or scalar inside nested tuples, lists and dicts."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
+def test_a_forecast_or_search_replays_the_plans_of_its_diagram_family(drilling):
+    # the parsed diagram, its attacker's view and each forecast-applied
+    # model share one plan memo. Every query, planned first or replayed,
+    # must equal the query planned through an empty memo; a repeated
+    # forecast and search plans nothing
+    d = fresh(drilling)
+    view = attacker_view(d, default_beliefs(), observed={"DP", "DF"})
+    with planned_afresh() as pairs:
+        for _ in range(2):
+            for dp, df in DP_DF:
+                best_response(view, "attacker", {"DP": dp, "DF": df})
+        for rules in FORECAST_RULES.values():
+            for seed in (1, 2, 77):
+                count, forecast = walks(lambda: forecast_attack(
+                    d, default_beliefs(), rules(d), draws=300, seed=seed))
+                count += walks(lambda: solve_defender(d, forecast))[0]
+                assert count == 0 or seed == 1, count
+        # a sampled forecast, then a one-hot one: the walk looked at no
+        # one-hot fact of AP's table, so the search replays its plan
+        one_hot = AttackForecast.constant(d, "AP", {"perpetrate": 1.0, "no_perpetrate": 0.0})
+        count, solution = walks(lambda: solve_defender(d, one_hot))
+        assert count == 0
+    assert len(pairs) == 4 * 2 + 2 * 3 * 2 + 1
+    for query, want in pairs:
+        assert_queries_alike(query, want)
+    assert solution.optimal == solve_defender(fresh(d), one_hot).optimal
+    # the memo keeps structure: its only arrays are the takes' integer indices
+    memo = CompiledModel.compile(d).plans
+    assert memo and CompiledModel.compile(view).plans is memo
+    assert all(a.dtype.kind == "i" for a in arrays_in(memo))
+
+
+def observed_attack_model() -> str:
+    """The defender's one decision D observes the attacker's A, whose payoff
+    depends on A and D: the search eliminates D against its score table,
+    then A against A's forecast table alone, a take where that table is
+    one-hot."""
+    return "\n".join([
+        "agent def kind=defender", "agent att kind=attacker",
+        "node A kind=decision agent=att domain=go,stay",
+        "node D kind=decision agent=def domain=x,y", "arc A -> D",
+        "node V kind=value agent=def", "arc D -> V", "value V form=indicator one=x zero=y",
+        "node W kind=value agent=att", "arc A -> W", "arc D -> W",
+        "value W form=table | A=go,D=x : 0", "value W form=table | A=go,D=y : 1",
+        "value W form=table | A=stay,D=x : 0.4", "value W form=table | A=stay,D=y : 0.4",
+        "node UD kind=utility agent=def", "arc V -> UD", "utility UD weights V=1",
+        "node UA kind=utility agent=att", "arc W -> UA", "utility UA weights W=1",
+        "order def D", "order att A"]) + "\n"
+
+
+def test_a_one_hot_forecast_replans_a_search_whose_take_it_changes():
+    d = parse_model(observed_attack_model())
+    rules = ParameterUncertainty({("belief", "D"): DirichletRule((2.0, 2.0))})
+    forecast = forecast_attack(d, {"D": {"x": 0.5, "y": 0.5}}, rules, draws=500, seed=1)
+    assert 0.0 < forecast.probabilities[()][0] < 1.0
+    one_hot = AttackForecast.constant(d, "A", {"go": 1.0, "stay": 0.0})
+    with planned_afresh() as pairs:
+        assert walks(lambda: solve_defender(d, forecast))[0] > 0
+        assert walks(lambda: solve_defender(d, forecast))[0] == 0
+        assert walks(lambda: solve_defender(d, one_hot))[0] > 0
+    for query, want in pairs:
+        assert_queries_alike(query, want)
+    takes = [sum(g is not None for g in query.value_tapes["V"].gathers) for query, _ in pairs]
+    assert takes == [1, 1, 2]
 
 
 def test_evidence_on_um_keeps_the_normaliser_and_matches_the_oracle(drilling):

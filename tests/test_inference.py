@@ -33,13 +33,14 @@ from araid.inference import (
     marginal_distribution,
 )
 
-from araid.ara import (AttackForecast, _all_rules, _tally, apply_forecast, attacker_view,
-                       forecast_attack, solve_defender)
+from araid.ara import (AttackForecast, ParameterUncertainty, UniformRule, _all_rules, _tally,
+                       apply_forecast, attacker_view, forecast_attack, solve_defender)
 from araid.drilling import build_drilling_model, default_beliefs, default_uncertainty
 from araid.modelfile import try_parse_model
 
-from conftest import (CHAIN_PRIOR, CHAIN_STEP, chain_model, deepest_first, executed_expected,
-                      grid_model, random_diagram, random_policy, replayed, same_bits, spy_on)
+from conftest import (CHAIN_PRIOR, CHAIN_STEP, assert_queries_alike, assert_tapes_alike,
+                      chain_model, deepest_first, executed_expected, fresh, grid_model,
+                      random_diagram, random_policy, replayed, same_bits, spy_on)
 
 
 def drilling_policy(d, dp="no_additional", df="no_forensic", dt="accept",
@@ -1137,11 +1138,6 @@ def test_each_rule_evidence_and_axis_refusal_names_its_cause(drilling, call, mes
 
 # -- one compile per diagram -----------------------------------------------------
 
-def fresh(d: Diagram) -> Diagram:
-    """An equal diagram that was never compiled."""
-    return Diagram(d.agents, dict(d.nodes), d.decision_order)
-
-
 def assert_compiles_alike(m: CompiledModel, want: CompiledModel) -> None:
     assert m.sizes == want.sizes and m.elim_priority == want.elim_priority
     for got, ref in ((m.prob_factors, want.prob_factors), (m.value_factors, want.value_factors)):
@@ -1204,8 +1200,18 @@ def test_a_derived_compile_equals_a_compile_of_the_derived_diagram(drilling):
     assert_compiles_alike(richer, CompiledModel.compile(fresh(richer.diagram)))
     assert not np.array_equal(richer.value_factors["AMV"].table,
                               CompiledModel.compile(d).value_factors["AMV"].table)
-    # random swaps on random diagrams: new tables over a subset of the
-    # parents, decisions turned chance, several nodes at once
+    for r, picked, m in random_swaps():
+        assert_compiles_alike(m, CompiledModel.compile(fresh(m.diagram)))
+        kept = set(r.nodes) - set(picked)
+        parent = CompiledModel.compile(r)
+        assert all(m.prob_factors[nid] is parent.prob_factors[nid]
+                   for nid in kept & set(parent.prob_factors))
+
+
+def random_swaps():
+    """40 random swaps on random diagrams: new tables over a subset
+    of the parents, decisions turned chance, several nodes at once. Yields
+    each diagram, the swapped ids and the derived compiled model."""
     rng = np.random.default_rng(2626)
     for _ in range(40):
         r = random_diagram(rng, with_money=True)
@@ -1219,12 +1225,106 @@ def test_a_derived_compile_equals_a_compile_of_the_derived_diagram(drilling):
             swaps.append(Node(nid, NodeKind.CHANCE, domain=n.domain, parents=parents,
                               payload=Cpt({k: tuple(rng.dirichlet(np.ones(len(n.domain))))
                                            for k in keys})))
-        m = CompiledModel.compile(r).with_nodes(swaps)
-        assert_compiles_alike(m, CompiledModel.compile(fresh(m.diagram)))
-        kept = set(r.nodes) - set(picked)
-        parent = CompiledModel.compile(r)
-        assert all(m.prob_factors[nid] is parent.prob_factors[nid]
-                   for nid in kept & set(parent.prob_factors))
+        yield r, picked, CompiledModel.compile(r).with_nodes(swaps)
+
+
+def test_a_plan_replayed_in_a_swapped_family_equals_a_fresh_one():
+    # each random diagram and its swap share one memo: the swap's queries,
+    # planned after the diagram's, must equal those of a diagram that was
+    # never compiled, whatever the memo replays. About half of the swap's
+    # tapes replay a plan of the diagram's
+    replays = 0
+    for r, _, m in random_swaps():
+        for model in (CompiledModel.compile(r), m):
+            d = model.diagram
+            keep = sorted(n.id for n in d.nodes.values() if n.kind == NodeKind.DECISION)
+            sampled = min(nid for nid, n in d.nodes.items() if n.kind == NodeKind.CHANCE)
+            want = CompiledModel.compile(fresh(d))
+            for batched in ((), (sampled,)):
+                calls, spy = spy_on(inference, "_plan")
+                with spy:
+                    query = model.utility_query("player", {}, {}, keep, batched=batched)
+                if model is m:
+                    replays += 1 + len(query.value_tapes) - len(calls)
+                assert_queries_alike(query, want.utility_query("player", {}, {}, keep,
+                                                               batched=batched))
+    assert replays > 80, replays
+
+
+def test_a_memoized_tape_equals_a_fresh_one_whatever_part_of_its_key_changes():
+    # deepest-first (a, b, c) eliminates a against the batched table at a x b
+    # x c per row; greedy eliminates b and c on the fixed tables alone, then a
+    # at a. Each variant below differs from the first in one part of the
+    # key, or in one-hotness, and plans differently: planned second through
+    # one memo, each must still give the tape that planning it afresh gives
+    rng = np.random.default_rng(27)
+
+    def tape(plans=None, sizes=(3, 3, 3), priority=("a", "b", "c"), by_row_cost=True,
+             keep=(BATCH,), fixed=(1, 2), one_hot=False):
+        sizes = dict(zip("abc", sizes))
+        tables = {1: rng.random([sizes[v] for v in "abc"]), 2: rng.random(sizes["c"])}
+        if one_hot:  # the step that eliminates c against the fixed (c,) takes
+            tables[2] = np.eye(sizes["c"])[0]
+        return ContractionTape([(BATCH, "a"), ("a", "b", "c"), ("c",)], list(keep),
+                               {v: (-i,) for i, v in enumerate(reversed(priority))}, sizes,
+                               {i: tables[i] for i in fixed}, by_row_cost=by_row_cost,
+                               plans=plans)
+    deepest = {"by_row_cost": False}
+    pairs = {"sizes": ({}, {"sizes": (4, 3, 3)}),
+             "priority": (deepest, {**deepest, "priority": ("b", "c", "a")}),
+             "by_row_cost": ({}, deepest), "keep": ({}, {"keep": (BATCH, "c")}),
+             "fixed": ({}, {"fixed": (1,)}), "one-hot": (deepest, {**deepest, "one_hot": True})}
+    for part, pair in pairs.items():
+        for first, second in (pair, pair[::-1]):
+            plans = {}
+            for variant in (first, second):
+                seed = int(rng.integers(2**32))
+                rng = np.random.default_rng(seed)
+                got = tape(plans, **variant)
+                rng = np.random.default_rng(seed)
+                assert_tapes_alike(got, tape(**variant))
+            # the second plan differs from the first
+            assert (got.steps, got.row_ops, got.gathers) != (
+                tape(**first).steps, tape(**first).row_ops, tape(**first).gathers), part
+            # a one-hot fact is not part of the key: its entry is replaced
+            assert len(plans) == (1 if part == "one-hot" else 2)
+    # a repeat of a key with the same one-hot facts, on new tables, replays:
+    # no walk runs
+    plans = {}
+    tape(plans, **deepest, one_hot=True)
+    calls, spy = spy_on(inference, "_Elimination")
+    rng = np.random.default_rng(seed)
+    with spy:
+        got = tape(plans, **deepest, one_hot=True)
+    assert not calls
+    rng = np.random.default_rng(seed)
+    assert_tapes_alike(got, tape(**deepest, one_hot=True))
+
+
+def test_a_refused_tape_is_refused_again_on_the_same_diagram():
+    # a refusal leaves nothing in the memo: the second call plans again and
+    # raises the same message
+    ids = [f"c{i:02d}" for i in range(53)]
+    lines = ["agent def kind=defender"]
+    for nid in ids:
+        lines += [f"node {nid} kind=chance domain=only", f"cpt {nid} | : only=1"]
+    lines += ["node V kind=value agent=def", *(f"arc {nid} -> V" for nid in ids),
+              "value V form=table | " + ",".join(f"{nid}=only" for nid in ids) + " : 1",
+              "node U kind=utility agent=def", "arc V -> U", "utility U weights V=1"]
+    wide, diags = try_parse_model("\n".join(lines) + "\n")
+    assert diags == []
+    grid, _ = try_parse_model(grid_model(20))
+    for d, message in ((wide, "a contraction needs 53 einsum letters at once"),
+                       (grid, "a contraction step over 23 variables")):
+        raised, kept = [], []
+        for _ in range(2):
+            calls, spy = spy_on(inference, "_plan")
+            with spy, pytest.raises(ValueError, match=message) as refusal:
+                expected_utility(d, "def", {})
+            raised.append(str(refusal.value))
+            kept.append(len(CompiledModel.compile(d).plans))
+            assert calls  # the refused tape is planned again
+        assert raised[0] == raised[1] and kept[0] == kept[1]
 
 
 def test_a_compiled_diagram_is_freed_without_the_cycle_collector():
@@ -1234,11 +1334,36 @@ def test_a_compiled_diagram_is_freed_without_the_cycle_collector():
         d = build_drilling_model()
         m = CompiledModel.compile(d)
         view = attacker_view(d, default_beliefs(), {"DP", "DF"})
+        # a sampled AMV makes the attacker's query take over DC
+        amv = ParameterUncertainty({("value_scale", "AMV"): UniformRule(8e6, 1.2e7)})
+        solve_defender(d, forecast_attack(d, default_beliefs(), amv, draws=10, seed=1))
+        # the parsed diagram and every model derived from it share one memo
+        # of plans, and an unrelated diagram has its own
+        assert m.plans and CompiledModel.compile(view).plans is m.plans
+        assert CompiledModel.compile(fresh(d)).plans is not m.plans
+        # a take's index array, which only the memo keeps once the tapes are gone
+        index = next(a for _, _, one_hot in m.plans.values() for a in one_hot.values()
+                     if a is not None)
         refs = [weakref.ref(x) for x in (d, m, view, m.prob_factors["UC"],
                                          m.value_factors["AMV"].table,
-                                         CompiledModel.compile(view).prob_factors["DT"].table)]
+                                         CompiledModel.compile(view).prob_factors["DT"].table,
+                                         index)]
+        del index
         del d, m, view
         assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_the_enumeration_oracle_leaves_no_reference_cycle(drilling):
+    gc.collect()
+    gc.disable()
+    try:
+        d = fresh(drilling)
+        eu = enumerate_expected_utility(d, "defender", drilling_policy(d))
+        ref = weakref.ref(d)
+        del d
+        assert math.isfinite(eu) and ref() is None
     finally:
         gc.enable()
 
